@@ -8,8 +8,7 @@ use subfed_core::algorithms::{
     FedAvg, FedMtl, FedProx, LgFedAvg, Standalone, SubFedAvgHy, SubFedAvgUn,
 };
 use subfed_core::presets::DatasetKind;
-use subfed_core::scale::ScaledSubFedAvg;
-use subfed_core::{FederatedAlgorithm, Federation};
+use subfed_core::{FederatedAlgorithm, Federation, ScaledSubFedAvg};
 use subfed_data::stats::{label_histogram, mean_labels_per_client};
 use subfed_data::{SynthClientProvider, SynthProviderConfig, SynthVision};
 use subfed_metrics::comm::human_bytes;
@@ -72,6 +71,9 @@ fn execute_scaled_run(spec: &RunSpec, registered: usize) -> Result<String, Strin
         return Err("--num-clients drives the streaming Sub-FedAvg engine: \
                     use --algo sub-fedavg-un"
             .to_string());
+    }
+    if spec.csv.is_some() {
+        return Err("--csv is not supported on the --num-clients path yet".to_string());
     }
     if registered == 0 {
         return Err("--num-clients must be positive".to_string());
@@ -153,9 +155,6 @@ fn execute_scaled_run(spec: &RunSpec, registered: usize) -> Result<String, Strin
     if let Some(sink) = &summary_sink {
         out.push('\n');
         out.push_str(&TraceSummary::from_events(&sink.snapshot()).render());
-    }
-    if spec.csv.is_some() {
-        return Err("--csv is not supported on the --num-clients path yet".to_string());
     }
     if let Some(path) = &spec.trace {
         out.push_str(&format!("trace written to {path}\n"));
@@ -396,6 +395,21 @@ mod tests {
             parse_args(&argv("run --algo fedavg --num-clients 100 --rounds 1 --epochs 1")).unwrap();
         let err = execute(&cmd).unwrap_err();
         assert!(err.contains("sub-fedavg-un"), "{err}");
+    }
+
+    #[test]
+    fn scaled_run_rejects_csv_before_running() {
+        let trace = std::env::temp_dir().join("subfed_cli_scaled_csv_reject.jsonl");
+        let _ = std::fs::remove_file(&trace);
+        let cmd = parse_args(&argv(&format!(
+            "run --algo un --num-clients 2000 --frac 0.01 --rounds 2 --epochs 1 \
+             --csv x.csv --trace {}",
+            trace.to_str().unwrap()
+        )))
+        .unwrap();
+        let err = execute(&cmd).unwrap_err();
+        assert!(err.contains("--csv is not supported"), "{err}");
+        assert!(!trace.exists(), "the run started before --csv was rejected");
     }
 
     #[test]

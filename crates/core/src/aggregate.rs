@@ -6,7 +6,7 @@
 //! global value. With all-ones masks it reduces exactly to FedAvg — a
 //! property the tests pin down.
 
-use subfed_nn::{is_kept, ModelMask};
+use subfed_nn::{is_kept, ModelMask, Sequential};
 
 /// Flattens a [`ModelMask`] into one 0/1 vector aligned with
 /// `Sequential::flatten` order.
@@ -16,6 +16,20 @@ pub fn flatten_mask(mask: &ModelMask) -> Vec<f32> {
         out.extend_from_slice(t.data());
     }
     out
+}
+
+/// Reassembles a [`ModelMask`] shaped like `template` from its flat 0/1
+/// vector (inverse of [`flatten_mask`]).
+pub(crate) fn unflatten_mask(template: &Sequential, flat: &[f32]) -> ModelMask {
+    let mut m = ModelMask::ones_for(template);
+    let mut rest = flat;
+    for t in m.tensors_mut() {
+        let (head, tail) = rest.split_at(t.len());
+        t.data_mut().copy_from_slice(head);
+        rest = tail;
+    }
+    debug_assert!(rest.is_empty(), "mask length mismatch");
+    m
 }
 
 /// Sample-count-weighted FedAvg over flat parameter vectors.

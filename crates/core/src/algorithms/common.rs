@@ -53,12 +53,13 @@ pub(crate) fn record_round(
     });
 }
 
-/// Applies a flat 0/1 mask to a flat parameter vector in place.
-pub(crate) fn apply_flat_mask(flat: &mut [f32], mask: &[f32]) {
+/// Applies a flat 0/1 mask to a flat parameter vector.
+pub(crate) fn apply_flat_mask(mut flat: Vec<f32>, mask: &[f32]) -> Vec<f32> {
     debug_assert_eq!(flat.len(), mask.len());
     for (v, &m) in flat.iter_mut().zip(mask.iter()) {
         *v *= m;
     }
+    flat
 }
 
 /// Number of kept (non-zero) entries of a flat mask.

@@ -1,16 +1,17 @@
 //! The paper's algorithms and every baseline it compares against.
 
-pub(crate) mod common;
+mod common;
 mod fedavg;
 mod lg_fedavg;
 mod mtl;
 mod standalone;
-mod subfedavg_hy;
-mod subfedavg_un;
+mod subfedavg;
 
 pub use fedavg::{FedAvg, FedProx};
 pub use lg_fedavg::LgFedAvg;
 pub use mtl::FedMtl;
 pub use standalone::Standalone;
-pub use subfedavg_hy::SubFedAvgHy;
-pub use subfedavg_un::{SubFedAvgOptions, SubFedAvgUn};
+pub use subfedavg::{
+    ScaledRoundRecord, ScaledSubFedAvg, ScaledSummary, SubFedAvg, SubFedAvgHy, SubFedAvgOptions,
+    SubFedAvgUn,
+};

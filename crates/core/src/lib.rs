@@ -14,6 +14,12 @@
 //! | [`algorithms::FedMtl`] | federated multi-task learning (Smith et al.) | baseline |
 //! | [`algorithms::SubFedAvgUn`] | **Algorithm 1** — unstructured pruning | contribution |
 //! | [`algorithms::SubFedAvgHy`] | **Algorithm 2** — hybrid pruning | contribution |
+//! | [`ScaledSubFedAvg`] | Algorithm 1 over a [`ClientRegistry`] of millions | extension |
+//!
+//! The three Sub-FedAvg rows are one round driver,
+//! [`algorithms::SubFedAvg`], generic over the pruning track and over
+//! where per-client state lives (resident models, or a registry of masks
+//! for sampled cohorts; `docs/SCALING.md`).
 //!
 //! All algorithms share one [`FedConfig`], one client-sampling scheme, one
 //! local trainer, and one [`History`] output, so every Table-1/Fig-3
@@ -53,19 +59,18 @@ pub mod invariants;
 pub mod presets;
 pub mod registry;
 pub mod sampler;
-pub mod scale;
 pub mod stream_agg;
 pub mod wire;
 
 pub use aggregate::{
     fedavg_aggregate, flatten_mask, subfedavg_aggregate, subfedavg_aggregate_trimmed,
 };
+pub use algorithms::{ScaledRoundRecord, ScaledSubFedAvg, ScaledSummary};
 pub use config::FedConfig;
 pub use engine::{evaluate_accuracy, train_client, train_client_ws, Federation, LocalOutcome};
 pub use history::{History, RoundRecord};
 pub use registry::{ClientRegistry, RegistryError};
 pub use sampler::{CohortSampler, UniformSampler};
-pub use scale::{ScaledSubFedAvg, ScaledSummary};
 pub use stream_agg::{OrderedAccumulator, StreamingAccumulator};
 pub use workspace::{PooledWorkspace, WorkspacePool};
 

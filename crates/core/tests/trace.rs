@@ -62,6 +62,22 @@ fn traced_un_run(threads: usize, dropout_prob: f32) -> Vec<TraceEvent> {
     sink.snapshot()
 }
 
+fn hy_controller() -> HybridController {
+    let mut controller = HybridController::paper_defaults(0.4, 0.5);
+    controller.acc_threshold = 0.0;
+    controller.unstructured.acc_threshold = 0.0;
+    controller.structured_rate = 0.2;
+    controller.unstructured.rate = 0.2;
+    controller
+}
+
+fn traced_hy_run(rounds: usize, threads: usize) -> Vec<TraceEvent> {
+    let sink = Arc::new(VecSink::new());
+    let fed = federation(rounds, threads, 0.0).with_tracer(Tracer::new(sink.clone()));
+    let _ = SubFedAvgHy::with_controller(fed, hy_controller()).run();
+    sink.snapshot()
+}
+
 #[test]
 fn subfedavg_un_trace_covers_every_phase() {
     let events = traced_un_run(1, 0.0);
@@ -101,13 +117,18 @@ fn subfedavg_un_trace_covers_every_phase() {
     }
 }
 
+fn assert_identical_across_thread_counts(algo: &str, run: impl Fn(usize) -> Vec<TraceEvent>) {
+    let one = canonicalize(&run(1));
+    let three = canonicalize(&run(3));
+    let four = canonicalize(&run(4));
+    assert_eq!(one, three, "{algo}: canonical trace differs between threads=1 and threads=3");
+    assert_eq!(one, four, "{algo}: canonical trace differs between threads=1 and threads=4");
+}
+
 #[test]
 fn trace_content_is_identical_across_thread_counts() {
-    let one = canonicalize(&traced_un_run(1, 0.0));
-    let three = canonicalize(&traced_un_run(3, 0.0));
-    let four = canonicalize(&traced_un_run(4, 0.0));
-    assert_eq!(one, three, "canonical trace differs between threads=1 and threads=3");
-    assert_eq!(one, four, "canonical trace differs between threads=1 and threads=4");
+    assert_identical_across_thread_counts("un", |threads| traced_un_run(threads, 0.0));
+    assert_identical_across_thread_counts("hy", |threads| traced_hy_run(3, threads));
 }
 
 #[test]
@@ -163,15 +184,7 @@ fn dropout_injection_is_traced() {
 
 #[test]
 fn subfedavg_hy_emits_both_gate_tracks() {
-    let sink = Arc::new(VecSink::new());
-    let fed = federation(2, 1, 0.0).with_tracer(Tracer::new(sink.clone()));
-    let mut controller = HybridController::paper_defaults(0.4, 0.5);
-    controller.acc_threshold = 0.0;
-    controller.unstructured.acc_threshold = 0.0;
-    controller.structured_rate = 0.2;
-    controller.unstructured.rate = 0.2;
-    let _ = SubFedAvgHy::with_controller(fed, controller).run();
-    let events = sink.snapshot();
+    let events = traced_hy_run(2, 1);
     let tracks: Vec<&str> = events
         .iter()
         .filter_map(|e| match e {

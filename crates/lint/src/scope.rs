@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn applies_only_to_engine_and_algorithms() {
         assert!(applies_to("crates/core/src/engine.rs"));
-        assert!(applies_to("crates/core/src/algorithms/subfedavg_un.rs"));
+        assert!(applies_to("crates/core/src/algorithms/subfedavg.rs"));
         assert!(!applies_to("crates/nn/src/mask.rs"));
         assert!(!applies_to("crates/core/src/aggregate.rs"));
     }

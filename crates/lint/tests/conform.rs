@@ -358,7 +358,7 @@ fn mutated_jsonl_is_rejected_through_the_file_path_with_line_numbers() {
 /// A clean 3-round trace from the registry-scale engine: 300 registered
 /// clients, sampled cohorts, streaming aggregation (`docs/SCALING.md`).
 fn golden_sampled_cohort() -> Vec<TraceEvent> {
-    use subfed_core::scale::ScaledSubFedAvg;
+    use subfed_core::ScaledSubFedAvg;
     use subfed_data::{SynthClientProvider, SynthProviderConfig};
 
     let sink = Arc::new(VecSink::new());
