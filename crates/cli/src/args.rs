@@ -164,9 +164,11 @@ pub fn usage() -> String {
          \x20           sub-fedavg-un only.\n\
          \n\
          TRACES:     --trace PATH streams round-level JSONL telemetry\n\
-         \x20           (docs/OBSERVABILITY.md); check a written trace against\n\
+         \x20           (docs/OBSERVABILITY.md); check a Sub-FedAvg trace against\n\
          \x20           the round-protocol spec with `subfed-lint conform PATH`\n\
-         \x20           (docs/PROTOCOL.md).\n",
+         \x20           (docs/PROTOCOL.md). Baseline traces fail that spec by\n\
+         \x20           design: they have no prune, gate, encode or decode\n\
+         \x20           phases, and standalone and mtl have no aggregate.\n",
         AlgoKind::names()
     )
 }
@@ -181,7 +183,7 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Resu
 /// # Errors
 ///
 /// Returns a human-readable message for unknown commands, unknown flags,
-/// missing or malformed values.
+/// missing, malformed or out-of-range values.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
@@ -262,6 +264,16 @@ fn parse_run(args: &[String]) -> Result<RunSpec, String> {
         "quantity" | "quantity-skew" => PartitionKind::QuantitySkew { skew },
         other => return Err(format!("unknown partition `{other}`")),
     };
+    // Rejected here rather than by the federation and algorithm
+    // constructors, which panic on them (with the same messages).
+    spec.config.validate()?;
+    let ensure = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
+    ensure(spec.num_clients.is_some() || spec.clients > 0, "federation needs at least one client")?;
+    ensure(
+        spec.algo != AlgoKind::FedProx || spec.mu > 0.0,
+        "proximal coefficient must be positive",
+    )?;
+    ensure(spec.algo != AlgoKind::Mtl || spec.coupling >= 0.0, "coupling must be non-negative")?;
     Ok(spec)
 }
 
@@ -455,5 +467,28 @@ mod tests {
         assert!(parse_args(&argv("run --dataset svhn")).unwrap_err().contains("unknown dataset"));
         assert!(parse_args(&argv("run --algo sgd")).unwrap_err().contains("unknown algo"));
         assert!(parse_args(&argv("info --rounds 3")).unwrap_err().contains("unknown flag"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected() {
+        for (args, msg) in [
+            ("run --rounds 0", "rounds must be positive"),
+            ("run --epochs 0", "local_epochs must be positive"),
+            ("run --batch 0", "batch_size must be positive"),
+            ("run --eval-every 0", "eval_every must be positive"),
+            ("run --workers 0", "threads must be positive"),
+            ("run --frac 0", "sample_frac must be in (0, 1], got 0"),
+            ("run --frac 1.5", "sample_frac must be in (0, 1], got 1.5"),
+            ("run --dropout 1", "dropout_prob must be in [0, 1), got 1"),
+            ("run --momentum 1", "momentum must be in [0, 1)"),
+            ("run --lr -1", "lr must be positive"),
+            ("run --clients 0", "federation needs at least one client"),
+            ("run --algo fedprox --mu 0", "proximal coefficient must be positive"),
+            ("run --algo mtl --coupling -1", "coupling must be non-negative"),
+        ] {
+            assert_eq!(parse_args(&argv(args)), Err(msg.to_string()), "{args}");
+        }
+        // μ and the coupling are only checked for the algorithm that uses them.
+        assert!(parse_args(&argv("run --algo fedavg --mu 0 --coupling -1")).is_ok());
     }
 }

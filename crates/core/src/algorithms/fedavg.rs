@@ -6,11 +6,11 @@
 //! personalized test set — which is exactly where a single model falls
 //! apart under pathological non-IID.
 
-use super::common::record_round;
-use crate::{fedavg_aggregate, train_client_ws, FederatedAlgorithm, Federation, History};
+use super::common::{run_rounds, train_step, Baseline};
+use crate::{fedavg_aggregate, FederatedAlgorithm, Federation, History};
+use std::borrow::Cow;
 use subfed_metrics::comm::dense_transfer_bytes;
-use subfed_metrics::flops;
-use subfed_metrics::trace::TraceEvent;
+use subfed_metrics::trace::{model_hash, TraceEvent};
 
 /// Traditional FedAvg (Table 1's "FedAvg" row).
 #[derive(Debug, Clone)]
@@ -55,6 +55,50 @@ impl FedAvg {
     }
 }
 
+impl Baseline for FedAvg {
+    /// The global model.
+    type State = Vec<f32>;
+
+    fn fed(&self) -> &Federation {
+        &self.fed
+    }
+
+    fn round_body(&self, global: &mut Vec<f32>, round: usize, ids: &[usize]) -> u64 {
+        let fed = &self.fed;
+        // Quantised transfers degrade the *downloaded* model too.
+        let download = self.maybe_quantize(global);
+        let prox = self.prox_mu.map(|mu| (download.as_slice(), mu));
+        let outcomes = fed.par_map(ids, |i| {
+            train_step(fed, round, i, &fed.client_data(i), &download, None, prox)
+        });
+        let transfer = if self.quantized {
+            // 1 byte per parameter + the 8-byte affine header.
+            global.len() as u64 + 8
+        } else {
+            dense_transfer_bytes(global.len())
+        };
+        let updates: Vec<(Vec<f32>, usize)> = outcomes
+            .into_iter()
+            .zip(ids)
+            .map(|(o, &i)| {
+                fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: transfer });
+                fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: transfer });
+                (self.maybe_quantize(&o.final_flat), fed.client_data(i).train.len())
+            })
+            .collect();
+        let agg_span = fed.tracer().span();
+        *global = fedavg_aggregate(&updates);
+        let us = agg_span.elapsed_us();
+        fed.tracer().emit(TraceEvent::Aggregate { round, us, updates: updates.len() });
+        ids.len() as u64 * transfer * 2
+    }
+
+    fn models<'s>(&self, global: &'s Vec<f32>) -> (Cow<'s, [Vec<f32>]>, u64) {
+        // Traditional FL: every client is served the single global model.
+        (Cow::Owned(vec![global.clone(); self.fed.num_clients()]), model_hash(global))
+    }
+}
+
 impl FederatedAlgorithm for FedAvg {
     fn name(&self) -> String {
         match (self.prox_mu, self.quantized) {
@@ -65,102 +109,7 @@ impl FederatedAlgorithm for FedAvg {
     }
 
     fn run(&mut self) -> History {
-        let fed = &self.fed;
-        let mut global = fed.init_global();
-        let num_params = global.len();
-        let mut history = History::new();
-        let mut cum_bytes = 0u64;
-        for round in 1..=fed.config().rounds {
-            let round_span = fed.tracer().span();
-            let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                // Every sampled client dropped: the round is lost but the
-                // federation carries on with the previous global model.
-                let flats: Vec<Vec<f32>> = vec![global.clone(); fed.num_clients()];
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &flats,
-                    cum_bytes,
-                    subfed_metrics::trace::model_hash(&global),
-                    0.0,
-                    0.0,
-                    Vec::new(),
-                    round_span,
-                );
-                continue;
-            }
-            let prox_mu = self.prox_mu;
-            // Quantised transfers degrade the *downloaded* model too.
-            let download = self.maybe_quantize(&global);
-            let download_ref = &download;
-            let dense_flops = flops::dense_flops(fed.spec());
-            let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    download_ref,
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    prox_mu.map(|mu| (download_ref.as_slice(), mu)),
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    // Dense training: the compute path does the full work.
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
-            });
-            let transfer = if self.quantized {
-                // 1 byte per parameter + the 8-byte affine header.
-                num_params as u64 + 8
-            } else {
-                dense_transfer_bytes(num_params)
-            };
-            let updates: Vec<(Vec<f32>, usize)> = outcomes
-                .into_iter()
-                .zip(ids.iter())
-                .map(|(o, &i)| {
-                    fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: transfer });
-                    fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: transfer });
-                    (self.maybe_quantize(&o.final_flat), fed.client_data(i).train.len())
-                })
-                .collect();
-            let agg_span = fed.tracer().span();
-            global = fedavg_aggregate(&updates);
-            fed.tracer().emit(TraceEvent::Aggregate {
-                round,
-                us: agg_span.elapsed_us(),
-                updates: updates.len(),
-            });
-            cum_bytes += ids.len() as u64 * transfer * 2;
-            // Traditional FL: every client is served the single global
-            // model.
-            let flats: Vec<Vec<f32>> = vec![global.clone(); fed.num_clients()];
-            record_round(
-                &mut history,
-                fed,
-                round,
-                &flats,
-                cum_bytes,
-                subfed_metrics::trace::model_hash(&global),
-                0.0,
-                0.0,
-                Vec::new(),
-                round_span,
-            );
-        }
-        history
+        run_rounds(self, self.fed.init_global())
     }
 }
 

@@ -7,10 +7,10 @@
 //! dominates), matching Table 1 where LG-FedAvg's cost is slightly below
 //! FedAvg's.
 
-use super::common::record_round;
-use crate::{train_client_ws, FederatedAlgorithm, Federation, History};
-use subfed_metrics::flops;
-use subfed_metrics::trace::TraceEvent;
+use super::common::{run_rounds, train_step, Baseline};
+use crate::{fedavg_aggregate, FederatedAlgorithm, Federation, History};
+use std::borrow::Cow;
+use subfed_metrics::trace::{model_hash, TraceEvent};
 use subfed_nn::ParamKind;
 
 /// LG-FedAvg (Table 1's "LG-FedAvg" row).
@@ -46,115 +46,59 @@ impl LgFedAvg {
     }
 }
 
+impl Baseline for LgFedAvg {
+    /// Every client's full model (its local representation lives here),
+    /// and the shared head inside a full-length vector.
+    type State = (Vec<Vec<f32>>, Vec<f32>);
+
+    fn fed(&self) -> &Federation {
+        &self.fed
+    }
+
+    fn round_body(&self, (locals, head): &mut Self::State, round: usize, ids: &[usize]) -> u64 {
+        let fed = &self.fed;
+        let head_bytes = self.head_params() as u64 * 4;
+        let outcomes = fed.par_map(ids, |i| {
+            // Download: overwrite the head with the global head, keep the
+            // local representation.
+            let mut start = locals[i].clone();
+            self.copy_head(&mut start, head);
+            train_step(fed, round, i, &fed.client_data(i), &start, None, None)
+        });
+        // Upload: the server averages the heads, weighted by sample count.
+        let updates: Vec<(Vec<f32>, usize)> = outcomes
+            .into_iter()
+            .zip(ids)
+            .map(|(o, &i)| {
+                fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: head_bytes });
+                fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: head_bytes });
+                (o.final_flat, fed.client_data(i).train.len())
+            })
+            .collect();
+        let agg_span = fed.tracer().span();
+        self.copy_head(head, &fedavg_aggregate(&updates));
+        let us = agg_span.elapsed_us();
+        fed.tracer().emit(TraceEvent::Aggregate { round, us, updates: ids.len() });
+        for ((flat, _), &i) in updates.into_iter().zip(ids) {
+            locals[i] = flat;
+        }
+        ids.len() as u64 * head_bytes * 2
+    }
+
+    fn models<'s>(&self, (locals, head): &'s Self::State) -> (Cow<'s, [Vec<f32>]>, u64) {
+        // LG-FedAvg's server model is the shared head.
+        (Cow::Borrowed(locals), model_hash(head))
+    }
+}
+
 impl FederatedAlgorithm for LgFedAvg {
     fn name(&self) -> String {
         "LG-FedAvg".to_string()
     }
 
     fn run(&mut self) -> History {
-        let fed = &self.fed;
-        let init = fed.init_global();
-        // Per-client full models (local representations live here)...
-        let mut local_flats: Vec<Vec<f32>> = vec![init.clone(); fed.num_clients()];
-        // ...and the single shared head.
-        let mut global_head = init;
-        let mut history = History::new();
-        let mut cum_bytes = 0u64;
-        let head_bytes = self.head_params() as u64 * 4;
-        for round in 1..=fed.config().rounds {
-            let round_span = fed.tracer().span();
-            let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &local_flats,
-                    cum_bytes,
-                    // LG-FedAvg's server model is the shared head.
-                    subfed_metrics::trace::model_hash(&global_head),
-                    0.0,
-                    0.0,
-                    Vec::new(),
-                    round_span,
-                );
-                continue;
-            }
-            let locals = &local_flats;
-            let head_ranges = &self.head;
-            let global_ref = &global_head;
-            let dense_flops = flops::dense_flops(fed.spec());
-            let outcomes = fed.par_map(&ids, |i| {
-                // Download: overwrite the head with the global head, keep
-                // the local representation.
-                let mut start = locals[i].clone();
-                for &(off, len) in head_ranges {
-                    start[off..off + len].copy_from_slice(&global_ref[off..off + len]);
-                }
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    &start,
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    None,
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
-            });
-            // Upload: average the heads, weighted by sample count.
-            let agg_span = fed.tracer().span();
-            let total: usize = ids.iter().map(|&i| fed.client_data(i).train.len()).sum();
-            let mut new_head = vec![0.0f32; global_head.len()];
-            for (out, &i) in outcomes.iter().zip(ids.iter()) {
-                let w = fed.client_data(i).train.len() as f32 / total as f32;
-                for &(off, len) in &self.head {
-                    for (dst, &src) in
-                        new_head[off..off + len].iter_mut().zip(&out.final_flat[off..off + len])
-                    {
-                        *dst += w * src;
-                    }
-                }
-            }
-            self.copy_head(&mut global_head, &new_head);
-            fed.tracer().emit(TraceEvent::Aggregate {
-                round,
-                us: agg_span.elapsed_us(),
-                updates: ids.len(),
-            });
-            for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
-                fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: head_bytes });
-                fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: head_bytes });
-                local_flats[i] = out.final_flat;
-            }
-            cum_bytes += ids.len() as u64 * head_bytes * 2;
-            record_round(
-                &mut history,
-                fed,
-                round,
-                &local_flats,
-                cum_bytes,
-                // LG-FedAvg's server model is the shared head.
-                subfed_metrics::trace::model_hash(&global_head),
-                0.0,
-                0.0,
-                Vec::new(),
-                round_span,
-            );
-        }
-        history
+        let init = self.fed.init_global();
+        run_rounds(self, (vec![init.clone(); self.fed.num_clients()], init))
     }
 }
 

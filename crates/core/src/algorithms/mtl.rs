@@ -8,10 +8,10 @@
 //! cohort (upload its own, download every peer's), which is why MTL is by
 //! far the most expensive row of Table 1.
 
-use super::common::record_round;
-use crate::{train_client_ws, FederatedAlgorithm, Federation, History};
+use super::common::{run_rounds, train_step, Baseline};
+use crate::{FederatedAlgorithm, Federation, History};
+use std::borrow::Cow;
 use subfed_metrics::comm::{dense_transfer_bytes, mtl_run_bytes};
-use subfed_metrics::flops;
 use subfed_metrics::trace::TraceEvent;
 
 /// Federated MTL (Table 1's "MTL" row).
@@ -34,101 +34,54 @@ impl FedMtl {
     }
 }
 
+impl Baseline for FedMtl {
+    /// Every client's own model (one task per client).
+    type State = Vec<Vec<f32>>;
+
+    fn fed(&self) -> &Federation {
+        &self.fed
+    }
+
+    fn round_body(&self, locals: &mut Self::State, round: usize, ids: &[usize]) -> u64 {
+        let fed = &self.fed;
+        let num_params = locals[0].len();
+        // Cohort mean of the sampled tasks — the coupling anchor.
+        let mut mean = vec![0.0f32; num_params];
+        for &i in ids {
+            for (m, &v) in mean.iter_mut().zip(locals[i].iter()) {
+                *m += v / ids.len() as f32;
+            }
+        }
+        let prox = (self.coupling > 0.0).then_some((mean.as_slice(), self.coupling));
+        let outcomes = fed.par_map(ids, |i| {
+            train_step(fed, round, i, &fed.client_data(i), &locals[i], None, prox)
+        });
+        let dense = dense_transfer_bytes(num_params);
+        for (out, &i) in outcomes.into_iter().zip(ids) {
+            // All-pairs exchange: each participant downloads every cohort
+            // model and uploads its own once.
+            let download = dense * ids.len() as u64;
+            fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: download });
+            fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: dense });
+            locals[i] = out.final_flat;
+        }
+        // One round's all-pairs exchange for this cohort size.
+        mtl_run_bytes(1, ids.len() as u64, num_params)
+    }
+
+    fn models<'s>(&self, locals: &'s Self::State) -> (Cow<'s, [Vec<f32>]>, u64) {
+        // MTL keeps no server model; 0 = "not recorded".
+        (Cow::Borrowed(locals), 0)
+    }
+}
+
 impl FederatedAlgorithm for FedMtl {
     fn name(&self) -> String {
         "MTL".to_string()
     }
 
     fn run(&mut self) -> History {
-        let fed = &self.fed;
-        let init = fed.init_global();
-        let num_params = init.len();
-        let mut local_flats: Vec<Vec<f32>> = vec![init; fed.num_clients()];
-        let mut history = History::new();
-        let mut last_bytes = 0u64;
-        for round in 1..=fed.config().rounds {
-            let round_span = fed.tracer().span();
-            let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &local_flats,
-                    last_bytes,
-                    // MTL keeps no server model; 0 = "not recorded".
-                    0,
-                    0.0,
-                    0.0,
-                    Vec::new(),
-                    round_span,
-                );
-                continue;
-            }
-            // Cohort mean of the sampled tasks — the coupling anchor.
-            let mut mean = vec![0.0f32; num_params];
-            for &i in &ids {
-                for (m, &v) in mean.iter_mut().zip(local_flats[i].iter()) {
-                    *m += v / ids.len() as f32;
-                }
-            }
-            let locals = &local_flats;
-            let mean_ref = &mean;
-            let coupling = self.coupling;
-            let dense_flops = flops::dense_flops(fed.spec());
-            let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    &locals[i],
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    if coupling > 0.0 { Some((mean_ref.as_slice(), coupling)) } else { None },
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
-            });
-            let dense = dense_transfer_bytes(num_params);
-            for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
-                // All-pairs exchange: each participant uploads its model
-                // once and downloads every cohort model.
-                fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: dense });
-                fed.tracer().emit(TraceEvent::Download {
-                    round,
-                    client: i,
-                    bytes: dense * ids.len() as u64,
-                });
-                local_flats[i] = out.final_flat;
-            }
-            // One round's all-pairs exchange for this cohort size.
-            last_bytes += mtl_run_bytes(1, ids.len() as u64, num_params);
-            record_round(
-                &mut history,
-                fed,
-                round,
-                &local_flats,
-                last_bytes,
-                // MTL keeps no server model; 0 = "not recorded".
-                0,
-                0.0,
-                0.0,
-                Vec::new(),
-                round_span,
-            );
-        }
-        history
+        run_rounds(self, vec![self.fed.init_global(); self.fed.num_clients()])
     }
 }
 

@@ -3,10 +3,9 @@
 //! surprisingly strong baseline (each client solves a 2-class problem),
 //! which is exactly the paper's point about traditional FedAvg.
 
-use super::common::record_round;
-use crate::{train_client_ws, FedConfig, FederatedAlgorithm, Federation, History};
-use subfed_metrics::flops;
-use subfed_metrics::trace::TraceEvent;
+use super::common::{run_rounds, train_step, Baseline};
+use crate::{FederatedAlgorithm, Federation, History};
+use std::borrow::Cow;
 
 /// Local-only training (Table 1's "Standalone" row).
 #[derive(Debug, Clone)]
@@ -20,10 +19,36 @@ impl Standalone {
     pub fn new(fed: Federation) -> Self {
         Self { fed }
     }
+}
 
-    /// The shared configuration.
-    pub fn config(&self) -> &FedConfig {
-        self.fed.config()
+impl Baseline for Standalone {
+    /// Every client's local model.
+    type State = Vec<Vec<f32>>;
+
+    fn fed(&self) -> &Federation {
+        &self.fed
+    }
+
+    fn cohort(&self, round: usize) -> Vec<usize> {
+        // Every client trains every round, bypassing cohort sampling; with
+        // failure injection a crashed client skips its local epochs.
+        self.fed.open_round(round, (0..self.fed.num_clients()).collect())
+    }
+
+    fn round_body(&self, locals: &mut Self::State, round: usize, ids: &[usize]) -> u64 {
+        let fed = &self.fed;
+        let outcomes = fed.par_map(ids, |i| {
+            train_step(fed, round, i, &fed.client_data(i), &locals[i], None, None)
+        });
+        for (out, &i) in outcomes.into_iter().zip(ids) {
+            locals[i] = out.final_flat;
+        }
+        0
+    }
+
+    fn models<'s>(&self, locals: &'s Self::State) -> (Cow<'s, [Vec<f32>]>, u64) {
+        // Standalone has no server model; 0 = "not recorded".
+        (Cow::Borrowed(locals), 0)
     }
 }
 
@@ -33,78 +58,7 @@ impl FederatedAlgorithm for Standalone {
     }
 
     fn run(&mut self) -> History {
-        let fed = &self.fed;
-        let init = fed.init_global();
-        let mut local_flats: Vec<Vec<f32>> = vec![init; fed.num_clients()];
-        let mut history = History::new();
-        let all: Vec<usize> = (0..fed.num_clients()).collect();
-        for round in 1..=fed.config().rounds {
-            let round_span = fed.tracer().span();
-            // With failure injection a crashed client simply skips its
-            // local epochs this round. Standalone bypasses cohort sampling
-            // (every client trains), so the round is opened here rather
-            // than through `Federation::begin_round`.
-            let ids = fed.survivors(round, &all);
-            if fed.tracer().is_enabled() {
-                fed.tracer().emit(TraceEvent::RoundStart {
-                    round,
-                    sampled: all.clone(),
-                    survivors: ids.clone(),
-                    registered: fed.num_clients(),
-                    cohort_size: all.len(),
-                });
-                for &client in all.iter().filter(|c| !ids.contains(c)) {
-                    fed.tracer().emit(TraceEvent::Dropout {
-                        round,
-                        client,
-                        reason: "crash-injected".to_string(),
-                    });
-                }
-            }
-            let flats = &local_flats;
-            let dense_flops = flops::dense_flops(fed.spec());
-            let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    &flats[i],
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    None,
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
-            });
-            for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
-                local_flats[i] = out.final_flat;
-            }
-            record_round(
-                &mut history,
-                fed,
-                round,
-                &local_flats,
-                0,
-                // Standalone has no server model; 0 = "not recorded".
-                0,
-                0.0,
-                0.0,
-                Vec::new(),
-                round_span,
-            );
-        }
-        history
+        run_rounds(self, vec![self.fed.init_global(); self.fed.num_clients()])
     }
 }
 

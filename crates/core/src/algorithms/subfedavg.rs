@@ -25,20 +25,19 @@
 //! [`SubFedAvgUn`], [`SubFedAvgHy`] and [`ScaledSubFedAvg`] name the three
 //! combinations in use; `docs/SCALING.md` walks through the registry one.
 
-use super::common::{apply_flat_mask, is_eval_round, kept_count, record_round};
+use super::common::{apply_flat_mask, is_eval_round, kept_count, record_round, train_step};
 use crate::aggregate::unflatten_mask;
 use crate::checkpoint::Checkpoint;
 use crate::registry::ClientRegistry;
 use crate::stream_agg::OrderedAccumulator;
 use crate::{
     evaluate_accuracy, fedavg_aggregate, flatten_mask, invariants, subfedavg_aggregate_trimmed,
-    train_client_ws, wire, FederatedAlgorithm, Federation, History,
+    wire, FederatedAlgorithm, Federation, History,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
 use subfed_data::ClientData;
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask};
-use subfed_metrics::flops;
 use subfed_metrics::trace::{model_hash, Span, TraceEvent};
 use subfed_nn::{ModelMask, Sequential};
 use subfed_pruning::{ChannelMask, GateDecision, HybridController, UnstructuredController};
@@ -260,23 +259,10 @@ impl<T: PruneTrack> ClientStore<T> for Resident<T> {
     }
 
     fn record(&mut self, fed: &Federation, track: &T, close: RoundClose) {
-        let n = self.states.len() as f32;
-        let (per_client_pruned, channels): (Vec<f32>, Vec<f32>) =
-            self.states.iter().map(|s| track.pruned(s)).unzip();
-        let avg_pruned = per_client_pruned.iter().sum::<f32>() / n;
-        let avg_channels = channels.iter().sum::<f32>() / n;
-        record_round(
-            &mut self.history,
-            fed,
-            close.round,
-            &self.local_flats,
-            close.cum_bytes,
-            close.model_hash,
-            avg_pruned,
-            avg_channels,
-            per_client_pruned,
-            close.span,
-        );
+        let RoundClose { round, cum_bytes, model_hash, span, .. } = close;
+        let pruned = self.states.iter().map(|s| track.pruned(s)).collect();
+        let flats = &self.local_flats;
+        record_round(&mut self.history, fed, round, flats, cum_bytes, model_hash, pruned, span);
     }
 }
 
@@ -447,7 +433,6 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
             let window = fed.config().threads.max(1);
             let acc = streamed.then(|| OrderedAccumulator::new(self.global.len(), window));
             let (store, global) = (&self.store, &self.global);
-            let dense_flops = flops::dense_flops(fed.spec());
             // Workers are mapped over cohort *slots* (positions in `ids`):
             // the slot is the upload's turn in the fold, and `par_map`'s
             // strided schedule hands each worker its slots ascending — the
@@ -458,28 +443,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                 let data = fed.client_data(i);
                 let state = store.client(fed, i);
                 let mask = T::mask(&state);
-                let train_span = tracer.span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    global,
-                    &data,
-                    fed.config(),
-                    Some(mask),
-                    None,
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                tracer.emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: train_span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    // Per-kept-weight work of this client's subnetwork.
-                    effective_flops: flops::effective_flops(fed.spec(), mask),
-                    dense_flops,
-                });
+                let out = train_step(fed, round, i, &data, global, Some(mask), None);
                 // Download cost: the masked global under the mask the
                 // client trained with.
                 let flat_before = flatten_mask(mask);

@@ -53,34 +53,41 @@ impl Default for FedConfig {
 impl FedConfig {
     /// Validates ranges; called by the engine constructor.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on out-of-range values (zero rounds/epochs/batch, sampling
-    /// fraction outside `(0, 1]`, non-positive learning rate).
-    pub fn validate(&self) {
-        assert!(self.rounds > 0, "rounds must be positive");
-        assert!(
-            self.sample_frac > 0.0 && self.sample_frac <= 1.0,
-            "sample_frac must be in (0, 1], got {}",
-            self.sample_frac
-        );
-        assert!(self.local_epochs > 0, "local_epochs must be positive");
-        assert!(self.batch_size > 0, "batch_size must be positive");
-        assert!(self.lr > 0.0, "lr must be positive");
-        assert!((0.0..1.0).contains(&self.momentum), "momentum must be in [0, 1)");
-        assert!(self.eval_every > 0, "eval_every must be positive");
-        assert!(self.threads > 0, "threads must be positive");
-        assert!(
-            (0.0..1.0).contains(&self.dropout_prob),
-            "dropout_prob must be in [0, 1), got {}",
-            self.dropout_prob
-        );
+    /// Names the first out-of-range value: zero rounds, epochs, batch,
+    /// evaluation interval or threads, a sampling fraction outside
+    /// `(0, 1]`, a non-positive learning rate, or a momentum or dropout
+    /// probability outside `[0, 1)`.
+    #[must_use = "a dropped Result lets an invalid config through"]
+    pub fn validate(&self) -> Result<(), String> {
+        let (frac, dropout) = (self.sample_frac, self.dropout_prob);
+        ensure(self.rounds > 0, || "rounds must be positive".into())?;
+        ensure(frac > 0.0 && frac <= 1.0, || format!("sample_frac must be in (0, 1], got {frac}"))?;
+        ensure(self.local_epochs > 0, || "local_epochs must be positive".into())?;
+        ensure(self.batch_size > 0, || "batch_size must be positive".into())?;
+        ensure(self.lr > 0.0, || "lr must be positive".into())?;
+        ensure((0.0..1.0).contains(&self.momentum), || "momentum must be in [0, 1)".into())?;
+        ensure(self.eval_every > 0, || "eval_every must be positive".into())?;
+        ensure(self.threads > 0, || "threads must be positive".into())?;
+        ensure((0.0..1.0).contains(&dropout), || {
+            format!("dropout_prob must be in [0, 1), got {dropout}")
+        })
     }
 
     /// Number of clients sampled per round for a federation of size `n`
     /// (at least one).
     pub fn clients_per_round(&self, n: usize) -> usize {
         ((self.sample_frac * n as f32).round() as usize).clamp(1, n.max(1))
+    }
+}
+
+/// `Ok` when `ok` holds, otherwise the message `msg` builds.
+fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg())
     }
 }
 
@@ -96,7 +103,7 @@ mod tests {
         assert_eq!(c.batch_size, 10);
         assert_eq!(c.lr, 0.01);
         assert_eq!(c.momentum, 0.5);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -111,18 +118,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sample_frac")]
     fn zero_sampling_rejected() {
         let mut c = FedConfig::default();
         c.sample_frac = 0.0;
-        c.validate();
+        assert_eq!(c.validate(), Err("sample_frac must be in (0, 1], got 0".to_string()));
     }
 
     #[test]
-    #[should_panic(expected = "rounds must be positive")]
     fn zero_rounds_rejected() {
         let mut c = FedConfig::default();
         c.rounds = 0;
-        c.validate();
+        assert_eq!(c.validate(), Err("rounds must be positive".to_string()));
     }
 }

@@ -55,7 +55,7 @@ impl Federation {
         provider: Arc<dyn ClientProvider>,
         config: FedConfig,
     ) -> Self {
-        config.validate();
+        assert_eq!(config.validate(), Ok(()), "invalid federation config");
         assert!(provider.num_clients() > 0, "federation needs at least one client");
         Self {
             spec,
@@ -192,7 +192,14 @@ impl Federation {
     /// `dropout` event per lost client). Equivalent to
     /// `survivors(round, &sample_round(round))`.
     pub fn begin_round(&self, round: usize) -> Vec<usize> {
-        let sampled = self.sample_round(round);
+        self.open_round(round, self.sample_round(round))
+    }
+
+    /// [`Federation::begin_round`] after sampling: applies failure
+    /// injection to the `sampled` cohort and emits the round's
+    /// `round_start` and `dropout` events. Standalone opens its all-client
+    /// rounds here.
+    pub(crate) fn open_round(&self, round: usize, sampled: Vec<usize>) -> Vec<usize> {
         let survivors = self.survivors(round, &sampled);
         if self.tracer.is_enabled() {
             self.tracer.emit(TraceEvent::RoundStart {

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use subfed_core::algorithms::{SubFedAvgHy, SubFedAvgUn};
+use subfed_core::algorithms::{
+    FedAvg, FedMtl, FedProx, LgFedAvg, Standalone, SubFedAvgHy, SubFedAvgUn,
+};
 use subfed_core::{FedConfig, FederatedAlgorithm, Federation};
 use subfed_data::{partition_pathological, PartitionConfig, SynthConfig, SynthVision};
 use subfed_metrics::trace::{canonicalize, TraceEvent, Tracer, VecSink};
@@ -78,6 +80,24 @@ fn traced_hy_run(rounds: usize, threads: usize) -> Vec<TraceEvent> {
     sink.snapshot()
 }
 
+/// Runs the dense baseline `name` (a `subfed run --algo` name) over
+/// `federation(rounds, threads, dropout_prob)` and returns the sink
+/// holding its trace.
+fn traced_baseline(name: &str, rounds: usize, threads: usize, dropout_prob: f32) -> Arc<VecSink> {
+    let sink = Arc::new(VecSink::new());
+    let fed = federation(rounds, threads, dropout_prob).with_tracer(Tracer::new(sink.clone()));
+    let mut algo: Box<dyn FederatedAlgorithm> = match name {
+        "standalone" => Box::new(Standalone::new(fed)),
+        "fedavg" => Box::new(FedAvg::new(fed)),
+        "fedprox" => Box::new(FedProx::new(fed, 0.5)),
+        "lg-fedavg" => Box::new(LgFedAvg::new(fed)),
+        "mtl" => Box::new(FedMtl::new(fed, 0.1)),
+        other => panic!("unknown baseline {other}"),
+    };
+    let _ = algo.run();
+    sink
+}
+
 #[test]
 fn subfedavg_un_trace_covers_every_phase() {
     let events = traced_un_run(1, 0.0);
@@ -117,18 +137,62 @@ fn subfedavg_un_trace_covers_every_phase() {
     }
 }
 
-fn assert_identical_across_thread_counts(algo: &str, run: impl Fn(usize) -> Vec<TraceEvent>) {
+/// Asserts that `run` traces the same canonical content at 1, 3 and 4
+/// threads, and returns that content.
+fn assert_identical_across_thread_counts(
+    algo: &str,
+    run: impl Fn(usize) -> Vec<TraceEvent>,
+) -> Vec<TraceEvent> {
     let one = canonicalize(&run(1));
     let three = canonicalize(&run(3));
     let four = canonicalize(&run(4));
     assert_eq!(one, three, "{algo}: canonical trace differs between threads=1 and threads=3");
     assert_eq!(one, four, "{algo}: canonical trace differs between threads=1 and threads=4");
+    one
 }
 
 #[test]
 fn trace_content_is_identical_across_thread_counts() {
     assert_identical_across_thread_counts("un", |threads| traced_un_run(threads, 0.0));
     assert_identical_across_thread_counts("hy", |threads| traced_hy_run(3, threads));
+    // 80% dropout over four rounds loses one round's whole cohort, so the
+    // baselines' empty-round path is pinned too.
+    for name in ["standalone", "fedavg", "fedprox", "lg-fedavg", "mtl"] {
+        let events = assert_identical_across_thread_counts(name, |threads| {
+            traced_baseline(name, 4, threads, 0.8).snapshot()
+        });
+        let lost = events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::RoundStart { survivors, .. } if survivors.is_empty()));
+        assert!(lost, "{name}: no round lost its whole cohort");
+    }
+}
+
+#[test]
+fn baseline_transfers_are_emitted_in_protocol_order() {
+    // In emission (`seq`) order, every client's download precedes its
+    // upload, and every upload precedes its round's aggregate.
+    for name in ["fedavg", "lg-fedavg", "mtl"] {
+        let mut events = traced_baseline(name, 3, 1, 0.0).seq_snapshot();
+        events.sort_by_key(|(seq, _)| *seq);
+        let misordered = events
+            .iter()
+            .enumerate()
+            .filter(|(k, (_, e))| {
+                let TraceEvent::Upload { round, client, .. } = e else { return false };
+                let before = &events[..*k];
+                let downloaded = before.iter().any(|(_, x)| {
+                    matches!(x, TraceEvent::Download { round: r, client: c, .. }
+                        if r == round && c == client)
+                });
+                let aggregated = before.iter().any(
+                    |(_, x)| matches!(x, TraceEvent::Aggregate { round: r, .. } if r == round),
+                );
+                !downloaded || aggregated
+            })
+            .count();
+        assert_eq!(misordered, 0, "{name}: {misordered} uploads out of protocol order");
+    }
 }
 
 #[test]
