@@ -274,6 +274,24 @@ fn parse_run(args: &[String]) -> Result<RunSpec, String> {
         "proximal coefficient must be positive",
     )?;
     ensure(spec.algo != AlgoKind::Mtl || spec.coupling >= 0.0, "coupling must be non-negative")?;
+    let pruning = matches!(spec.algo, AlgoKind::SubFedAvgUn | AlgoKind::SubFedAvgHy);
+    ensure(
+        !pruning || (0.0..1.0).contains(&spec.rate),
+        &format!("prune rate must be in [0, 1), got {}", spec.rate),
+    )?;
+    ensure(
+        !pruning || (0.0..=1.0).contains(&spec.target),
+        &format!("target must be in [0, 1], got {}", spec.target),
+    )?;
+    ensure(
+        spec.algo != AlgoKind::SubFedAvgHy || (0.0..=1.0).contains(&spec.structured_target),
+        &format!("structured_target must be in [0, 1], got {}", spec.structured_target),
+    )?;
+    match spec.partition {
+        PartitionKind::Dirichlet { alpha } => ensure(alpha > 0.0, "alpha must be positive")?,
+        PartitionKind::QuantitySkew { skew } => ensure(skew >= 0.0, "skew must be non-negative")?,
+        PartitionKind::Pathological => {}
+    }
     Ok(spec)
 }
 
@@ -485,10 +503,26 @@ mod tests {
             ("run --clients 0", "federation needs at least one client"),
             ("run --algo fedprox --mu 0", "proximal coefficient must be positive"),
             ("run --algo mtl --coupling -1", "coupling must be non-negative"),
+            ("run --algo un --rate 1", "prune rate must be in [0, 1), got 1"),
+            ("run --algo hy --rate 1.5", "prune rate must be in [0, 1), got 1.5"),
+            ("run --algo un --target 1.5", "target must be in [0, 1], got 1.5"),
+            ("run --algo hy --target -0.2", "target must be in [0, 1], got -0.2"),
+            ("run --algo hy --structured-target 2", "structured_target must be in [0, 1], got 2"),
+            ("run --algo hy --structured-target -1", "structured_target must be in [0, 1], got -1"),
+            ("run --partition dirichlet --alpha 0", "alpha must be positive"),
+            ("run --partition dirichlet --alpha -1", "alpha must be positive"),
+            ("run --partition quantity --skew -1", "skew must be non-negative"),
         ] {
             assert_eq!(parse_args(&argv(args)), Err(msg.to_string()), "{args}");
         }
-        // μ and the coupling are only checked for the algorithm that uses them.
+        // Each value is only checked where it is used: μ and the coupling
+        // by their algorithm, the pruning values by Sub-FedAvg (the
+        // structured target by Hy alone), α and the skew by their
+        // partition.
         assert!(parse_args(&argv("run --algo fedavg --mu 0 --coupling -1")).is_ok());
+        assert!(parse_args(&argv("run --algo fedavg --rate 1 --target 2")).is_ok());
+        assert!(parse_args(&argv("run --algo un --structured-target 2")).is_ok());
+        assert!(parse_args(&argv("run --alpha 0 --skew -1")).is_ok());
+        assert!(parse_args(&argv("run --algo un --rate 0 --target 1")).is_ok());
     }
 }

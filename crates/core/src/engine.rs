@@ -627,6 +627,106 @@ mod tests {
         assert!(s1.iter().all(|i| ids.contains(i)));
     }
 
+    /// `train_client_ws` with its backward written out layer by layer,
+    /// calling every layer's `backward_ws` — the first layer's too, whose
+    /// input gradient training throws away. Roundbench's replay makes the
+    /// same calls.
+    fn train_every_layer_backward(
+        spec: &ModelSpec,
+        init_flat: &[f32],
+        data: &ClientData,
+        cfg: &FedConfig,
+        mask: Option<&ModelMask>,
+        seed: u64,
+    ) -> LocalOutcome {
+        let mut ws = Workspace::new();
+        let mut rng = SeededRng::new(seed);
+        let mut model = spec.build(&mut rng);
+        model.load_flat(init_flat);
+        if let Some(m) = mask {
+            m.apply(&mut model);
+            model.install_sparsity(m);
+        }
+        let mut opt = Sgd::new(cfg.lr, cfg.momentum);
+        let mut first_epoch_flat = Vec::new();
+        let (mut loss_sum, mut loss_count) = (0.0f32, 0usize);
+        for epoch in 0..cfg.local_epochs {
+            for batch in data.train.shuffled_batches(cfg.batch_size, &mut rng) {
+                let logits = model.forward_ws(&batch.images, Mode::Train, &mut ws);
+                let (loss, mut grad) = softmax_cross_entropy(&logits, &batch.labels);
+                loss_sum += loss;
+                loss_count += 1;
+                for layer in model.layers_mut().iter_mut().rev() {
+                    grad = layer.backward_ws(&grad, &mut ws);
+                }
+                opt.step(&mut model, mask, None);
+            }
+            if epoch == 0 {
+                first_epoch_flat = model.flatten();
+            }
+        }
+        let eval_set = if data.val.is_empty() { &data.train } else { &data.val };
+        LocalOutcome {
+            first_epoch_flat,
+            final_flat: model.flatten(),
+            val_acc: evaluate_accuracy(&mut model, eval_set, 64),
+            mean_train_loss: loss_sum / loss_count as f32,
+        }
+    }
+
+    #[test]
+    fn skipping_the_first_layer_input_gradient_changes_no_update() {
+        let data = SynthVision::generate(subfed_data::SynthConfig {
+            channels: 3,
+            height: 16,
+            width: 16,
+            classes: 4,
+            train_per_class: 20,
+            test_per_class: 5,
+            noise_std: 0.1,
+            shift: 1,
+            grid: 4,
+            seed: 9,
+        });
+        let clients = partition_pathological(
+            data.train(),
+            data.test(),
+            &PartitionConfig {
+                num_clients: 2,
+                shard_size: 10,
+                shards_per_client: 2,
+                val_fraction: 0.2,
+                seed: 9,
+            },
+        );
+        let spec = ModelSpec::lenet5(3, 16, 16, 4);
+        let cfg = FedConfig { local_epochs: 2, ..Default::default() };
+        let init = spec.build(&mut SeededRng::new(1)).flatten();
+        // A 90% unstructured mask over every prunable weight.
+        let mut mask = ModelMask::ones_for(&spec.build(&mut SeededRng::new(1)));
+        let kinds = mask.kinds().to_vec();
+        let mut rng = SeededRng::new(2);
+        for (t, kind) in mask.tensors_mut().iter_mut().zip(kinds) {
+            if kind.is_prunable_weight() {
+                for v in t.data_mut() {
+                    if rng.uniform_f32(0.0, 1.0) < 0.9 {
+                        *v = 0.0;
+                    }
+                }
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (name, m) in [("unmasked", None), ("90% mask", Some(&mask))] {
+            let got =
+                train_client_ws(&spec, &init, &clients[0], &cfg, m, None, 5, &mut Workspace::new());
+            let want = train_every_layer_backward(&spec, &init, &clients[0], &cfg, m, 5);
+            assert_eq!(bits(&got.first_epoch_flat), bits(&want.first_epoch_flat), "{name}");
+            assert_eq!(bits(&got.final_flat), bits(&want.final_flat), "{name}");
+            assert_eq!(got.val_acc.to_bits(), want.val_acc.to_bits(), "{name}");
+            assert_eq!(got.mean_train_loss.to_bits(), want.mean_train_loss.to_bits(), "{name}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one client")]
     fn empty_federation_rejected() {

@@ -60,6 +60,19 @@ pub trait Layer: Send {
         self.backward(grad_out)
     }
 
+    /// [`Layer::backward_ws`] for a caller that has no use for the input
+    /// gradient — the first layer of a model in training. Every
+    /// parameter's `grad` is filled exactly as `backward_ws` fills it;
+    /// a layer may skip the input-gradient pass (`Conv2d` does). The
+    /// default runs `backward_ws` and drops its result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a preceding training-mode forward.
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        self.backward_ws(grad_out, ws);
+    }
+
     /// Installs (or clears) the compressed-row fast path derived from this
     /// layer's parameter masks. `param_masks` lines up with
     /// [`Layer::params`] — one binary mask tensor per parameter; an empty

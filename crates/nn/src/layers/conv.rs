@@ -1,37 +1,53 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode, Param, ParamKind};
 use subfed_tensor::conv::{
-    build_taps_dense, build_taps_sparse, col2im_batch, conv2d_taps_batch, im2col_batch,
+    build_taps_dense, build_taps_sparse, col2im_batch, conv2d_input_grad_streamed,
+    conv2d_taps_batch, conv2d_taps_batch_train, conv2d_weight_grad_streamed, im2col_batch,
     im2col_batch_select, taps_supported, ConvGeom,
 };
 use subfed_tensor::init::{kaiming_uniform, SeededRng};
 use subfed_tensor::linalg::{gemm_nt, gemm_tn_ws, gemm_ws};
-use subfed_tensor::sparse::{
-    masked_dot_nt, spmm, spmm_t, RectPattern, RowPattern, SPARSE_DENSITY_MAX,
-};
+use subfed_tensor::sparse::{spmm, RectPattern, RowPattern, SPARSE_DENSITY_MAX};
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
-/// 2-D convolution with square kernels, implemented via batch-fused
-/// `im2col` + one matmul per pass.
+/// 2-D convolution with square kernels.
 ///
-/// Weight layout is `[out_ch, in_ch, kh, kw]`; input/output are NCHW. The
-/// whole batch is lowered into a single `[C·KH·KW, N·Hout·Wout]` patch
-/// matrix so forward is one `[Cout, C·KH·KW]` multiply (and backward two),
-/// drawn from the caller's [`Workspace`] instead of per-sample heap
-/// allocations. When a pruning mask is installed via
-/// [`Layer::install_sparsity`], all three multiplies route through the
-/// compressed-row kernels and skip pruned weights entirely. A mask whose
-/// kept entries form a rectangle (structured channel pruning) additionally
-/// gets an inference fast path: the kept sub-matrix runs through the
-/// blocked *dense* kernel at the pruned network's smaller shape, and
-/// `im2col` lowers only the surviving patch rows.
+/// Weight layout is `[out_ch, in_ch, kh, kw]`; input/output are NCHW.
+/// Scratch comes from the caller's [`Workspace`] instead of per-sample
+/// heap allocations. When a pruning mask is installed via
+/// [`Layer::install_sparsity`], every pass routes through the
+/// compressed-row pattern and skips pruned weights entirely.
 ///
-/// Unpadded unit-stride geometries get a second inference fast path:
-/// evaluation skips the lowering entirely and runs the direct tap-list
-/// kernel ([`conv2d_taps_batch`]), whose cost is proportional to the
-/// number of *kept* weights — this is what makes an unstructured-pruned
-/// forward measurably cheaper than a dense one (see `docs/PERFORMANCE.md`).
+/// Three ways to run a pass, picked per geometry, mask and mode:
+///
+/// * **Lowered**: the whole batch becomes one `[C·KH·KW, N·Hout·Wout]`
+///   patch matrix, so forward is one `[Cout, C·KH·KW]` multiply (dense
+///   GEMM or `spmm`). A dense layer trains this way, keeping the matrix
+///   for its backward (`gemm_nt` for the weight gradient, `gemm_tn_ws`
+///   then `col2im` for the input gradient), and every forward falls back
+///   to it.
+/// * **Taps**: unpadded unit-stride geometries with 8–48 px output rows
+///   ([`taps_supported`]) skip the lowering and run the direct tap-list
+///   kernel, whose cost is proportional to the number of *kept* weights —
+///   what makes an unstructured-pruned forward measurably cheaper than a
+///   dense one (see `docs/PERFORMANCE.md`). Eval takes it for every such
+///   layer and seeds each chain with the bias; training takes it under a
+///   mask and adds the bias last, which reproduces the lowered forward bit
+///   for bit.
+/// * **Streamed**: in training, a masked layer keeps its input batch
+///   instead of the patch matrix. Backward builds one patch row at a time
+///   for the weight gradient and scatters one row of the input gradient
+///   at a time, touching only columns some kept weight uses —
+///   bit-identical to the lowered backward. Forward takes the tap path,
+///   or a throwaway patch matrix where taps do not apply.
+///
+/// A mask whose kept entries form a rectangle (structured channel
+/// pruning) also gets an eval path where no tap path applies: the kept
+/// sub-matrix runs through the blocked *dense* kernel at the pruned
+/// network's smaller shape, and `im2col` lowers only the surviving patch
+/// rows. The first layer of a model never needs its input gradient, and
+/// [`Layer::backward_params_ws`] skips that pass.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     weight: Param,
@@ -48,11 +64,16 @@ pub struct Conv2d {
     rect: Option<RectPattern>,
 }
 
+/// What a training forward keeps for backward.
 #[derive(Debug, Clone)]
 struct Cache {
-    /// Fused `[col_rows, batch·col_cols]` patch matrix (workspace buffer;
-    /// returned to the workspace by `backward_ws`).
-    cols: Vec<f32>,
+    /// A workspace buffer, returned to the workspace by backward. Under a
+    /// sparsity pattern it is the input batch `[N, C, H, W]`, which the
+    /// streamed backward builds patch rows from one at a time; without
+    /// one, the fused `[col_rows, batch·col_cols]` patch matrix.
+    /// `install_sparsity` drops a pending cache, so the layer's pattern
+    /// always says which.
+    saved: Vec<f32>,
     geom: ConvGeom,
     batch: usize,
 }
@@ -125,6 +146,160 @@ impl Conv2d {
             pad: self.pad,
         }
     }
+
+    /// Forward through the direct tap-list kernel, with the training
+    /// numerics (bias added last) when `train`.
+    fn forward_taps(&self, input: &[f32], geom: &ConvGeom, n: usize, train: bool) -> Vec<f32> {
+        let wvals = self.weight.value.data();
+        let (tap_ptr, taps) = match &self.sparse {
+            Some(pat) => build_taps_sparse(pat, wvals, geom),
+            None => build_taps_dense(wvals, geom, self.out_ch),
+        };
+        // lint: allow(hot-path-alloc) — output buffer returned as an owned Tensor by API contract
+        let mut out = vec![0.0f32; n * self.out_ch * geom.col_cols()];
+        let bias = self.bias.value.data();
+        if train {
+            conv2d_taps_batch_train(input, geom, n, &tap_ptr, &taps, bias, &mut out);
+        } else {
+            conv2d_taps_batch(input, geom, n, &tap_ptr, &taps, bias, &mut out);
+        }
+        out
+    }
+
+    /// Eval forward under a rectangular (structured) mask: a smaller dense
+    /// network. Lowers only the used patch rows, gathers the kept weight
+    /// sub-matrix, and runs the blocked dense kernel at the pruned shape.
+    fn forward_rect(
+        &self,
+        rect: &RectPattern,
+        input: &[f32],
+        geom: &ConvGeom,
+        n: usize,
+        ws: &mut Workspace,
+    ) -> Vec<f32> {
+        let col_cols = geom.col_cols();
+        let fused_cols = n * col_cols;
+        let kept = rect.keep_rows().len();
+        let used = rect.used_cols().len();
+        let mut cols = ws.take_scratch(used * fused_cols);
+        im2col_batch_select(input, geom, n, &mut cols, rect.used_cols());
+        let mut wc = ws.take_scratch(kept * used);
+        rect.gather_weights(self.weight.value.data(), &mut wc);
+        let mut prod = ws.take_scratch(kept * fused_cols);
+        gemm_ws(kept, used, fused_cols, &wc, &cols, &mut prod, ws);
+        ws.put(wc);
+        ws.put(cols);
+        // Compact-row position per output channel; pruned channels emit
+        // their (mask-zeroed) bias plane, exactly what the dense product
+        // over zero weights yields.
+        // lint: allow(hot-path-alloc) — per-layer index table of out_ch entries, not tensor-sized
+        let mut pos = vec![usize::MAX; self.out_ch];
+        for (p, &r) in rect.keep_rows().iter().enumerate() {
+            pos[r as usize] = p;
+        }
+        let mut out = Vec::with_capacity(n * self.out_ch * col_cols);
+        for i in 0..n {
+            for (oc, &p) in pos.iter().enumerate() {
+                let b = self.bias.value.data()[oc];
+                if p == usize::MAX {
+                    out.extend(std::iter::repeat_n(b, col_cols));
+                } else {
+                    let src = &prod[p * fused_cols + i * col_cols..][..col_cols];
+                    out.extend(src.iter().map(|&s| s + b));
+                }
+            }
+        }
+        ws.put(prod);
+        out
+    }
+
+    /// Forward through the fused patch matrix, which it also returns (a
+    /// workspace buffer) for the lowered backward.
+    fn forward_lowered(
+        &self,
+        input: &[f32],
+        geom: &ConvGeom,
+        n: usize,
+        ws: &mut Workspace,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let col_rows = geom.col_rows();
+        let col_cols = geom.col_cols();
+        let fused_cols = n * col_cols;
+        let mut cols = ws.take_scratch(col_rows * fused_cols);
+        im2col_batch(input, geom, n, &mut cols);
+        let mut prod = ws.take_scratch(self.out_ch * fused_cols);
+        let wvals = self.weight.value.data();
+        match &self.sparse {
+            Some(pat) => spmm(pat, wvals, &cols, fused_cols, &mut prod),
+            None => gemm_ws(self.out_ch, col_rows, fused_cols, wvals, &cols, &mut prod, ws),
+        }
+        // Permute [Cout, N·cc] -> NCHW and add the bias in the same pass.
+        // The destination advances sequentially (i outer, oc inner), so the
+        // output is built by extension — each element is touched exactly
+        // once instead of zero-filled and then overwritten.
+        let mut out = Vec::with_capacity(n * self.out_ch * col_cols);
+        for i in 0..n {
+            for oc in 0..self.out_ch {
+                let src = &prod[oc * fused_cols + i * col_cols..][..col_cols];
+                let b = self.bias.value.data()[oc];
+                out.extend(src.iter().map(|&s| s + b));
+            }
+        }
+        ws.put(prod);
+        (out, cols)
+    }
+
+    /// The parameter half of backward: consumes the forward cache and
+    /// writes the weight and bias gradients. Returns the cache and the
+    /// output gradient in the fused `[Cout, N·Hout·Wout]` layout (a
+    /// workspace buffer) for the input gradient.
+    fn param_grads(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> (Cache, Vec<f32>) {
+        let cache = take_cache(&mut self.cache, "conv2d");
+        let geom = cache.geom;
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let col_rows = geom.col_rows();
+        let col_cols = geom.col_cols();
+        let n = cache.batch;
+        assert_eq!(
+            grad_out.shape(),
+            &[n, self.out_ch, oh, ow],
+            "conv2d backward: unexpected grad shape"
+        );
+        let fused_cols = n * col_cols;
+        // Gather dOut from NCHW into the fused [Cout, N·cc] layout (the
+        // exact inverse of the forward permutation).
+        let mut dym = ws.take_scratch(self.out_ch * fused_cols);
+        for i in 0..n {
+            for oc in 0..self.out_ch {
+                let src = &grad_out.data()[(i * self.out_ch + oc) * col_cols..][..col_cols];
+                dym[oc * fused_cols + i * col_cols..][..col_cols].copy_from_slice(src);
+            }
+        }
+        // dW = dOut · colsᵀ (only at kept positions under a mask).
+        let mut dw = ws.take_scratch(self.out_ch * col_rows);
+        match &self.sparse {
+            Some(pat) => {
+                conv2d_weight_grad_streamed(&cache.saved, &geom, n, pat, &dym, &mut dw, ws)
+            }
+            None => gemm_nt(self.out_ch, fused_cols, col_rows, &dym, &cache.saved, &mut dw),
+        }
+        store_grad(&mut self.weight, &[self.out_ch, self.in_ch, self.kernel, self.kernel], &dw);
+        ws.put(dw);
+        // db = rowwise sum of dOut.
+        let mut db = ws.take_scratch(self.out_ch);
+        for (oc, d) in db.iter_mut().enumerate() {
+            *d = dym[oc * fused_cols..(oc + 1) * fused_cols].iter().sum::<f32>();
+        }
+        store_grad(&mut self.bias, &[self.out_ch], &db);
+        ws.put(db);
+        (cache, dym)
+    }
+}
+
+/// Returns a finished backward's buffers to the workspace.
+fn release(cache: Cache, dym: Vec<f32>, ws: &mut Workspace) {
+    ws.put(dym);
+    ws.put(cache.saved);
 }
 
 /// Overwrites `param.grad` with `data` under `shape`, reusing the existing
@@ -160,164 +335,73 @@ impl Layer for Conv2d {
         assert_eq!(c, self.in_ch, "conv2d: expected {} input channels, got {c}", self.in_ch);
         let geom = self.geom_for(h, w);
         let (oh, ow) = (geom.out_h(), geom.out_w());
-        let col_rows = geom.col_rows();
-        let col_cols = geom.col_cols();
-        let fused_cols = n * col_cols;
-        if mode == Mode::Eval {
-            self.cache = None;
-            if taps_supported(&geom) {
-                // Direct tap-list inference: no lowering, no permute —
-                // work is proportional to the (kept) tap count, so any
-                // pruned filter (structured or not) pays off linearly in
-                // its sparsity. Checked before the rect path: at the
-                // unpadded shapes this kernel supports, skipping im2col
-                // beats even the compacted dense GEMM.
-                let wvals = self.weight.value.data();
-                let (tap_ptr, taps) = match &self.sparse {
-                    Some(pat) => build_taps_sparse(pat, wvals, &geom),
-                    None => build_taps_dense(wvals, &geom, self.out_ch),
-                };
-                // lint: allow(hot-path-alloc) — output buffer returned as an owned Tensor by API contract
-                let mut out = vec![0.0f32; n * self.out_ch * col_cols];
-                conv2d_taps_batch(
-                    input.data(),
-                    &geom,
-                    n,
-                    &tap_ptr,
-                    &taps,
-                    self.bias.value.data(),
-                    &mut out,
-                );
-                // lint: allow(hot-path-alloc) — shape metadata, not tensor data
-                return Tensor::from_parts(vec![n, self.out_ch, oh, ow], out);
-            }
-            if let Some(rect) = &self.rect {
-                // A rectangular (structured) mask is a smaller dense
-                // network: lower only the used patch rows, gather the kept
-                // weight sub-matrix, and run the blocked dense kernel at
-                // the pruned shape.
-                let kept = rect.keep_rows().len();
-                let used = rect.used_cols().len();
-                let mut cols = ws.take_scratch(used * fused_cols);
-                im2col_batch_select(input.data(), &geom, n, &mut cols, rect.used_cols());
-                let mut wc = ws.take_scratch(kept * used);
-                rect.gather_weights(self.weight.value.data(), &mut wc);
-                let mut prod = ws.take_scratch(kept * fused_cols);
-                gemm_ws(kept, used, fused_cols, &wc, &cols, &mut prod, ws);
-                ws.put(wc);
-                ws.put(cols);
-                // Compact-row position per output channel; pruned channels
-                // emit their (mask-zeroed) bias plane, exactly what the
-                // dense product over zero weights yields.
-                // lint: allow(hot-path-alloc) — per-layer index table of out_ch entries, not tensor-sized
-                let mut pos = vec![usize::MAX; self.out_ch];
-                for (p, &r) in rect.keep_rows().iter().enumerate() {
-                    pos[r as usize] = p;
-                }
-                let mut out = Vec::with_capacity(n * self.out_ch * col_cols);
-                for i in 0..n {
-                    for (oc, &p) in pos.iter().enumerate() {
-                        let b = self.bias.value.data()[oc];
-                        if p == usize::MAX {
-                            out.extend(std::iter::repeat_n(b, col_cols));
-                        } else {
-                            let src = &prod[p * fused_cols + i * col_cols..][..col_cols];
-                            out.extend(src.iter().map(|&s| s + b));
-                        }
-                    }
-                }
-                ws.put(prod);
-                // lint: allow(hot-path-alloc) — shape metadata, not tensor data
-                return Tensor::from_parts(vec![n, self.out_ch, oh, ow], out);
-            }
-        }
-        let mut cols = ws.take_scratch(col_rows * fused_cols);
-        im2col_batch(input.data(), &geom, n, &mut cols);
-        let mut prod = ws.take_scratch(self.out_ch * fused_cols);
-        let wvals = self.weight.value.data();
-        match &self.sparse {
-            Some(pat) => spmm(pat, wvals, &cols, fused_cols, &mut prod),
-            None => gemm_ws(self.out_ch, col_rows, fused_cols, wvals, &cols, &mut prod, ws),
-        }
-        // Permute [Cout, N·cc] -> NCHW and add the bias in the same pass.
-        // The destination advances sequentially (i outer, oc inner), so the
-        // output is built by extension — each element is touched exactly
-        // once instead of zero-filled and then overwritten.
-        let mut out = Vec::with_capacity(n * self.out_ch * col_cols);
-        for i in 0..n {
-            for oc in 0..self.out_ch {
-                let src = &prod[oc * fused_cols + i * col_cols..][..col_cols];
-                let b = self.bias.value.data()[oc];
-                out.extend(src.iter().map(|&s| s + b));
-            }
-        }
-        ws.put(prod);
-        if mode == Mode::Train {
-            self.cache = Some(Cache { cols, geom, batch: n });
+        let train = mode == Mode::Train;
+        // A masked layer trains without keeping its patch matrix. Dense
+        // layers keep the blocked GEMMs: with every weight kept they beat
+        // the tap rows on the 16×16 presets' shapes (see
+        // docs/PERFORMANCE.md).
+        let streamed = train && self.sparse.is_some();
+        self.cache = None;
+        let out = if taps_supported(&geom) && (!train || streamed) {
+            // Direct tap-list kernel: no lowering, no permute — work is
+            // proportional to the (kept) tap count, so any pruned filter
+            // (structured or not) pays off linearly in its sparsity.
+            // Checked before the rect path: at the unpadded shapes this
+            // kernel supports, skipping im2col beats even the compacted
+            // dense GEMM.
+            self.forward_taps(input.data(), &geom, n, train)
+        } else if let (false, Some(rect)) = (train, &self.rect) {
+            self.forward_rect(rect, input.data(), &geom, n, ws)
         } else {
-            ws.put(cols);
-            self.cache = None;
+            let (out, cols) = self.forward_lowered(input.data(), &geom, n, ws);
+            if train && !streamed {
+                self.cache = Some(Cache { saved: cols, geom, batch: n });
+            } else {
+                ws.put(cols);
+            }
+            out
+        };
+        if streamed {
+            let mut saved = ws.take_scratch(input.len());
+            saved.copy_from_slice(input.data());
+            self.cache = Some(Cache { saved, geom, batch: n });
         }
         // lint: allow(hot-path-alloc) — shape metadata, not tensor data
         Tensor::from_parts(vec![n, self.out_ch, oh, ow], out)
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cache = take_cache(&mut self.cache, "conv2d");
+        let (cache, dym) = self.param_grads(grad_out, ws);
         let geom = cache.geom;
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        let col_rows = geom.col_rows();
-        let col_cols = geom.col_cols();
         let n = cache.batch;
-        assert_eq!(
-            grad_out.shape(),
-            &[n, self.out_ch, oh, ow],
-            "conv2d backward: unexpected grad shape"
-        );
-        let fused_cols = n * col_cols;
-        // Gather dOut from NCHW into the fused [Cout, N·cc] layout (the
-        // exact inverse of the forward permutation).
-        let mut dym = ws.take_scratch(self.out_ch * fused_cols);
-        for i in 0..n {
-            for oc in 0..self.out_ch {
-                let src = &grad_out.data()[(i * self.out_ch + oc) * col_cols..][..col_cols];
-                dym[oc * fused_cols + i * col_cols..][..col_cols].copy_from_slice(src);
-            }
-        }
-        // dW = dOut · colsᵀ (only at kept positions under a mask).
-        let mut dw = ws.take_scratch(self.out_ch * col_rows);
-        match &self.sparse {
-            Some(pat) => masked_dot_nt(pat, &dym, &cache.cols, fused_cols, &mut dw),
-            None => gemm_nt(self.out_ch, fused_cols, col_rows, &dym, &cache.cols, &mut dw),
-        }
-        store_grad(&mut self.weight, &[self.out_ch, self.in_ch, self.kernel, self.kernel], &dw);
-        ws.put(dw);
-        // db = rowwise sum of dOut.
-        let mut db = ws.take_scratch(self.out_ch);
-        for (oc, d) in db.iter_mut().enumerate() {
-            *d = dym[oc * fused_cols..(oc + 1) * fused_cols].iter().sum::<f32>();
-        }
-        store_grad(&mut self.bias, &[self.out_ch], &db);
-        ws.put(db);
-        // dcols = Wᵀ · dOut, scattered back by col2im.
-        let mut dcols = ws.take_scratch(col_rows * fused_cols);
-        let wvals = self.weight.value.data();
-        match &self.sparse {
-            Some(pat) => spmm_t(pat, wvals, &dym, fused_cols, &mut dcols),
-            None => gemm_tn_ws(self.out_ch, col_rows, fused_cols, wvals, &dym, &mut dcols, ws),
-        }
         // lint: allow(hot-path-alloc) — dx is returned as an owned Tensor by API contract
         let mut dx = vec![0.0f32; n * geom.channels * geom.height * geom.width];
-        col2im_batch(&dcols, &geom, n, &mut dx);
-        ws.put(dym);
-        ws.put(dcols);
-        ws.put(cache.cols);
+        let wvals = self.weight.value.data();
+        match &self.sparse {
+            Some(pat) => conv2d_input_grad_streamed(wvals, pat, &geom, n, &dym, &mut dx, ws),
+            None => {
+                // dcols = Wᵀ · dOut, scattered back by col2im.
+                let (col_rows, fused_cols) = (geom.col_rows(), n * geom.col_cols());
+                let mut dcols = ws.take_scratch(col_rows * fused_cols);
+                gemm_tn_ws(self.out_ch, col_rows, fused_cols, wvals, &dym, &mut dcols, ws);
+                col2im_batch(&dcols, &geom, n, &mut dx);
+                ws.put(dcols);
+            }
+        }
+        release(cache, dym, ws);
         // lint: allow(hot-path-alloc) — shape metadata, not tensor data
         Tensor::from_parts(vec![n, geom.channels, geom.height, geom.width], dx)
     }
 
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let (cache, dym) = self.param_grads(grad_out, ws);
+        release(cache, dym, ws);
+    }
+
     // lint: cold — pattern build happens once per round, on mask install
     fn install_sparsity(&mut self, param_masks: &[&Tensor]) {
+        // A pending forward cache was laid out for the old pattern.
+        self.cache = None;
         self.sparse = None;
         self.rect = None;
         let Some(wm) = param_masks.first() else { return };
@@ -386,9 +470,10 @@ mod tests {
     #[test]
     fn unpadded_eval_takes_tap_path_and_matches_im2col() {
         let mut rng = SeededRng::new(31);
-        // LeNet conv1 shape: pad 0, stride 1 → eval runs the tap kernel;
-        // train runs im2col+GEMM. The two summation orders must agree to
-        // float tolerance, dense and unstructured-sparse alike.
+        // LeNet conv1 shape: pad 0, stride 1 → eval runs the bias-seeded
+        // tap kernel; train runs im2col+GEMM dense and the bias-last tap
+        // kernel under a mask. The summation orders must agree to float
+        // tolerance, dense and unstructured-sparse alike.
         let mut conv = Conv2d::new(3, 6, 5, 1, 0, &mut rng);
         let x = uniform(&[2, 3, 32, 32], -1.0, 1.0, &mut rng);
         let ye = conv.forward(&x, Mode::Eval);
@@ -567,6 +652,21 @@ mod tests {
         let mut rng = SeededRng::new(5);
         let mut conv = Conv2d::new(3, 1, 3, 1, 0, &mut rng);
         let _ = conv.forward(&Tensor::zeros(&[1, 2, 5, 5]), Mode::Eval);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward without forward")]
+    fn installing_a_mask_drops_the_pending_cache() {
+        // The saved buffer is a patch matrix without a pattern and the
+        // input batch with one, so a mask change between forward and
+        // backward must not leave the old buffer behind.
+        let mut rng = SeededRng::new(10);
+        let mut conv = Conv2d::new(1, 2, 3, 1, 0, &mut rng);
+        let _ = conv.forward(&uniform(&[2, 1, 6, 6], -1.0, 1.0, &mut rng), Mode::Train);
+        let zeros = Tensor::zeros(&[2, 1, 3, 3]);
+        conv.install_sparsity(&[&zeros, &Tensor::full(&[2], 1.0)]);
+        assert!(conv.has_sparse_path());
+        let _ = conv.backward(&Tensor::zeros(&[2, 2, 4, 4]));
     }
 
     #[test]

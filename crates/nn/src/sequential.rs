@@ -91,18 +91,22 @@ impl Sequential {
         x
     }
 
-    /// [`Sequential::backward`] with an explicit scratch [`Workspace`].
+    /// The training backward: fills every parameter's gradient exactly as
+    /// [`Sequential::backward`] does, with an explicit scratch
+    /// [`Workspace`]. It returns nothing, because training has no use for
+    /// the gradient w.r.t. the model input, so the first layer is asked
+    /// for its parameter gradients only ([`Layer::backward_params_ws`]).
     ///
     /// # Panics
     ///
     /// Panics if no training-mode forward preceded this call.
-    pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the output grad; grads then move layer to layer
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_ws(&g, ws);
+    pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward_ws(g.as_ref().unwrap_or(grad_out), ws));
         }
-        g
+        first.backward_params_ws(g.as_ref().unwrap_or(grad_out), ws);
     }
 
     /// Installs each layer's compressed-row fast path from a model mask

@@ -165,3 +165,170 @@ proptest! {
             "raising the true logit must not raise the loss");
     }
 }
+
+/// The lowered composition train-mode `Conv2d` ran before it learned to
+/// skip the patch matrix: `im2col_batch` → `gemm_ws`/`spmm` → permute +
+/// bias forward; `gemm_nt`/`masked_dot_nt` for the weight gradient, row
+/// sums for the bias gradient, and `gemm_tn_ws`/`spmm_t` → `col2im_batch`
+/// for the input gradient. Returns `(y, dW, db, dX)`.
+fn lowered_conv_oracle(
+    x: &Tensor,
+    geom: &subfed_tensor::conv::ConvGeom,
+    weight: &[f32],
+    bias: &[f32],
+    pattern: Option<&subfed_tensor::sparse::RowPattern>,
+    dy: &[f32],
+) -> [Vec<f32>; 4] {
+    use subfed_tensor::conv::{col2im_batch, im2col_batch};
+    use subfed_tensor::linalg::{gemm_nt, gemm_tn_ws, gemm_ws};
+    use subfed_tensor::sparse::{masked_dot_nt, spmm, spmm_t};
+    let mut ws = subfed_tensor::workspace::Workspace::new();
+    let n = x.shape()[0];
+    let (cout, cr, cc) = (bias.len(), geom.col_rows(), geom.col_cols());
+    let fused = n * cc;
+    let mut cols = vec![0.0; cr * fused];
+    im2col_batch(x.data(), geom, n, &mut cols);
+    let mut prod = vec![0.0; cout * fused];
+    match pattern {
+        Some(p) => spmm(p, weight, &cols, fused, &mut prod),
+        None => gemm_ws(cout, cr, fused, weight, &cols, &mut prod, &mut ws),
+    }
+    let mut y = Vec::with_capacity(n * cout * cc);
+    let mut dym = vec![0.0; cout * fused];
+    for i in 0..n {
+        for oc in 0..cout {
+            let at = oc * fused + i * cc;
+            y.extend(prod[at..at + cc].iter().map(|&s| s + bias[oc]));
+            dym[at..at + cc].copy_from_slice(&dy[(i * cout + oc) * cc..][..cc]);
+        }
+    }
+    let mut dw = vec![0.0; cout * cr];
+    match pattern {
+        Some(p) => masked_dot_nt(p, &dym, &cols, fused, &mut dw),
+        None => gemm_nt(cout, fused, cr, &dym, &cols, &mut dw),
+    }
+    let db: Vec<f32> = dym.chunks_exact(fused).map(|r| r.iter().sum::<f32>()).collect();
+    let mut dcols = vec![0.0; cr * fused];
+    match pattern {
+        Some(p) => spmm_t(p, weight, &dym, fused, &mut dcols),
+        None => gemm_tn_ws(cout, cr, fused, weight, &dym, &mut dcols, &mut ws),
+    }
+    let mut dx = vec![0.0; x.len()];
+    col2im_batch(&dcols, geom, n, &mut dx);
+    [y, dw, db, dx]
+}
+
+/// A workspace whose pooled buffers are full of NaN, so any read of a
+/// scratch element before it is written poisons the result.
+fn nan_dirtied_workspace() -> subfed_tensor::workspace::Workspace {
+    let mut ws = subfed_tensor::workspace::Workspace::new();
+    let mut bufs: Vec<Vec<f32>> = (4..21).step_by(2).map(|s| ws.take_scratch(1 << s)).collect();
+    for mut b in bufs.drain(..) {
+        b.fill(f32::NAN);
+        ws.put(b);
+    }
+    ws
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn train_conv_matches_the_lowered_composition_bit_for_bit() {
+    use subfed_nn::layers::Conv2d;
+    use subfed_nn::Layer;
+    use subfed_tensor::conv::ConvGeom;
+    use subfed_tensor::sparse::{RowPattern, SPARSE_DENSITY_MAX};
+    // (in_ch, out_ch, kernel, stride, pad, side): LeNet-5 and CNN-5
+    // conv1/conv2 at the 16×16 presets (conv2's output rows are 2 px), at
+    // paper scale (32×32 LeNet-5 and 28×28 CNN-5, whose conv2 rows are 10
+    // and 8 px), VGG-lite's padded 3×3 conv, and a strided padded one; the
+    // last two lower their forward but stream their masked backward.
+    let shapes = [
+        (3, 6, 5, 1, 0, 16),
+        (6, 16, 5, 1, 0, 6),
+        (1, 10, 5, 1, 0, 16),
+        (10, 20, 5, 1, 0, 6),
+        (3, 6, 5, 1, 0, 32),
+        (6, 16, 5, 1, 0, 14),
+        (1, 10, 5, 1, 0, 28),
+        (10, 20, 5, 1, 0, 12),
+        (3, 12, 3, 1, 1, 16),
+        (4, 6, 3, 2, 1, 9),
+    ];
+    // Masks: none, random densities (0.9 stays on the dense kernels, the
+    // rest install a pattern), a 0.5 mask with one fully pruned output
+    // channel, one with a patch column no kept weight uses, and all-zero.
+    let masks = ["none", "0.9", "0.7", "0.5", "0.09", "dead-channel", "dead-column", "zero"];
+    let mut rng = SeededRng::new(2024);
+    let mut cases = 0;
+    for &(cin, cout, k, stride, pad, side) in &shapes {
+        let geom = ConvGeom { channels: cin, height: side, width: side, kh: k, kw: k, stride, pad };
+        let cr = geom.col_rows();
+        for &batch in &[1usize, 10, 6] {
+            for mask in masks {
+                let bits_w: Vec<f32> = (0..cout * cr)
+                    .map(|t| {
+                        let coin = rng.uniform_f32(0.0, 1.0);
+                        let keep = match mask {
+                            "none" => true,
+                            "dead-channel" => coin < 0.5 && t / cr != cout / 2,
+                            "dead-column" => coin < 0.5 && t % cr != cr / 3,
+                            "zero" => false,
+                            density => coin < density.parse::<f32>().unwrap(),
+                        };
+                        if keep {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect();
+                let mut conv = Conv2d::new(cin, cout, k, stride, pad, &mut rng);
+                for (v, &b) in conv.params_mut()[0].value.data_mut().iter_mut().zip(&bits_w) {
+                    *v *= b;
+                }
+                if mask != "none" {
+                    let wm = Tensor::from_vec(vec![cout, cin, k, k], bits_w.clone()).unwrap();
+                    conv.install_sparsity(&[&wm, &Tensor::full(&[cout], 1.0)]);
+                }
+                let pat = RowPattern::from_mask(cout, cr, &bits_w);
+                let pattern =
+                    (mask != "none" && pat.density() <= SPARSE_DENSITY_MAX).then_some(&pat);
+                assert_eq!(conv.has_sparse_path(), pattern.is_some(), "{mask}");
+                let x = uniform(&[batch, cin, side, side], -1.0, 1.0, &mut rng);
+                let (oh, ow) = (geom.out_h(), geom.out_w());
+                let dy = uniform(&[batch, cout, oh, ow], -1.0, 1.0, &mut rng);
+                let weight = conv.params()[0].value.data().to_vec();
+                let bias = conv.params()[1].value.data().to_vec();
+                let [y0, dw0, db0, dx0] =
+                    lowered_conv_oracle(&x, &geom, &weight, &bias, pattern, dy.data());
+                for dirty in [false, true] {
+                    let case = format!(
+                        "{cin}->{cout} k{k} s{stride} p{pad} {side}px n{batch} {mask} dirty {dirty}"
+                    );
+                    let mut ws = if dirty {
+                        nan_dirtied_workspace()
+                    } else {
+                        subfed_tensor::workspace::Workspace::new()
+                    };
+                    let y = conv.forward_ws(&x, Mode::Train, &mut ws);
+                    let dx = conv.backward_ws(&dy, &mut ws);
+                    assert_eq!(bits(y.data()), bits(&y0), "forward, {case}");
+                    assert_eq!(bits(conv.params()[0].grad.data()), bits(&dw0), "dW, {case}");
+                    assert_eq!(bits(conv.params()[1].grad.data()), bits(&db0), "db, {case}");
+                    assert_eq!(bits(dx.data()), bits(&dx0), "dX, {case}");
+                    // The first-layer backward fills the same gradients.
+                    let y = conv.forward_ws(&x, Mode::Train, &mut ws);
+                    conv.backward_params_ws(&dy, &mut ws);
+                    assert_eq!(bits(y.data()), bits(&y0), "forward again, {case}");
+                    assert_eq!(bits(conv.params()[0].grad.data()), bits(&dw0), "dW only, {case}");
+                    assert_eq!(bits(conv.params()[1].grad.data()), bits(&db0), "db only, {case}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, shapes.len() * 3 * masks.len() * 2);
+}

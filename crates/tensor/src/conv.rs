@@ -10,18 +10,17 @@
 //! [`im2col_batch`]/[`col2im_batch`] lower a whole batch into **one**
 //! contiguous matrix of shape `[C·KH·KW, N·Hout·Wout]` (sample-major
 //! column blocks), so `Conv2d` can run a single fused matmul per batch
-//! instead of one per sample. Both batch variants are thin loops over the
-//! same strided single-image core.
-//!
-//! The core itself avoids per-element padding checks: for each kernel tap
-//! the valid output-column range is computed once, out-of-image spans are
-//! zeroed with `slice::fill`, and the in-image span is a `copy_from_slice`
-//! at stride 1 (a strided gather otherwise). Rows are addressed through
-//! slices so the inner loops carry no index arithmetic or bounds checks.
+//! instead of one per sample. Every variant builds or scatters one patch
+//! row — one `(channel, ky, kx)` tap at every output position of every
+//! sample — at a time, through a batch layout that does its divisions
+//! once. Unpadded unit-stride rows are plain segment copies; rows under
+//! eight pixels gather through a per-call offset table instead; padded
+//! and strided rows compute their in-image span once per tap, zero the
+//! rest with `slice::fill`, and copy (or gather, when strided) the span.
 //!
 //! # Direct tap-list path
 //!
-//! For unpadded unit-stride geometries ([`taps_supported`]) inference
+//! For unpadded unit-stride geometries ([`taps_supported`]) the forward
 //! skips the lowering entirely: [`conv2d_taps_batch`] streams each
 //! output row through fixed-width lane accumulators, one broadcast-FMA
 //! per *kernel tap* — a `(flat input offset, weight)` pair. Work is
@@ -32,9 +31,21 @@
 //! ([`build_taps_dense`], [`build_taps_sparse`]) emit taps in ascending
 //! `(channel, ky, kx)` order, so a dense filter and a fully-kept sparse
 //! filter produce bit-identical outputs.
+//!
+//! # Training without the patch matrix
+//!
+//! Under a sparsity pattern, training keeps no patch matrix for backward
+//! and never builds its adjoint. [`conv2d_taps_batch_train`] is the tap
+//! forward with the lowered path's numerics, and
+//! [`conv2d_weight_grad_streamed`] and [`conv2d_input_grad_streamed`]
+//! build or scatter one patch row at a time in a workspace buffer, only
+//! for columns some kept weight uses, at any geometry. Each replays the
+//! summation order of the lowered kernels it replaces, so results are
+//! bit-identical.
 
-use crate::linalg::{fmadd, lane_fmadd, load_lane};
-use crate::sparse::RowPattern;
+use crate::linalg::{dot, fmadd};
+use crate::sparse::{gather_t_row, RowPattern, PANEL};
+use crate::workspace::Workspace;
 use crate::Tensor;
 
 /// Geometry of a 2-D convolution / pooling window.
@@ -99,106 +110,183 @@ fn valid_span(ow: usize, stride: usize, kx: usize, pad: usize, w: usize) -> (usi
     (lo, hi.clamp(lo, ow))
 }
 
-/// Strided single-image im2col core: writes patch row `r` of `image` at
-/// `cols[r * row_stride + col_offset ..]`, enabling both the packed
-/// single-image layout and batch-fused column blocks.
-fn im2col_strided(
-    image: &[f32],
-    geom: &ConvGeom,
-    cols: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
-) {
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    for ch in 0..c {
-        let plane = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..geom.kh {
-            for kx in 0..geom.kw {
-                let row = (ch * geom.kh + ky) * geom.kw + kx;
-                im2col_fill_row(plane, geom, ky, kx, cols, row * row_stride + col_offset);
-            }
-        }
-    }
+/// Unit stride and no padding: output row `oy` of tap `(ky, kx)` reads
+/// input row `oy + ky` from column `kx` on, and every position is inside
+/// the image.
+fn is_unit(geom: &ConvGeom) -> bool {
+    geom.stride == 1 && geom.pad == 0
 }
 
-/// Writes one patch row (all output positions of one `(channel, ky, kx)`
-/// tap) into `cols` starting at `base`. Every element of the destination
-/// row is assigned (padding positions as `0.0`).
-fn im2col_fill_row(
-    plane: &[f32],
-    geom: &ConvGeom,
-    ky: usize,
-    kx: usize,
-    cols: &mut [f32],
-    base: usize,
-) {
+/// Splits a patch-row index into its `(channel, ky, kx)` tap.
+fn row_tap(geom: &ConvGeom, row: usize) -> (usize, usize, usize) {
+    let taps = geom.kh * geom.kw;
+    (row / taps, row % taps / geom.kw, row % geom.kw)
+}
+
+/// Writes one patch row of one image plane (all output positions of one
+/// `(channel, ky, kx)` tap) into `dst` (`out_h·out_w` long) for a padded or
+/// strided geometry. Every element is assigned (padding positions as
+/// `0.0`).
+fn im2col_fill_row(plane: &[f32], geom: &ConvGeom, ky: usize, kx: usize, dst: &mut [f32]) {
     let (h, w) = (geom.height, geom.width);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
+    let ow = geom.out_w();
     let (stride, pad) = (geom.stride, geom.pad);
     let (lo, hi) = valid_span(ow, stride, kx, pad, w);
-    for oy in 0..oh {
-        let dst = &mut cols[base + oy * ow..base + (oy + 1) * ow];
+    for (oy, d) in dst.chunks_exact_mut(ow).enumerate() {
         let iy = (oy * stride + ky) as isize - pad as isize;
         if iy < 0 || iy >= h as isize {
-            dst.fill(0.0);
+            d.fill(0.0);
             continue;
         }
         let src = &plane[iy as usize * w..(iy as usize + 1) * w];
-        dst[..lo].fill(0.0);
-        dst[hi..].fill(0.0);
+        d[..lo].fill(0.0);
+        d[hi..].fill(0.0);
         if lo < hi {
             let ix0 = lo * stride + kx - pad;
             if stride == 1 {
-                dst[lo..hi].copy_from_slice(&src[ix0..ix0 + hi - lo]);
+                d[lo..hi].copy_from_slice(&src[ix0..ix0 + hi - lo]);
             } else {
-                for (t, d) in dst[lo..hi].iter_mut().enumerate() {
-                    *d = src[ix0 + t * stride];
+                for (t, x) in d[lo..hi].iter_mut().enumerate() {
+                    *x = src[ix0 + t * stride];
                 }
             }
         }
     }
 }
 
-/// Strided single-image col2im core (exact adjoint of [`im2col_strided`]):
-/// scatter-adds patch row `r` read from `cols[r * row_stride + col_offset ..]`.
-fn col2im_strided(
-    cols: &[f32],
-    geom: &ConvGeom,
-    image_grad: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
-) {
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
+/// Exact adjoint of [`im2col_fill_row`]: scatter-adds one patch row `src`
+/// (`out_h·out_w` long) onto an image-plane gradient.
+fn col2im_add_row(src: &[f32], geom: &ConvGeom, ky: usize, kx: usize, plane: &mut [f32]) {
+    let (h, w) = (geom.height, geom.width);
+    let ow = geom.out_w();
     let (stride, pad) = (geom.stride, geom.pad);
-    for ch in 0..c {
-        let plane = &mut image_grad[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..geom.kh {
-            for kx in 0..geom.kw {
-                let row = (ch * geom.kh + ky) * geom.kw + kx;
-                let base = row * row_stride + col_offset;
-                let (lo, hi) = valid_span(ow, stride, kx, pad, w);
-                if lo >= hi {
-                    continue;
-                }
+    let (lo, hi) = valid_span(ow, stride, kx, pad, w);
+    if lo >= hi {
+        return;
+    }
+    for (oy, s) in src.chunks_exact(ow).enumerate() {
+        let iy = (oy * stride + ky) as isize - pad as isize;
+        if iy < 0 || iy >= h as isize {
+            continue;
+        }
+        let grow = &mut plane[iy as usize * w..(iy as usize + 1) * w];
+        let ix0 = lo * stride + kx - pad;
+        if stride == 1 {
+            for (g, &v) in grow[ix0..ix0 + hi - lo].iter_mut().zip(&s[lo..hi]) {
+                *g += v;
+            }
+        } else {
+            for (t, &v) in s[lo..hi].iter().enumerate() {
+                grow[ix0 + t * stride] += v;
+            }
+        }
+    }
+}
+
+/// Copies a row segment of at least eight elements with overlapping
+/// eight-wide moves instead of a `memcpy` call, which dominates when
+/// output rows are a dozen pixels wide.
+#[inline(always)]
+fn copy_segment(dst: &mut [f32], src: &[f32]) {
+    let n = dst.len();
+    let mut k = 0;
+    while k + L8 < n {
+        dst[k..k + L8].copy_from_slice(&src[k..k + L8]);
+        k += L8;
+    }
+    dst[n - L8..].copy_from_slice(&src[n - L8..n]);
+}
+
+/// One batch's patch-row layout, with the divisions and length checks
+/// done once, so building or scattering a row costs only its copies. A
+/// row holds tap `(channel, ky, kx)` at every output position of every
+/// sample, in sample-major blocks of `out_h·out_w` like the columns of
+/// [`im2col_batch`].
+struct PatchRows<'g> {
+    geom: &'g ConvGeom,
+    img_len: usize,
+    plane_len: usize,
+    ow: usize,
+    cc: usize,
+    /// Unit geometries with output rows under eight pixels: the offset of
+    /// every position of a row from its tap's input origin,
+    /// `i·img_len + oy·W + ox`, so a row is one gather instead of
+    /// `batch·out_h` copies of a few elements. Empty otherwise.
+    offsets: Vec<usize>,
+}
+
+impl<'g> PatchRows<'g> {
+    fn new(geom: &'g ConvGeom, batch: usize) -> Self {
+        let plane_len = geom.height * geom.width;
+        let img_len = geom.channels * plane_len;
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        let table = is_unit(geom) && ow < L8;
+        let mut offsets = Vec::with_capacity(if table { batch * oh * ow } else { 0 });
+        if table {
+            for i in 0..batch {
                 for oy in 0..oh {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let src = &cols[base + oy * ow + lo..base + oy * ow + hi];
-                    let grow = &mut plane[iy as usize * w..(iy as usize + 1) * w];
-                    let ix0 = lo * stride + kx - pad;
-                    if stride == 1 {
-                        for (g, &v) in grow[ix0..ix0 + hi - lo].iter_mut().zip(src) {
-                            *g += v;
-                        }
-                    } else {
-                        for (t, &v) in src.iter().enumerate() {
-                            grow[ix0 + t * stride] += v;
-                        }
+                    offsets.extend((0..ow).map(|ox| i * img_len + oy * geom.width + ox));
+                }
+            }
+        }
+        PatchRows { geom, img_len, plane_len, ow, cc: oh * ow, offsets }
+    }
+
+    /// Input offset of tap `(ch, ky, kx)` at output position `(0, 0)`.
+    fn origin(&self, ch: usize, ky: usize, kx: usize) -> usize {
+        ch * self.plane_len + ky * self.geom.width + kx
+    }
+
+    /// Writes patch row `row` of `images` into `dst`, assigning every
+    /// element.
+    fn gather(&self, images: &[f32], row: usize, dst: &mut [f32]) {
+        let (ch, ky, kx) = row_tap(self.geom, row);
+        if !self.offsets.is_empty() {
+            let src = &images[self.origin(ch, ky, kx)..];
+            for (d, &o) in dst.iter_mut().zip(&self.offsets) {
+                *d = src[o];
+            }
+            return;
+        }
+        let (w, ow) = (self.geom.width, self.ow);
+        for (i, d) in dst.chunks_exact_mut(self.cc).enumerate() {
+            if is_unit(self.geom) {
+                let src = &images[i * self.img_len + self.origin(ch, ky, kx)..];
+                for (oy, seg) in d.chunks_exact_mut(ow).enumerate() {
+                    copy_segment(seg, &src[oy * w..]);
+                }
+            } else {
+                let plane = &images[i * self.img_len + ch * self.plane_len..][..self.plane_len];
+                im2col_fill_row(plane, self.geom, ky, kx, d);
+            }
+        }
+    }
+
+    /// Scatter-adds patch row `row` of a patch-matrix gradient (`src`)
+    /// onto the image gradients. Each image element receives at most one
+    /// term per row.
+    fn scatter(&self, src: &[f32], row: usize, images_grad: &mut [f32]) {
+        let (ch, ky, kx) = row_tap(self.geom, row);
+        if !self.offsets.is_empty() {
+            let grad = &mut images_grad[self.origin(ch, ky, kx)..];
+            for (&v, &o) in src.iter().zip(&self.offsets) {
+                grad[o] += v;
+            }
+            return;
+        }
+        let (w, ow) = (self.geom.width, self.ow);
+        for (i, s) in src.chunks_exact(self.cc).enumerate() {
+            if is_unit(self.geom) {
+                let grad = &mut images_grad[i * self.img_len + self.origin(ch, ky, kx)..];
+                for (oy, seg) in s.chunks_exact(ow).enumerate() {
+                    for (g, &v) in grad[oy * w..][..ow].iter_mut().zip(seg) {
+                        *g += v;
                     }
                 }
+            } else {
+                let plane =
+                    &mut images_grad[i * self.img_len + ch * self.plane_len..][..self.plane_len];
+                col2im_add_row(s, self.geom, ky, kx, plane);
             }
         }
     }
@@ -211,10 +299,7 @@ fn col2im_strided(
 ///
 /// Panics if `image` or `cols` have the wrong length.
 pub fn im2col(image: &[f32], geom: &ConvGeom, cols: &mut [f32]) {
-    let (c, h, w) = (geom.channels, geom.height, geom.width);
-    assert_eq!(image.len(), c * h * w, "image length mismatch");
-    assert_eq!(cols.len(), geom.col_rows() * geom.col_cols(), "cols length mismatch");
-    im2col_strided(image, geom, cols, geom.col_cols(), 0);
+    im2col_batch(image, geom, 1, cols);
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a patch-matrix gradient back onto an
@@ -227,8 +312,12 @@ pub fn im2col(image: &[f32], geom: &ConvGeom, cols: &mut [f32]) {
 pub fn col2im(cols: &[f32], geom: &ConvGeom, image_grad: &mut [f32]) {
     let (c, h, w) = (geom.channels, geom.height, geom.width);
     assert_eq!(image_grad.len(), c * h * w, "image_grad length mismatch");
-    assert_eq!(cols.len(), geom.col_rows() * geom.col_cols(), "cols length mismatch");
-    col2im_strided(cols, geom, image_grad, geom.col_cols(), 0);
+    let cc = geom.col_cols();
+    assert_eq!(cols.len(), geom.col_rows() * cc, "cols length mismatch");
+    let rows = PatchRows::new(geom, 1);
+    for (row, src) in cols.chunks_exact(cc).enumerate() {
+        rows.scatter(src, row, image_grad);
+    }
 }
 
 /// Lowers a whole batch `[N, C, H, W]` into one patch matrix
@@ -242,10 +331,11 @@ pub fn col2im(cols: &[f32], geom: &ConvGeom, image_grad: &mut [f32]) {
 pub fn im2col_batch(images: &[f32], geom: &ConvGeom, batch: usize, cols: &mut [f32]) {
     let img_len = geom.channels * geom.height * geom.width;
     assert_eq!(images.len(), batch * img_len, "image length mismatch");
-    let cc = geom.col_cols();
-    assert_eq!(cols.len(), geom.col_rows() * batch * cc, "cols length mismatch");
-    for i in 0..batch {
-        im2col_strided(&images[i * img_len..(i + 1) * img_len], geom, cols, batch * cc, i * cc);
+    let width = batch * geom.col_cols();
+    assert_eq!(cols.len(), geom.col_rows() * width, "cols length mismatch");
+    let rows = PatchRows::new(geom, batch);
+    for (row, dst) in cols.chunks_exact_mut(width.max(1)).enumerate() {
+        rows.gather(images, row, dst);
     }
 }
 
@@ -269,20 +359,12 @@ pub fn im2col_batch_select(
 ) {
     let img_len = geom.channels * geom.height * geom.width;
     assert_eq!(images.len(), batch * img_len, "image length mismatch");
-    let cc = geom.col_cols();
-    assert_eq!(cols.len(), rows.len() * batch * cc, "cols length mismatch");
-    let taps = geom.kh * geom.kw;
-    let row_stride = batch * cc;
-    for i in 0..batch {
-        let image = &images[i * img_len..(i + 1) * img_len];
-        for (ri, &row) in rows.iter().enumerate() {
-            let row = row as usize;
-            assert!(row < geom.col_rows(), "patch row {row} out of range");
-            let (ch, tap) = (row / taps, row % taps);
-            let (ky, kx) = (tap / geom.kw, tap % geom.kw);
-            let plane = &image[ch * geom.height * geom.width..(ch + 1) * geom.height * geom.width];
-            im2col_fill_row(plane, geom, ky, kx, cols, ri * row_stride + i * cc);
-        }
+    let width = batch * geom.col_cols();
+    assert_eq!(cols.len(), rows.len() * width, "cols length mismatch");
+    let layout = PatchRows::new(geom, batch);
+    for (dst, &row) in cols.chunks_exact_mut(width.max(1)).zip(rows) {
+        assert!((row as usize) < geom.col_rows(), "patch row {row} out of range");
+        layout.gather(images, row as usize, dst);
     }
 }
 
@@ -297,39 +379,33 @@ pub fn im2col_batch_select(
 pub fn col2im_batch(cols: &[f32], geom: &ConvGeom, batch: usize, images_grad: &mut [f32]) {
     let img_len = geom.channels * geom.height * geom.width;
     assert_eq!(images_grad.len(), batch * img_len, "image_grad length mismatch");
-    let cc = geom.col_cols();
-    assert_eq!(cols.len(), geom.col_rows() * batch * cc, "cols length mismatch");
+    let width = batch * geom.col_cols();
+    assert_eq!(cols.len(), geom.col_rows() * width, "cols length mismatch");
     images_grad.fill(0.0);
-    for i in 0..batch {
-        col2im_strided(
-            cols,
-            geom,
-            &mut images_grad[i * img_len..(i + 1) * img_len],
-            batch * cc,
-            i * cc,
-        );
+    let rows = PatchRows::new(geom, batch);
+    for (row, src) in cols.chunks_exact(width.max(1)).enumerate() {
+        rows.scatter(src, row, images_grad);
     }
 }
 
 /// Narrow lane width for output rows of 8–15 pixels (LeNet's second
 /// convolution produces 10-wide rows); wider rows use the 16-wide
-/// [`crate::linalg::Lane`] from the GEMM kernels.
+/// [`crate::linalg::Lane`] width of the GEMM kernels.
 const L8: usize = 8;
-type Lane8 = [f32; L8];
 
-/// Eight-wide counterpart of [`lane_fmadd`].
+/// `c[e] = fmadd(a, b[e], c[e])` across one `L`-wide lane.
 #[inline(always)]
-fn lane8_fmadd(a: f32, b: &Lane8, c: &mut Lane8) {
+fn lanes_fmadd<const L: usize>(a: f32, b: &[f32; L], c: &mut [f32; L]) {
     for (x, &v) in c.iter_mut().zip(b) {
         *x = fmadd(a, v, *x);
     }
 }
 
-/// Loads an eight-wide lane from the head of a slice.
+/// Loads an `L`-wide lane from the head of a slice.
 #[inline(always)]
-fn load_lane8(s: &[f32]) -> Lane8 {
-    let mut l = [0.0f32; L8];
-    l.copy_from_slice(&s[..L8]);
+fn load_lanes<const L: usize>(s: &[f32]) -> [f32; L] {
+    let mut l = [0.0f32; L];
+    l.copy_from_slice(&s[..L]);
     l
 }
 
@@ -344,13 +420,16 @@ pub fn taps_supported(geom: &ConvGeom) -> bool {
     geom.stride == 1 && geom.pad == 0 && (L8..=DIRECT_TAP_MAX_OW).contains(&geom.out_w())
 }
 
-/// One output row via `NLANES` overlapping 16-wide lanes. `starts` are
+/// One output row via `NLANES` overlapping `L`-wide lanes. `starts` are
 /// lane origins within the row; the last lane typically overlaps its
 /// predecessor so the lanes cover `out_w` exactly. Every output pixel's
-/// value is the tap-ascending fmadd chain seeded with `bias` regardless
-/// of which lane computes it, so the overlap is bit-consistent.
+/// value is the same tap-ascending fmadd chain regardless of which lane
+/// computes it, so the overlap is bit-consistent. Eval seeds the chain
+/// with `bias`; with `BIAS_LAST` it starts from `+0.0` and `bias` is added
+/// to the finished chain, which is what the lowered GEMM followed by the
+/// permute's bias add computes.
 #[inline(always)]
-fn conv_row16<const NLANES: usize>(
+fn conv_row<const L: usize, const NLANES: usize, const BIAS_LAST: bool>(
     taps: &[(u32, f32)],
     img: &[f32],
     base: usize,
@@ -358,37 +437,22 @@ fn conv_row16<const NLANES: usize>(
     orow: &mut [f32],
     bias: f32,
 ) {
-    let mut acc = [[bias; 16]; NLANES];
+    let mut acc = [[if BIAS_LAST { 0.0 } else { bias }; L]; NLANES];
     for &(off, w) in taps {
         let o = base + off as usize;
         for (a, &s) in acc.iter_mut().zip(starts) {
-            lane_fmadd(w, &load_lane(&img[o + s..]), a);
+            lanes_fmadd(w, &load_lanes(&img[o + s..]), a);
         }
     }
     for (a, &s) in acc.iter().zip(starts) {
-        orow[s..s + 16].copy_from_slice(a);
-    }
-}
-
-/// Eight-wide sibling of [`conv_row16`] for 8–15 pixel output rows.
-#[inline(always)]
-fn conv_row8<const NLANES: usize>(
-    taps: &[(u32, f32)],
-    img: &[f32],
-    base: usize,
-    starts: &[usize; NLANES],
-    orow: &mut [f32],
-    bias: f32,
-) {
-    let mut acc = [[bias; L8]; NLANES];
-    for &(off, w) in taps {
-        let o = base + off as usize;
-        for (a, &s) in acc.iter_mut().zip(starts) {
-            lane8_fmadd(w, &load_lane8(&img[o + s..]), a);
+        let dst = &mut orow[s..s + L];
+        if BIAS_LAST {
+            for (d, &v) in dst.iter_mut().zip(a) {
+                *d = v + bias;
+            }
+        } else {
+            dst.copy_from_slice(a);
         }
-    }
-    for (a, &s) in acc.iter().zip(starts) {
-        orow[s..s + L8].copy_from_slice(a);
     }
 }
 
@@ -453,12 +517,53 @@ pub fn build_taps_sparse(
 /// (bias included — a channel with no taps emits its bias plane). Output
 /// rows are computed by overlapping fixed-width lanes, one broadcast-FMA
 /// per tap per lane; see the module header for when this beats im2col.
+/// Each chain is seeded with its channel's bias: these are the inference
+/// numerics, which validation accuracy (and so the pruning gate) depends
+/// on. [`conv2d_taps_batch_train`] is the training variant.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is unsupported ([`taps_supported`]) or any
 /// slice length disagrees with the dimensions implied by `geom`.
 pub fn conv2d_taps_batch(
+    images: &[f32],
+    geom: &ConvGeom,
+    batch: usize,
+    tap_ptr: &[usize],
+    taps: &[(u32, f32)],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    taps_batch::<false>(images, geom, batch, tap_ptr, taps, bias, out);
+}
+
+/// [`conv2d_taps_batch`] with the lowered path's numerics: each output
+/// element is the fmadd chain from `+0.0` over its channel's taps in
+/// ascending column order, and the bias is added afterwards. For the
+/// kept taps of a pattern ([`build_taps_sparse`]) that is bit for bit
+/// what [`im2col_batch`] followed by `spmm` and the bias add compute (and
+/// for dense taps what `gemm_ws` computes while `C·KH·KW ≤ KC`, its one
+/// reduction panel), so training can skip the patch matrix without moving
+/// a single update.
+///
+/// # Panics
+///
+/// As [`conv2d_taps_batch`].
+pub fn conv2d_taps_batch_train(
+    images: &[f32],
+    geom: &ConvGeom,
+    batch: usize,
+    tap_ptr: &[usize],
+    taps: &[(u32, f32)],
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    taps_batch::<true>(images, geom, batch, tap_ptr, taps, bias, out);
+}
+
+/// Shared body of the two tap entry points; `BIAS_LAST` picks the
+/// numerics (see [`conv_row`]).
+fn taps_batch<const BIAS_LAST: bool>(
     images: &[f32],
     geom: &ConvGeom,
     batch: usize,
@@ -483,11 +588,11 @@ pub fn conv2d_taps_batch(
         return;
     }
     if img_len == 0 {
-        // Zero input channels: every output pixel is its channel's bias,
-        // exactly what the im2col path's empty-reduction GEMM produces.
+        // Zero input channels: every chain is empty, so every output
+        // pixel is its channel's seed plus whatever bias is still owed.
         for oimg in out.chunks_exact_mut((cout * oh * ow).max(1)) {
             for (oc, oplane) in oimg.chunks_exact_mut(oh * ow).enumerate() {
-                oplane.fill(bias[oc]);
+                oplane.fill(if BIAS_LAST { 0.0 + bias[oc] } else { bias[oc] });
             }
         }
         return;
@@ -500,15 +605,110 @@ pub fn conv2d_taps_batch(
             for (y, orow) in oplane.chunks_exact_mut(ow).enumerate() {
                 let base = y * w;
                 match ow {
-                    8 => conv_row8::<1>(tp, img, base, &[0], orow, b),
-                    9..=15 => conv_row8::<2>(tp, img, base, &[0, ow - L8], orow, b),
-                    16 => conv_row16::<1>(tp, img, base, &[0], orow, b),
-                    17..=31 => conv_row16::<2>(tp, img, base, &[0, ow - 16], orow, b),
-                    _ => conv_row16::<3>(tp, img, base, &[0, 16, ow - 16], orow, b),
+                    8 => conv_row::<L8, 1, BIAS_LAST>(tp, img, base, &[0], orow, b),
+                    9..=15 => conv_row::<L8, 2, BIAS_LAST>(tp, img, base, &[0, ow - L8], orow, b),
+                    16 => conv_row::<16, 1, BIAS_LAST>(tp, img, base, &[0], orow, b),
+                    17..=31 => conv_row::<16, 2, BIAS_LAST>(tp, img, base, &[0, ow - 16], orow, b),
+                    _ => conv_row::<16, 3, BIAS_LAST>(tp, img, base, &[0, 16, ow - 16], orow, b),
                 }
             }
         }
     }
+}
+
+/// Weight gradient of a masked convolution, one patch row at a time
+/// instead of through the `[C·KH·KW, N·Hout·Wout]` patch matrix. `dy` is
+/// the output gradient in the fused `[cout, N·Hout·Wout]` layout and `dw`
+/// the `[cout, C·KH·KW]` gradient, overwritten: pruned positions are
+/// `0.0`, and each kept position is [`dot`]`(dy[r], patch row c)` over the
+/// fused index — bit for bit what `masked_dot_nt` computes from the full
+/// matrix. The patch row lives in one workspace buffer and is built only
+/// when some kept weight uses its column.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `geom`, `batch` and the
+/// pattern's `cout × C·KH·KW` shape.
+pub fn conv2d_weight_grad_streamed(
+    images: &[f32],
+    geom: &ConvGeom,
+    batch: usize,
+    pattern: &RowPattern,
+    dy: &[f32],
+    dw: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let (cout, cr) = (pattern.rows(), geom.col_rows());
+    let fused = batch * geom.col_cols();
+    assert_eq!(pattern.cols(), cr, "conv2d_weight_grad_streamed: pattern column mismatch");
+    let img_len = geom.channels * geom.height * geom.width;
+    assert_eq!(images.len(), batch * img_len, "conv2d_weight_grad_streamed: image length mismatch");
+    assert_eq!(dy.len(), cout * fused, "conv2d_weight_grad_streamed: dy length mismatch");
+    assert_eq!(dw.len(), cout * cr, "conv2d_weight_grad_streamed: dw length mismatch");
+    dw.fill(0.0);
+    let rows = PatchRows::new(geom, batch);
+    let mut row = ws.take_scratch(fused);
+    for c in 0..cr {
+        let kept = pattern.col(c);
+        if kept.is_empty() {
+            continue;
+        }
+        rows.gather(images, c, &mut row);
+        for &r in kept {
+            let r = r as usize;
+            dw[r * cr + c] = dot(&dy[r * fused..(r + 1) * fused], &row);
+        }
+    }
+    ws.put(row);
+}
+
+/// Input gradient of a masked convolution without the patch-matrix
+/// adjoint. `weight` is `[cout, C·KH·KW]`, `dy` the fused
+/// `[cout, N·Hout·Wout]` output gradient, and `dx` the `[N, C, H, W]`
+/// input gradient, overwritten.
+///
+/// Each patch row's gradient is the fmadd chain from `+0.0` over the kept
+/// output channels in ascending order, computed into one workspace buffer
+/// and scatter-added into `dx` in ascending row order — what `spmm_t`
+/// followed by [`col2im_batch`] computes. A row no kept weight uses is
+/// skipped, which is exact: it would only add `+0.0` to accumulators that
+/// start at `+0.0` and so never hold `-0.0`.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `geom`, `batch` and the
+/// pattern's `cout × C·KH·KW` shape.
+pub fn conv2d_input_grad_streamed(
+    weight: &[f32],
+    pattern: &RowPattern,
+    geom: &ConvGeom,
+    batch: usize,
+    dy: &[f32],
+    dx: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let (cout, cr) = (pattern.rows(), geom.col_rows());
+    let fused = batch * geom.col_cols();
+    assert_eq!(pattern.cols(), cr, "conv2d_input_grad_streamed: pattern column mismatch");
+    assert_eq!(weight.len(), cout * cr, "conv2d_input_grad_streamed: weight length mismatch");
+    assert_eq!(dy.len(), cout * fused, "conv2d_input_grad_streamed: dy length mismatch");
+    let img_len = geom.channels * geom.height * geom.width;
+    assert_eq!(dx.len(), batch * img_len, "conv2d_input_grad_streamed: dx length mismatch");
+    dx.fill(0.0);
+    let rows = PatchRows::new(geom, batch);
+    let mut row = ws.take_scratch(fused);
+    for c in 0..cr {
+        let kept = pattern.col(c);
+        if kept.is_empty() {
+            continue;
+        }
+        for j0 in (0..fused).step_by(PANEL) {
+            let jn = PANEL.min(fused - j0);
+            gather_t_row(&mut row[j0..j0 + jn], kept, |r| weight[r * cr + c], dy, fused, j0);
+        }
+        rows.scatter(&row, c, dx);
+    }
+    ws.put(row);
 }
 
 /// Direct (quadruple-loop) convolution of one image, used as a test oracle

@@ -337,39 +337,48 @@ pub fn spmm_t(pat: &RowPattern, vals: &[f32], b: &[f32], n: usize, out: &mut [f3
     assert_eq!(vals.len(), pat.rows * pat.cols, "spmm_t: vals length mismatch");
     assert_eq!(b.len(), pat.rows * n, "spmm_t: rhs length mismatch");
     assert_eq!(out.len(), pat.cols * n, "spmm_t: out length mismatch");
-    out.fill(0.0);
-    if n == 0 {
-        return;
-    }
     let mut j0 = 0;
     while j0 < n {
         let jn = PANEL.min(n - j0);
         for c in 0..pat.cols {
             let crow = &mut out[c * n + j0..c * n + j0 + jn];
-            let mut quads = pat.col(c).chunks_exact(4);
-            for quad in quads.by_ref() {
-                let (r0, r1, r2, r3) =
-                    (quad[0] as usize, quad[1] as usize, quad[2] as usize, quad[3] as usize);
-                g4_accumulate(
-                    crow,
-                    [
-                        vals[r0 * pat.cols + c],
-                        vals[r1 * pat.cols + c],
-                        vals[r2 * pat.cols + c],
-                        vals[r3 * pat.cols + c],
-                    ],
-                    &b[r0 * n + j0..][..jn],
-                    &b[r1 * n + j0..][..jn],
-                    &b[r2 * n + j0..][..jn],
-                    &b[r3 * n + j0..][..jn],
-                );
-            }
-            for &ri in quads.remainder() {
-                let r = ri as usize;
-                g1_accumulate(crow, vals[r * pat.cols + c], &b[r * n + j0..][..jn]);
-            }
+            gather_t_row(crow, pat.col(c), |r| vals[r * pat.cols + c], b, n, j0);
         }
         j0 += jn;
+    }
+}
+
+/// One panel of one output row of `C = Wᵀ · B`, overwritten:
+/// `crow[j] = Σ w(r) · b[r·n + j0 + j]` over the `kept` rows, as the fmadd
+/// chain from `+0.0` in ascending groups of four (see the module header).
+/// Shared by [`spmm_t`] and the streamed convolution input gradient.
+#[inline(always)]
+pub(crate) fn gather_t_row(
+    crow: &mut [f32],
+    kept: &[u32],
+    w: impl Fn(usize) -> f32,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+) {
+    let jn = crow.len();
+    crow.fill(0.0);
+    let mut quads = kept.chunks_exact(4);
+    for quad in quads.by_ref() {
+        let (r0, r1, r2, r3) =
+            (quad[0] as usize, quad[1] as usize, quad[2] as usize, quad[3] as usize);
+        g4_accumulate(
+            crow,
+            [w(r0), w(r1), w(r2), w(r3)],
+            &b[r0 * n + j0..][..jn],
+            &b[r1 * n + j0..][..jn],
+            &b[r2 * n + j0..][..jn],
+            &b[r3 * n + j0..][..jn],
+        );
+    }
+    for &ri in quads.remainder() {
+        let r = ri as usize;
+        g1_accumulate(crow, w(r), &b[r * n + j0..][..jn]);
     }
 }
 
