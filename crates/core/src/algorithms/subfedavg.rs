@@ -40,7 +40,9 @@ use subfed_data::ClientData;
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask};
 use subfed_metrics::trace::{model_hash, Span, TraceEvent};
 use subfed_nn::{ModelMask, Sequential};
-use subfed_pruning::{ChannelMask, GateDecision, HybridController, UnstructuredController};
+use subfed_pruning::{
+    ChannelMask, GateDecision, HybridController, HybridState, UnstructuredController,
+};
 
 /// Engine options that deviate from Algorithm 1, used by the ablation and
 /// extension benches.
@@ -123,21 +125,12 @@ impl PruneTrack for UnstructuredController {
         le: &Sequential,
         val_acc: f32,
     ) -> (Option<ModelMask>, Vec<(&'static str, GateDecision)>) {
-        let (next, decision) = self.step_explained(fe, le, mask, val_acc);
+        let (next, decision) = self.step(fe, le, mask, val_acc);
         (next, vec![("un", decision)])
     }
     fn pruned(&self, mask: &ModelMask) -> (f32, f32) {
         (mask.pruned_fraction(|k| self.scope.includes(k)), 0.0)
     }
-}
-
-/// A hybrid-pruned client: its channel mask, its FC-only unstructured
-/// base mask, and the parameter mask they expand to.
-#[derive(Debug, Clone)]
-pub struct HybridState {
-    channels: ChannelMask,
-    unstructured: ModelMask,
-    mask: ModelMask,
 }
 
 /// Algorithm 2: channel pruning of the conv blocks by BatchNorm |γ| plus
@@ -150,12 +143,11 @@ impl PruneTrack for HybridController {
         format!("Sub-FedAvg (Hy) {s:.0}%+{u:.0}%")
     }
     fn fresh(&self, template: &Sequential) -> HybridState {
-        let ones = ModelMask::ones_for(template);
         let channels = HybridController::initial_channels(template);
-        HybridState { channels, unstructured: ones.clone(), mask: ones }
+        HybridState::new(template, channels, ModelMask::ones_for(template))
     }
     fn mask(state: &HybridState) -> &ModelMask {
-        &state.mask
+        state.mask()
     }
     fn prune(
         &self,
@@ -164,15 +156,12 @@ impl PruneTrack for HybridController {
         le: &Sequential,
         val_acc: f32,
     ) -> (Option<HybridState>, Vec<(&'static str, GateDecision)>) {
-        let (s, d) = self.step_explained(fe, le, &state.channels, &state.unstructured, val_acc);
-        // When neither track fires, the expansion of the unchanged masks
-        // is the current parameter mask.
-        let fired = s.gate.structured_fired || s.gate.unstructured_fired;
-        let next = HybridState { channels: s.channels, unstructured: s.unstructured, mask: s.mask };
-        (fired.then_some(next), vec![("channel", d.structured), ("un", d.unstructured)])
+        let (next, [channel, un]) = self.step(fe, le, state, val_acc);
+        (next, vec![("channel", channel), ("un", un)])
     }
     fn pruned(&self, state: &HybridState) -> (f32, f32) {
-        (state.mask.pruned_fraction(|k| k.is_prunable_weight()), state.channels.pruned_fraction())
+        let weights = state.mask().pruned_fraction(|k| k.is_prunable_weight());
+        (weights, state.channels().pruned_fraction())
     }
 }
 
@@ -701,7 +690,7 @@ impl SubFedAvgHy {
     /// first round. Feeds the measured half of the Table-2 harness (FLOP
     /// reduction at the channels clients actually pruned).
     pub fn final_channels(&self) -> Vec<ChannelMask> {
-        self.store.states.iter().map(|s| s.channels.clone()).collect()
+        self.store.states.iter().map(|s| s.channels().clone()).collect()
     }
 }
 

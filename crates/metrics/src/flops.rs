@@ -73,7 +73,7 @@ pub fn masked_fc_flops(spec: &ModelSpec, channels: &ChannelMask) -> u64 {
 /// FLOPs the *sparse compute path* actually performs for one input under
 /// a parameter [`ModelMask`]: each kept conv weight does `out_h·out_w`
 /// MACs, each kept FC weight one — exactly the work of the compressed-row
-/// kernels built by [`bridge::weight_patterns`]. Weight-only, like every
+/// kernels built by [`bridge::weight_pattern`]. Weight-only, like every
 /// count in this module (biases/BN are ignorable); a fully-dense mask
 /// reproduces [`dense_flops`].
 ///

@@ -1,11 +1,12 @@
 //! Mask → compressed-row bridge.
 //!
-//! A [`ModelMask`] stores one binary tensor per model parameter. The
-//! compute kernels in `subfed_tensor::sparse` want the *kept-index
-//! structure* of each weight matrix instead — a [`RowPattern`] built once
-//! per round, so pruned layers pay per-kept-weight cost rather than
-//! per-element mask checks. This module derives those patterns, viewing
-//! each weight tensor the way the kernels do:
+//! A [`ModelMask`](crate::ModelMask) stores one binary tensor per model
+//! parameter. The compute kernels in `subfed_tensor::sparse` want the
+//! *kept-index structure* of each weight matrix instead — a
+//! [`RowPattern`] built once per round, so pruned layers pay
+//! per-kept-weight cost rather than per-element mask checks. This module
+//! derives those patterns, viewing each weight tensor the way the kernels
+//! do:
 //!
 //! * `ConvWeight [out_ch, in_ch, kh, kw]` → `out_ch × (in_ch·kh·kw)`
 //!   (the im2col kernel matrix),
@@ -18,15 +19,8 @@
 //! benchmarks, and analysis — so they all agree on what "effective work"
 //! means.
 
-use crate::ModelMask;
 use subfed_nn::ParamKind;
 use subfed_tensor::sparse::RowPattern;
-
-/// Whether a parameter kind carries weight-matrix structure the sparse
-/// kernels can exploit.
-pub fn is_weight_kind(kind: ParamKind) -> bool {
-    matches!(kind, ParamKind::ConvWeight | ParamKind::FcWeight)
-}
 
 /// Builds the kernel-facing [`RowPattern`] for one weight mask tensor, or
 /// `None` for kinds without matrix structure (biases, BatchNorm).
@@ -50,21 +44,10 @@ pub fn weight_pattern(kind: ParamKind, bits: &subfed_tensor::Tensor) -> Option<R
     }
 }
 
-/// Patterns for every tensor of a [`ModelMask`], aligned with its tensor
-/// order (`None` for non-weight kinds). Build once per round; the
-/// patterns stay valid for as long as the mask does.
-pub fn weight_patterns(model_mask: &ModelMask) -> Vec<Option<RowPattern>> {
-    model_mask
-        .kinds()
-        .iter()
-        .zip(model_mask.tensors())
-        .map(|(&kind, bits)| weight_pattern(kind, bits))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelMask;
     use subfed_nn::models::ModelSpec;
     use subfed_tensor::init::SeededRng;
 
@@ -77,19 +60,18 @@ mod tests {
         for v in &mut mask.tensors_mut()[0].data_mut()[..first_len] {
             *v = 0.0;
         }
-        let patterns = weight_patterns(&mask);
-        assert_eq!(patterns.len(), mask.tensors().len());
-        for (pat, (&kind, bits)) in patterns.iter().zip(mask.kinds().iter().zip(mask.tensors())) {
-            match pat {
+        for (&kind, bits) in mask.kinds().iter().zip(mask.tensors()) {
+            match weight_pattern(kind, bits) {
                 Some(p) => {
-                    assert!(is_weight_kind(kind));
+                    assert!(kind.is_prunable_weight());
                     assert_eq!(p.rows() * p.cols(), bits.len());
                 }
-                None => assert!(!is_weight_kind(kind)),
+                None => assert!(!kind.is_prunable_weight()),
             }
         }
         // First conv: row 0 pruned, other rows full.
-        let conv1 = patterns[0].as_ref().expect("conv weight has a pattern");
+        let conv1 =
+            weight_pattern(mask.kinds()[0], &mask.tensors()[0]).expect("conv weight has a pattern");
         assert_eq!(conv1.row(0), &[] as &[u32]);
         assert_eq!(conv1.row(1).len(), conv1.cols());
         assert_eq!(conv1.nnz(), (conv1.rows() - 1) * conv1.cols());
@@ -99,8 +81,10 @@ mod tests {
     fn all_ones_mask_is_fully_dense() {
         let model = ModelSpec::cnn5(1, 16, 16, 4).build(&mut SeededRng::new(2));
         let mask = ModelMask::ones_for(&model);
-        for pat in weight_patterns(&mask).into_iter().flatten() {
-            assert!((pat.density() - 1.0).abs() < 1e-6);
+        for (&kind, bits) in mask.kinds().iter().zip(mask.tensors()) {
+            if let Some(pat) = weight_pattern(kind, bits) {
+                assert!((pat.density() - 1.0).abs() < 1e-6);
+            }
         }
     }
 }

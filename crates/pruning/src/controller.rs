@@ -2,7 +2,7 @@
 //!
 //! Both algorithms derive a candidate mask at the end of the first local
 //! epoch and another at the end of the last local epoch, then prune only if
-//! all three gates pass:
+//! all three gates pass, checked in this order:
 //!
 //! 1. validation accuracy ≥ `acc_threshold` (don't prune an unconverged
 //!    model),
@@ -11,9 +11,13 @@
 //!    is still *moving* — once it stabilises below ε the subnetwork is
 //!    considered found).
 //!
-//! In the hybrid algorithm the structured and unstructured tracks are gated
+//! One private gate function implements this order for every track, and
+//! derives the candidates only once the first two gates have passed. In
+//! the hybrid algorithm the structured and unstructured tracks are gated
 //! independently (Algorithm 2, line 19: "if **any** of the conditions
-//! Δ_s ≥ ε or Δ_us ≥ ε hold, apply its corresponding mask").
+//! Δ_s ≥ ε or Δ_us ≥ ε hold, apply its corresponding mask"): the channel
+//! track calls the gate directly, and the FC track is Algorithm 1's
+//! [`UnstructuredController::step`].
 
 use crate::structured::{expand_channel_mask, slimming_mask, ChannelMask};
 use crate::unstructured::{magnitude_mask, pruned_fraction, PruneScope, Ranking};
@@ -61,27 +65,52 @@ pub struct GateDecision {
     /// The outcome and, when held, the first gate that stopped it.
     pub reason: GateReason,
     /// Hamming distance Δ between the first- and last-epoch candidate
-    /// masks (0 when the decision was made before Δ was computed).
+    /// masks; 0 when the accuracy or target gate held, since the
+    /// candidates are then never derived.
     pub mask_distance: f32,
-    /// Pruned fraction of the (possibly advanced) mask over the
-    /// controller's scope.
+    /// Pruned fraction of the (possibly advanced) mask over the track's
+    /// scope.
     pub pruned_fraction: f32,
 }
 
-/// The accuracy gate, NaN-safe: passes only for a *finite* validation
-/// accuracy at or above the threshold. A NaN/∞ accuracy means local
-/// training diverged — `NaN >= th` is `false` but `NaN < th` is *also*
-/// `false`, so naive "hold when below threshold" logic would let a
-/// diverged client prune. Centralising the comparison closes that hole.
-fn acc_gate_passes(val_acc: f32, threshold: f32) -> bool {
-    val_acc.is_finite() && val_acc >= threshold
-}
-
-/// The mask-distance gate, NaN-safe: a non-finite Δ (possible only from
-/// corrupted mask bookkeeping) reads as "not moving" and holds pruning,
-/// classified as [`GateReason::MaskStable`].
-fn delta_gate_passes(mask_distance: f32, eps: f32) -> bool {
-    mask_distance.is_finite() && mask_distance >= eps
+/// The three gates of Algorithm 1 line 14, in order, for one track whose
+/// mask is `current_fraction` pruned.
+///
+/// `derive` runs only after the accuracy and target gates have passed. It
+/// derives the two candidates and returns Δ, the last-epoch candidate and
+/// that candidate's pruned fraction; the candidate is returned iff Δ
+/// passes too.
+///
+/// NaN-safe: a non-finite `val_acc` (a diverged local model) or a
+/// non-finite Δ (corrupted mask bookkeeping) never prunes. `NaN >= th` is
+/// `false` but `NaN < th` is *also* `false`, so each gate passes only on
+/// a finite value at or above its threshold; a non-finite Δ reads as "not
+/// moving" ([`GateReason::MaskStable`]).
+fn gate<M>(
+    val_acc: f32,
+    acc_threshold: f32,
+    current_fraction: f32,
+    target: f32,
+    eps: f32,
+    derive: impl FnOnce() -> (f32, M, f32),
+) -> (Option<M>, GateDecision) {
+    let held = |reason, mask_distance| {
+        (None, GateDecision { reason, mask_distance, pruned_fraction: current_fraction })
+    };
+    if !(val_acc.is_finite() && val_acc >= acc_threshold) {
+        return held(GateReason::AccuracyBelowThreshold, 0.0);
+    }
+    if current_fraction >= target {
+        return held(GateReason::TargetReached, 0.0);
+    }
+    let (delta, candidate, pruned_fraction) = derive();
+    if !(delta.is_finite() && delta >= eps) {
+        return held(GateReason::MaskStable, delta);
+    }
+    (
+        Some(candidate),
+        GateDecision { reason: GateReason::Pruned, mask_distance: delta, pruned_fraction },
+    )
 }
 
 /// Client-side controller for Sub-FedAvg (Un) — Algorithm 1.
@@ -115,26 +144,12 @@ impl UnstructuredController {
         }
     }
 
-    /// Derives the candidate mask for the current weights (one geometric
-    /// pruning step below `current`).
-    pub fn candidate(&self, model: &Sequential, current: &ModelMask) -> ModelMask {
-        magnitude_mask(model, current, self.rate, self.scope, self.ranking)
-    }
-
-    /// Evaluates the three gates of Algorithm 1 (line 14).
-    ///
-    /// NaN-safe: a non-finite `val_acc` (a diverged local model) or a
-    /// non-finite `mask_distance` never prunes — irreversible mask
-    /// decisions require trusted measurements.
-    pub fn should_prune(&self, val_acc: f32, current: &ModelMask, mask_distance: f32) -> bool {
-        acc_gate_passes(val_acc, self.acc_threshold)
-            && pruned_fraction(current, self.scope) < self.target
-            && delta_gate_passes(mask_distance, self.eps)
-    }
-
-    /// One full client-side pruning decision: derive candidates from the
-    /// first-epoch and last-epoch weights, gate on Δ, and return the new
-    /// mask (the last-epoch candidate) if pruning fires.
+    /// One client-side pruning decision (Algorithm 1 line 14). Once the
+    /// accuracy and target gates pass, it derives one geometric pruning
+    /// step below `current` from the first-epoch and from the last-epoch
+    /// weights, and gates on their distance Δ. Returns the last-epoch
+    /// candidate if pruning fires, and the decision: which gate held, or
+    /// that pruning fired, with Δ and the resulting pruned fraction.
     // lint: cold — the pruning decision runs once per client-round
     pub fn step(
         &self,
@@ -142,72 +157,57 @@ impl UnstructuredController {
         model_last_epoch: &Sequential,
         current: &ModelMask,
         val_acc: f32,
-    ) -> Option<ModelMask> {
-        self.step_explained(model_first_epoch, model_last_epoch, current, val_acc).0
-    }
-
-    /// [`UnstructuredController::step`] plus the gate decision that
-    /// produced it: which gate held (in the order of Algorithm 1 line 14)
-    /// or that pruning fired, with the measured Δ and the resulting
-    /// pruned fraction. Used by the telemetry layer.
-    pub fn step_explained(
-        &self,
-        model_first_epoch: &Sequential,
-        model_last_epoch: &Sequential,
-        current: &ModelMask,
-        val_acc: f32,
     ) -> (Option<ModelMask>, GateDecision) {
-        let m_fe = self.candidate(model_first_epoch, current);
-        let m_le = self.candidate(model_last_epoch, current);
-        let delta = m_fe.hamming_distance(&m_le, |k| self.scope.includes(k));
-        let reason = if !acc_gate_passes(val_acc, self.acc_threshold) {
-            GateReason::AccuracyBelowThreshold
-        } else if pruned_fraction(current, self.scope) >= self.target {
-            GateReason::TargetReached
-        } else if !delta_gate_passes(delta, self.eps) {
-            GateReason::MaskStable
-        } else {
-            GateReason::Pruned
-        };
-        if reason.fired() {
-            let frac = pruned_fraction(&m_le, self.scope);
-            (Some(m_le), GateDecision { reason, mask_distance: delta, pruned_fraction: frac })
-        } else {
-            let frac = pruned_fraction(current, self.scope);
-            (None, GateDecision { reason, mask_distance: delta, pruned_fraction: frac })
-        }
+        let current_fraction = pruned_fraction(current, self.scope);
+        gate(val_acc, self.acc_threshold, current_fraction, self.target, self.eps, || {
+            let candidate = |m| magnitude_mask(m, current, self.rate, self.scope, self.ranking);
+            let (m_fe, m_le) = (candidate(model_first_epoch), candidate(model_last_epoch));
+            let delta = m_fe.hamming_distance(&m_le, |k| self.scope.includes(k));
+            let fraction = pruned_fraction(&m_le, self.scope);
+            (delta, m_le, fraction)
+        })
     }
 }
 
-/// Decision of one hybrid step: which tracks fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StructuredGate {
-    /// The structured (channel) track pruned this round.
-    pub structured_fired: bool,
-    /// The unstructured (FC) track pruned this round.
-    pub unstructured_fired: bool,
-}
-
-/// The per-track gate decisions behind one hybrid step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HybridDecision {
-    /// The structured (channel) track's decision.
-    pub structured: GateDecision,
-    /// The unstructured (FC) track's decision.
-    pub unstructured: GateDecision,
-}
-
-/// Full outcome of one hybrid pruning step.
+/// A hybrid-pruned client: its channel mask, its FC-only unstructured
+/// base mask, and the parameter mask they expand to.
 #[derive(Debug, Clone)]
-pub struct HybridStep {
-    /// Updated channel mask (structured track state).
-    pub channels: ChannelMask,
-    /// Updated FC-only unstructured base mask.
-    pub unstructured: ModelMask,
-    /// The combined parameter mask: `expand(channels) ∧ unstructured`.
-    pub mask: ModelMask,
-    /// Which tracks fired.
-    pub gate: StructuredGate,
+pub struct HybridState {
+    channels: ChannelMask,
+    unstructured: ModelMask,
+    /// Always `expand_channel_mask(model, &channels, &unstructured)`.
+    mask: ModelMask,
+}
+
+impl HybridState {
+    /// The state holding `channels` and the FC base `unstructured`, with
+    /// the parameter mask they expand to over `model`'s layout. A client
+    /// that has never pruned holds
+    /// [`HybridController::initial_channels`] and an all-ones base.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either mask does not match the model.
+    pub fn new(model: &Sequential, channels: ChannelMask, unstructured: ModelMask) -> Self {
+        let mask = expand_channel_mask(model, &channels, &unstructured);
+        Self { channels, unstructured, mask }
+    }
+
+    /// The channel mask (structured track).
+    pub fn channels(&self) -> &ChannelMask {
+        &self.channels
+    }
+
+    /// The FC-only unstructured base mask.
+    pub fn unstructured(&self) -> &ModelMask {
+        &self.unstructured
+    }
+
+    /// The parameter mask the client trains and uploads under:
+    /// `expand(channels) ∧ unstructured`.
+    pub fn mask(&self) -> &ModelMask {
+        &self.mask
+    }
 }
 
 /// Client-side controller for Sub-FedAvg (Hy) — Algorithm 2: structured
@@ -221,7 +221,8 @@ pub struct HybridController {
     pub structured_target: f32,
     /// Channel mask-distance gate (`ε_s`, paper: 0.05).
     pub structured_eps: f32,
-    /// The FC-scoped unstructured track.
+    /// The FC-scoped unstructured track. Its `acc_threshold` is never
+    /// read: both tracks gate on [`HybridController::acc_threshold`].
     pub unstructured: UnstructuredController,
     /// Validation-accuracy gate shared by both tracks (`Acc_th`).
     pub acc_threshold: f32,
@@ -247,120 +248,43 @@ impl HybridController {
         }
     }
 
-    /// One full client-side hybrid pruning decision (Algorithm 2 lines
-    /// 14–23). The returned parameter mask is always the expansion of the
-    /// (possibly unchanged) channel mask over the (possibly unchanged)
-    /// unstructured base.
+    /// One client-side hybrid pruning decision (Algorithm 2 lines 14–23):
+    /// the channel track by BatchNorm |γ|, then the FC track as
+    /// [`UnstructuredController::step`] under the shared `acc_threshold`.
+    /// Returns the advanced state if either track fired, and the
+    /// decisions of the channel and FC tracks, in that order.
     // lint: cold — the pruning decision runs once per client-round
     pub fn step(
         &self,
         model_first_epoch: &Sequential,
         model_last_epoch: &Sequential,
-        current_channels: &ChannelMask,
-        current_unstructured: &ModelMask,
+        current: &HybridState,
         val_acc: f32,
-    ) -> HybridStep {
-        self.step_explained(
-            model_first_epoch,
-            model_last_epoch,
-            current_channels,
-            current_unstructured,
+    ) -> (Option<HybridState>, [GateDecision; 2]) {
+        let (channels, structured) = gate(
             val_acc,
-        )
-        .0
-    }
-
-    /// [`HybridController::step`] plus each track's gate decision: which
-    /// gate held it (or that it fired), with the measured Δ and resulting
-    /// pruned fraction. Used by the telemetry layer.
-    pub fn step_explained(
-        &self,
-        model_first_epoch: &Sequential,
-        model_last_epoch: &Sequential,
-        current_channels: &ChannelMask,
-        current_unstructured: &ModelMask,
-        val_acc: f32,
-    ) -> (HybridStep, HybridDecision) {
-        let mut channels = current_channels.clone();
-        let mut unstructured = current_unstructured.clone();
-        let mut gate = StructuredGate { structured_fired: false, unstructured_fired: false };
-
-        let acc_ok = acc_gate_passes(val_acc, self.acc_threshold);
-
-        // Structured track.
-        let structured = if !acc_ok {
-            GateDecision {
-                reason: GateReason::AccuracyBelowThreshold,
-                mask_distance: 0.0,
-                pruned_fraction: current_channels.pruned_fraction(),
-            }
-        } else if current_channels.pruned_fraction() >= self.structured_target {
-            GateDecision {
-                reason: GateReason::TargetReached,
-                mask_distance: 0.0,
-                pruned_fraction: current_channels.pruned_fraction(),
-            }
-        } else {
-            let c_fe = slimming_mask(model_first_epoch, current_channels, self.structured_rate);
-            let c_le = slimming_mask(model_last_epoch, current_channels, self.structured_rate);
-            let delta_s = c_fe.hamming_distance(&c_le);
-            if delta_gate_passes(delta_s, self.structured_eps) {
-                channels = c_le;
-                gate.structured_fired = true;
-                GateDecision {
-                    reason: GateReason::Pruned,
-                    mask_distance: delta_s,
-                    pruned_fraction: channels.pruned_fraction(),
-                }
-            } else {
-                GateDecision {
-                    reason: GateReason::MaskStable,
-                    mask_distance: delta_s,
-                    pruned_fraction: current_channels.pruned_fraction(),
-                }
-            }
-        };
-
-        // Unstructured (FC) track — independent gating.
-        let scope = self.unstructured.scope;
-        let unstructured_decision = if !acc_ok {
-            GateDecision {
-                reason: GateReason::AccuracyBelowThreshold,
-                mask_distance: 0.0,
-                pruned_fraction: pruned_fraction(current_unstructured, scope),
-            }
-        } else if pruned_fraction(current_unstructured, scope) >= self.unstructured.target {
-            GateDecision {
-                reason: GateReason::TargetReached,
-                mask_distance: 0.0,
-                pruned_fraction: pruned_fraction(current_unstructured, scope),
-            }
-        } else {
-            let m_fe = self.unstructured.candidate(model_first_epoch, current_unstructured);
-            let m_le = self.unstructured.candidate(model_last_epoch, current_unstructured);
-            let delta_us = m_fe.hamming_distance(&m_le, |k| scope.includes(k));
-            if delta_gate_passes(delta_us, self.unstructured.eps) {
-                unstructured = m_le;
-                gate.unstructured_fired = true;
-                GateDecision {
-                    reason: GateReason::Pruned,
-                    mask_distance: delta_us,
-                    pruned_fraction: pruned_fraction(&unstructured, scope),
-                }
-            } else {
-                GateDecision {
-                    reason: GateReason::MaskStable,
-                    mask_distance: delta_us,
-                    pruned_fraction: pruned_fraction(current_unstructured, scope),
-                }
-            }
-        };
-
-        let mask = expand_channel_mask(model_last_epoch, &channels, &unstructured);
-        (
-            HybridStep { channels, unstructured, mask, gate },
-            HybridDecision { structured, unstructured: unstructured_decision },
-        )
+            self.acc_threshold,
+            current.channels.pruned_fraction(),
+            self.structured_target,
+            self.structured_eps,
+            || {
+                let candidate = |m| slimming_mask(m, &current.channels, self.structured_rate);
+                let (c_fe, c_le) = (candidate(model_first_epoch), candidate(model_last_epoch));
+                let fraction = c_le.pruned_fraction();
+                (c_fe.hamming_distance(&c_le), c_le, fraction)
+            },
+        );
+        let fc = UnstructuredController { acc_threshold: self.acc_threshold, ..self.unstructured };
+        let (unstructured, fc_decision) =
+            fc.step(model_first_epoch, model_last_epoch, &current.unstructured, val_acc);
+        let next = (channels.is_some() || unstructured.is_some()).then(|| {
+            HybridState::new(
+                model_last_epoch,
+                channels.unwrap_or_else(|| current.channels.clone()),
+                unstructured.unwrap_or_else(|| current.unstructured.clone()),
+            )
+        });
+        (next, [structured, fc_decision])
     }
 
     /// Builds the initial (all-ones) channel mask for a model.
@@ -373,6 +297,7 @@ impl HybridController {
 mod tests {
     use super::*;
     use subfed_nn::models::ModelSpec;
+    use subfed_nn::ParamKind;
     use subfed_tensor::init::SeededRng;
 
     fn model(seed: u64) -> Sequential {
@@ -382,7 +307,7 @@ mod tests {
         // between "first epoch" and "last epoch" snapshots.
         let mut rng = SeededRng::new(seed ^ 0xABCD);
         for p in m.params_mut() {
-            if p.kind == subfed_nn::ParamKind::BnGamma {
+            if p.kind == ParamKind::BnGamma {
                 for v in p.value.data_mut() {
                     *v = rng.uniform_f32(0.1, 2.0);
                 }
@@ -391,20 +316,8 @@ mod tests {
         m
     }
 
-    #[test]
-    fn gates_all_must_pass() {
-        let c = UnstructuredController::paper_defaults(0.5);
-        let m = model(1);
-        let ones = ModelMask::ones_for(&m);
-        // All pass.
-        assert!(c.should_prune(0.9, &ones, 0.01));
-        // Accuracy too low.
-        assert!(!c.should_prune(0.4, &ones, 0.01));
-        // Distance below eps.
-        assert!(!c.should_prune(0.9, &ones, 0.0));
-        // Target reached: craft a mask at 50%.
-        let half = magnitude_mask(&m, &ones, 0.5, PruneScope::AllWeights, Ranking::LayerWise);
-        assert!(!c.should_prune(0.9, &half, 0.01));
+    fn fresh(m: &Sequential) -> HybridState {
+        HybridState::new(m, HybridController::initial_channels(m), ModelMask::ones_for(m))
     }
 
     #[test]
@@ -415,7 +328,7 @@ mod tests {
         let m_fe = model(1);
         let m_le = model(2);
         let current = ModelMask::ones_for(&m_fe);
-        let next = c.step(&m_fe, &m_le, &current, 0.9).expect("should prune");
+        let next = c.step(&m_fe, &m_le, &current, 0.9).0.expect("should prune");
         let frac = pruned_fraction(&next, PruneScope::AllWeights);
         assert!((frac - c.rate).abs() < 0.01, "{frac}");
     }
@@ -426,7 +339,7 @@ mod tests {
         // Identical models -> identical candidates -> Δ = 0 < ε.
         let m = model(3);
         let current = ModelMask::ones_for(&m);
-        assert!(c.step(&m, &m, &current, 0.9).is_none());
+        assert!(c.step(&m, &m, &current, 0.9).0.is_none());
     }
 
     #[test]
@@ -434,21 +347,17 @@ mod tests {
         let hc = HybridController::paper_defaults(0.5, 0.5);
         let m_fe = model(4);
         let m_le = model(5);
-        let channels = HybridController::initial_channels(&m_fe);
-        let unstructured = ModelMask::ones_for(&m_fe);
-        let step = hc.step(&m_fe, &m_le, &channels, &unstructured, 0.9);
+        let (next, [channel, fc]) = hc.step(&m_fe, &m_le, &fresh(&m_fe), 0.9);
         // Different models: both tracks should fire.
-        assert!(step.gate.structured_fired);
-        assert!(step.gate.unstructured_fired);
-        assert!(step.channels.pruned_fraction() > 0.0);
+        assert!(channel.reason.fired());
+        assert!(fc.reason.fired());
+        let next = next.expect("a track fired");
+        assert!(next.channels().pruned_fraction() > 0.0);
         // Param mask reflects both.
-        assert!(step.mask.pruned_fraction(|k| k == subfed_nn::ParamKind::FcWeight) > 0.0);
-        assert!(step.mask.pruned_fraction(|k| k == subfed_nn::ParamKind::ConvWeight) > 0.0);
+        assert!(next.mask().pruned_fraction(|k| k == ParamKind::FcWeight) > 0.0);
+        assert!(next.mask().pruned_fraction(|k| k == ParamKind::ConvWeight) > 0.0);
         // The unstructured base only touches FC weights.
-        assert_eq!(
-            step.unstructured.pruned_fraction(|k| k == subfed_nn::ParamKind::ConvWeight),
-            0.0
-        );
+        assert_eq!(next.unstructured().pruned_fraction(|k| k == ParamKind::ConvWeight), 0.0);
     }
 
     #[test]
@@ -456,12 +365,11 @@ mod tests {
         let hc = HybridController::paper_defaults(0.5, 0.5);
         let m_fe = model(6);
         let m_le = model(7);
-        let channels = HybridController::initial_channels(&m_fe);
-        let unstructured = ModelMask::ones_for(&m_fe);
-        let step = hc.step(&m_fe, &m_le, &channels, &unstructured, 0.1);
-        assert!(!step.gate.structured_fired && !step.gate.unstructured_fired);
-        assert_eq!(step.channels, channels);
-        assert_eq!(step.mask.pruned_fraction(|_| true), 0.0);
+        let (next, [channel, fc]) = hc.step(&m_fe, &m_le, &fresh(&m_fe), 0.1);
+        assert!(next.is_none());
+        assert!(!channel.reason.fired() && !fc.reason.fired());
+        assert_eq!(channel.pruned_fraction, 0.0);
+        assert_eq!(fc.pruned_fraction, 0.0);
     }
 
     #[test]
@@ -469,69 +377,70 @@ mod tests {
         let hc = HybridController::paper_defaults(0.2, 0.9);
         let m_fe = model(8);
         let m_le = model(9);
-        let mut channels = HybridController::initial_channels(&m_fe);
-        let mut unstructured = ModelMask::ones_for(&m_fe);
+        let mut state = fresh(&m_fe);
         for _ in 0..30 {
-            let step = hc.step(&m_fe, &m_le, &channels, &unstructured, 0.9);
-            channels = step.channels;
-            unstructured = step.unstructured;
+            if let Some(next) = hc.step(&m_fe, &m_le, &state, 0.9).0 {
+                state = next;
+            }
         }
         // Channel pruning stops once past the 20% target (one extra step
         // can overshoot by at most one rate increment).
-        assert!(channels.pruned_fraction() <= 0.2 + hc.structured_rate + 1e-6);
-        assert!(channels.pruned_fraction() >= 0.15);
+        let channels = state.channels().pruned_fraction();
+        assert!(channels <= 0.2 + hc.structured_rate + 1e-6);
+        assert!(channels >= 0.15);
     }
 
     #[test]
-    fn step_explained_reports_the_first_holding_gate() {
+    fn step_reports_the_first_holding_gate() {
         let c = UnstructuredController::paper_defaults(0.5);
         let m_fe = model(1);
         let m_le = model(2);
         let ones = ModelMask::ones_for(&m_fe);
-        let (mask, d) = c.step_explained(&m_fe, &m_le, &ones, 0.9);
+        // All pass.
+        let (mask, d) = c.step(&m_fe, &m_le, &ones, 0.9);
         assert!(mask.is_some());
         assert_eq!(d.reason, GateReason::Pruned);
         assert!(d.reason.fired());
         assert!(d.mask_distance > 0.0);
         assert!((d.pruned_fraction - c.rate).abs() < 0.01);
-        let (none, d) = c.step_explained(&m_fe, &m_le, &ones, 0.1);
+        // Accuracy too low: held before the candidates are derived.
+        for acc in [0.1, 0.4] {
+            let (none, d) = c.step(&m_fe, &m_le, &ones, acc);
+            assert!(none.is_none());
+            assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
+            assert!(!d.reason.fired());
+            assert_eq!(d.mask_distance, 0.0);
+        }
+        // Distance below eps.
+        let (none, d) = c.step(&m_fe, &m_fe, &ones, 0.9);
         assert!(none.is_none());
-        assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
-        assert!(!d.reason.fired());
-        let (_, d) = c.step_explained(&m_fe, &m_fe, &ones, 0.9);
         assert_eq!(d.reason, GateReason::MaskStable);
+        // Target reached: a mask at 50%.
         let half = magnitude_mask(&m_fe, &ones, 0.5, PruneScope::AllWeights, Ranking::LayerWise);
-        let (_, d) = c.step_explained(&m_fe, &m_le, &half, 0.9);
+        let (none, d) = c.step(&m_fe, &m_le, &half, 0.9);
+        assert!(none.is_none());
         assert_eq!(d.reason, GateReason::TargetReached);
         assert_eq!(d.reason.as_str(), "target-reached");
+        assert_eq!(d.mask_distance, 0.0);
     }
 
     #[test]
-    fn step_explained_matches_step() {
-        let c = UnstructuredController::paper_defaults(0.5);
-        let m_fe = model(1);
-        let m_le = model(2);
-        let ones = ModelMask::ones_for(&m_fe);
-        assert_eq!(c.step(&m_fe, &m_le, &ones, 0.9), c.step_explained(&m_fe, &m_le, &ones, 0.9).0);
-    }
-
-    #[test]
-    fn hybrid_step_explained_reports_both_tracks() {
+    fn hybrid_step_reports_both_tracks() {
         let hc = HybridController::paper_defaults(0.5, 0.5);
         let m_fe = model(4);
         let m_le = model(5);
-        let channels = HybridController::initial_channels(&m_fe);
-        let unstructured = ModelMask::ones_for(&m_fe);
-        let (step, d) = hc.step_explained(&m_fe, &m_le, &channels, &unstructured, 0.9);
-        assert_eq!(step.gate.structured_fired, d.structured.reason.fired());
-        assert_eq!(step.gate.unstructured_fired, d.unstructured.reason.fired());
-        assert_eq!(d.structured.reason, GateReason::Pruned);
-        assert_eq!(d.unstructured.reason, GateReason::Pruned);
+        let state = fresh(&m_fe);
+        let (next, [channel, fc]) = hc.step(&m_fe, &m_le, &state, 0.9);
+        assert!(next.is_some());
+        assert_eq!(channel.reason, GateReason::Pruned);
+        assert_eq!(fc.reason, GateReason::Pruned);
         // Accuracy gate is shared and reported per track.
-        let (_, held) = hc.step_explained(&m_fe, &m_le, &channels, &unstructured, 0.1);
-        assert_eq!(held.structured.reason, GateReason::AccuracyBelowThreshold);
-        assert_eq!(held.unstructured.reason, GateReason::AccuracyBelowThreshold);
-        assert_eq!(held.structured.mask_distance, 0.0);
+        let (none, held) = hc.step(&m_fe, &m_le, &state, 0.1);
+        assert!(none.is_none());
+        for d in held {
+            assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
+            assert_eq!(d.mask_distance, 0.0);
+        }
     }
 
     #[test]
@@ -541,12 +450,11 @@ mod tests {
         let m_le = model(2);
         let ones = ModelMask::ones_for(&m_fe);
         // The same inputs prune at a healthy accuracy...
-        assert!(c.step(&m_fe, &m_le, &ones, 0.9).is_some());
+        assert!(c.step(&m_fe, &m_le, &ones, 0.9).0.is_some());
         // ...but a diverged (NaN/∞) accuracy must hold the gate, even
         // though `NaN < threshold` is false.
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            assert!(!c.should_prune(bad, &ones, 0.01), "{bad} passed should_prune");
-            let (mask, d) = c.step_explained(&m_fe, &m_le, &ones, bad);
+            let (mask, d) = c.step(&m_fe, &m_le, &ones, bad);
             assert!(mask.is_none(), "{bad} pruned");
             assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
         }
@@ -554,12 +462,16 @@ mod tests {
 
     #[test]
     fn nan_mask_distance_reads_as_stable() {
-        let c = UnstructuredController::paper_defaults(0.5);
-        let m = model(3);
-        let ones = ModelMask::ones_for(&m);
-        assert!(!c.should_prune(0.9, &ones, f32::NAN));
-        // ∞ is non-finite too: corrupted bookkeeping must not fire the gate.
-        assert!(!c.should_prune(0.9, &ones, f32::INFINITY));
+        // The same inputs prune at a healthy Δ...
+        assert!(gate(0.9, 0.5, 0.0, 0.5, 1e-4, || (0.01, (), 0.1)).0.is_some());
+        // ...but NaN and ∞ are non-finite: corrupted bookkeeping must not
+        // fire the gate.
+        for bad in [f32::NAN, f32::INFINITY] {
+            let (next, d) = gate(0.9, 0.5, 0.0, 0.5, 1e-4, || (bad, (), 0.1));
+            assert!(next.is_none(), "Δ = {bad} pruned");
+            assert_eq!(d.reason, GateReason::MaskStable);
+            assert_eq!(d.pruned_fraction, 0.0);
+        }
     }
 
     #[test]
@@ -567,13 +479,11 @@ mod tests {
         let hc = HybridController::paper_defaults(0.5, 0.5);
         let m_fe = model(4);
         let m_le = model(5);
-        let channels = HybridController::initial_channels(&m_fe);
-        let unstructured = ModelMask::ones_for(&m_fe);
-        let (step, d) = hc.step_explained(&m_fe, &m_le, &channels, &unstructured, f32::NAN);
-        assert!(!step.gate.structured_fired && !step.gate.unstructured_fired);
-        assert_eq!(d.structured.reason, GateReason::AccuracyBelowThreshold);
-        assert_eq!(d.unstructured.reason, GateReason::AccuracyBelowThreshold);
-        assert_eq!(step.mask.pruned_fraction(|_| true), 0.0);
+        let (next, decisions) = hc.step(&m_fe, &m_le, &fresh(&m_fe), f32::NAN);
+        assert!(next.is_none());
+        for d in decisions {
+            assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
+        }
     }
 
     #[test]

@@ -26,8 +26,7 @@ pub mod structured;
 pub mod unstructured;
 
 pub use controller::{
-    GateDecision, GateReason, HybridController, HybridDecision, HybridStep, StructuredGate,
-    UnstructuredController,
+    GateDecision, GateReason, HybridController, HybridState, UnstructuredController,
 };
 pub use structured::ChannelMask;
 pub use unstructured::{PruneScope, Ranking};

@@ -5,7 +5,10 @@ use subfed_nn::models::{channel_graph, ModelSpec};
 use subfed_nn::{ModelMask, ParamKind, Sequential};
 use subfed_pruning::structured::{expand_channel_mask, slimming_mask};
 use subfed_pruning::unstructured::{magnitude_mask, pruned_fraction};
-use subfed_pruning::{ChannelMask, PruneScope, Ranking};
+use subfed_pruning::{
+    ChannelMask, GateReason, HybridController, HybridState, PruneScope, Ranking,
+    UnstructuredController,
+};
 use subfed_tensor::init::SeededRng;
 
 fn model(seed: u64) -> Sequential {
@@ -32,6 +35,27 @@ fn random_mask(m: &Sequential, keep_prob: f32, seed: u64) -> ModelMask {
         }
     }
     mask
+}
+
+/// [`model`] with every BatchNorm γ drawn at random, as local training
+/// would leave them, so channel rankings differ between seeds.
+fn trained_model(seed: u64) -> Sequential {
+    let mut m = model(seed);
+    let mut rng = SeededRng::new(seed ^ 0xABCD);
+    for p in m.params_mut() {
+        if p.kind == ParamKind::BnGamma {
+            for v in p.value.data_mut() {
+                *v = rng.uniform_f32(0.1, 2.0);
+            }
+        }
+    }
+    m
+}
+
+/// Validation accuracies below, at and above the paper's `Acc_th` of 0.5,
+/// and a diverged one.
+fn accuracies() -> Vec<f32> {
+    vec![0.2, 0.5, 0.9, f32::NAN]
 }
 
 proptest! {
@@ -187,5 +211,82 @@ proptest! {
         let b = ChannelMask::from_keep(keep);
         let d = a.hamming_distance(&b);
         prop_assert!((d - unique.len() as f32 / 22.0).abs() < 1e-6);
+    }
+}
+
+proptest! {
+    // More cases than above: each of the four gate outcomes needs a share.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn unstructured_step_follows_algorithm_1(
+        seed in 0u64..300,
+        keep in 0.3f32..0.7,
+        val_acc in prop::sample::select(accuracies()),
+        stable in prop::bool::ANY,
+        scope in prop::sample::select(vec![PruneScope::AllWeights, PruneScope::FcOnly]),
+        ranking in prop::sample::select(vec![Ranking::LayerWise, Ranking::Global]),
+    ) {
+        let c = UnstructuredController { scope, ranking, ..UnstructuredController::paper_defaults(0.5) };
+        let fe = model(seed);
+        let le = if stable { model(seed) } else { model(seed + 1) };
+        // Keep fractions on both sides of the 50% target.
+        let current = random_mask(&fe, keep, seed ^ 2);
+        let (next, d) = c.step(&fe, &le, &current, val_acc);
+
+        // The oracle: both candidates, then the gates in Algorithm 1's order.
+        let candidate = |m| magnitude_mask(m, &current, c.rate, scope, ranking);
+        let m_le = candidate(&le);
+        let delta = candidate(&fe).hamming_distance(&m_le, |k| scope.includes(k));
+        let expected = if val_acc.is_nan() || val_acc < c.acc_threshold {
+            GateReason::AccuracyBelowThreshold
+        } else if pruned_fraction(&current, scope) >= c.target {
+            GateReason::TargetReached
+        } else if delta < c.eps {
+            GateReason::MaskStable
+        } else {
+            GateReason::Pruned
+        };
+        prop_assert_eq!(d.reason, expected);
+        prop_assert_eq!(next.is_some(), d.reason == GateReason::Pruned);
+        if let Some(next) = next {
+            prop_assert_eq!(next, m_le);
+        }
+        if matches!(d.reason, GateReason::AccuracyBelowThreshold | GateReason::TargetReached) {
+            prop_assert_eq!(d.mask_distance, 0.0);
+        }
+    }
+
+    #[test]
+    fn hybrid_fc_track_is_algorithm_1(
+        seed in 0u64..300,
+        fc_keep in 0.3f32..0.7,
+        channel_steps in 0usize..4,
+        val_acc in prop::sample::select(accuracies()),
+        stable in prop::bool::ANY,
+    ) {
+        let mut hc = HybridController::paper_defaults(0.15, 0.5);
+        // Hy gates both tracks on its shared Acc_th, never on this one.
+        hc.unstructured.acc_threshold = 0.0;
+        let fe = trained_model(seed);
+        let le = if stable { trained_model(seed) } else { trained_model(seed + 1) };
+        let mut channels = HybridController::initial_channels(&fe);
+        for _ in 0..channel_steps {
+            channels = slimming_mask(&fe, &channels, hc.structured_rate);
+        }
+        let ones = ModelMask::ones_for(&fe);
+        let fc_base = magnitude_mask(&fe, &ones, 1.0 - fc_keep, PruneScope::FcOnly, Ranking::LayerWise);
+        let current = HybridState::new(&fe, channels, fc_base);
+        let (next, [channel, fc]) = hc.step(&fe, &le, &current, val_acc);
+
+        let un = UnstructuredController { acc_threshold: hc.acc_threshold, ..hc.unstructured };
+        let (fc_next, fc_expected) = un.step(&fe, &le, current.unstructured(), val_acc);
+        prop_assert_eq!(fc, fc_expected);
+        prop_assert_eq!(next.is_some(), channel.reason.fired() || fc.reason.fired());
+        if let Some(next) = next {
+            prop_assert_eq!(next.unstructured(), fc_next.as_ref().unwrap_or(current.unstructured()));
+            let expanded = expand_channel_mask(&le, next.channels(), next.unstructured());
+            prop_assert_eq!(next.mask(), &expanded);
+        }
     }
 }
