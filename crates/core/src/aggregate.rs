@@ -6,7 +6,8 @@
 //! global value. With all-ones masks it reduces exactly to FedAvg — a
 //! property the tests pin down.
 
-use subfed_nn::{is_kept, ModelMask, Sequential};
+use subfed_nn::{is_kept, ModelMask, ParamMeta};
+use subfed_tensor::Tensor;
 
 /// Flattens a [`ModelMask`] into one 0/1 vector aligned with
 /// `Sequential::flatten` order.
@@ -18,18 +19,18 @@ pub fn flatten_mask(mask: &ModelMask) -> Vec<f32> {
     out
 }
 
-/// Reassembles a [`ModelMask`] shaped like `template` from its flat 0/1
-/// vector (inverse of [`flatten_mask`]).
-pub(crate) fn unflatten_mask(template: &Sequential, flat: &[f32]) -> ModelMask {
-    let mut m = ModelMask::ones_for(template);
-    let mut rest = flat;
-    for t in m.tensors_mut() {
-        let (head, tail) = rest.split_at(t.len());
-        t.data_mut().copy_from_slice(head);
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "mask length mismatch");
-    m
+/// Reassembles a [`ModelMask`] from its flat 0/1 vector (inverse of
+/// [`flatten_mask`]), shaped by the model's flat parameter layout.
+///
+/// # Panics
+///
+/// Panics if `flat` is too short for `layout` or holds an entry other than
+/// 0 or 1.
+pub(crate) fn unflatten_mask(layout: &[ParamMeta], flat: &[f32]) -> ModelMask {
+    debug_assert_eq!(layout.iter().map(|m| m.len).sum::<usize>(), flat.len(), "mask length");
+    let tensors =
+        layout.iter().map(|m| Tensor::from_parts(m.shape.clone(), m.slice(flat).to_vec()));
+    ModelMask::from_tensors(tensors.collect(), layout.iter().map(|m| m.kind).collect())
 }
 
 /// Sample-count-weighted FedAvg over flat parameter vectors.

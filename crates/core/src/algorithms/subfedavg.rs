@@ -39,7 +39,7 @@ use std::sync::Arc;
 use subfed_data::ClientData;
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask};
 use subfed_metrics::trace::{model_hash, Span, TraceEvent};
-use subfed_nn::{ModelMask, Sequential};
+use subfed_nn::{ModelMask, ParamMeta, Sequential};
 use subfed_pruning::{
     ChannelMask, GateDecision, HybridController, HybridState, UnstructuredController,
 };
@@ -90,14 +90,15 @@ pub trait PruneTrack: Copy + Sync {
     fn fresh(&self, template: &Sequential) -> Self::State;
     /// The parameter mask a state trains and uploads under.
     fn mask(state: &Self::State) -> &ModelMask;
-    /// One pruning decision from the first- and last-epoch weights: the
-    /// advanced state when any gate fired, and every gate's decision named
-    /// by its trace track.
+    /// One pruning decision from the first- and last-epoch flat weight
+    /// snapshots, laid out by `layout`: the advanced state when any gate
+    /// fired, and every gate's decision named by its trace track.
     fn prune(
         &self,
+        layout: &[ParamMeta],
         state: &Self::State,
-        first_epoch: &Sequential,
-        last_epoch: &Sequential,
+        first_epoch: &[f32],
+        last_epoch: &[f32],
         val_acc: f32,
     ) -> (Option<Self::State>, Vec<(&'static str, GateDecision)>);
     /// Pruned fraction of the weights in the track's scope and of the
@@ -120,12 +121,13 @@ impl PruneTrack for UnstructuredController {
     }
     fn prune(
         &self,
+        layout: &[ParamMeta],
         mask: &ModelMask,
-        fe: &Sequential,
-        le: &Sequential,
+        fe: &[f32],
+        le: &[f32],
         val_acc: f32,
     ) -> (Option<ModelMask>, Vec<(&'static str, GateDecision)>) {
-        let (next, decision) = self.step(fe, le, mask, val_acc);
+        let (next, decision) = self.step(layout, fe, le, mask, val_acc);
         (next, vec![("un", decision)])
     }
     fn pruned(&self, mask: &ModelMask) -> (f32, f32) {
@@ -144,19 +146,20 @@ impl PruneTrack for HybridController {
     }
     fn fresh(&self, template: &Sequential) -> HybridState {
         let channels = HybridController::initial_channels(template);
-        HybridState::new(template, channels, ModelMask::ones_for(template))
+        HybridState::new(&template.metas(), channels, ModelMask::ones_for(template))
     }
     fn mask(state: &HybridState) -> &ModelMask {
         state.mask()
     }
     fn prune(
         &self,
+        layout: &[ParamMeta],
         state: &HybridState,
-        fe: &Sequential,
-        le: &Sequential,
+        fe: &[f32],
+        le: &[f32],
         val_acc: f32,
     ) -> (Option<HybridState>, Vec<(&'static str, GateDecision)>) {
-        let (next, [channel, un]) = self.step(fe, le, state, val_acc);
+        let (next, [channel, un]) = self.step(layout, fe, le, state, val_acc);
         (next, vec![("channel", channel), ("un", un)])
     }
     fn pruned(&self, state: &HybridState) -> (f32, f32) {
@@ -281,7 +284,7 @@ impl ClientStore<UnstructuredController> for Registry {
     }
 
     fn client(&self, fed: &Federation, i: usize) -> Cow<'_, ModelMask> {
-        Cow::Owned(unflatten_mask(&fed.build_model(), &self.registry.mask_flat(i)))
+        Cow::Owned(unflatten_mask(fed.layout(), &self.registry.mask_flat(i)))
     }
 
     fn keep(&self, fed: &Federation, run: ClientRound<ModelMask>) -> Self::Kept {
@@ -438,13 +441,10 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                 let flat_before = flatten_mask(mask);
                 let download = masked_transfer_bytes(kept_count(&flat_before));
                 tracer.emit(TraceEvent::Download { round, client: i, bytes: download });
-                // Pruning decision from the two weight snapshots.
+                // Pruning decision from the two flat weight snapshots.
                 let prune_span = tracer.span();
-                let mut model_fe = fed.build_model();
-                model_fe.load_flat(&out.first_epoch_flat);
-                let mut model_le = fed.build_model();
-                model_le.load_flat(&out.final_flat);
-                let (next, gates) = track.prune(&state, &model_fe, &model_le, out.val_acc);
+                let (fe, le) = (&out.first_epoch_flat, &out.final_flat);
+                let (next, gates) = track.prune(fed.layout(), &state, fe, le, out.val_acc);
                 // Gate boundary: every track's Δ must live in [0, 1]. (A
                 // non-finite accuracy is tolerated — the controllers are
                 // NaN-safe and hold the gate — so only Δ is enforced.)
@@ -659,15 +659,16 @@ impl SubFedAvgUn {
     /// # Panics
     ///
     /// Panics if the checkpoint does not match the federation's model size
-    /// or client count.
+    /// or client count, or a mask entry is not 0 or 1.
     pub fn restore(&mut self, ckpt: &Checkpoint) {
-        let template = self.fed.build_model();
-        assert_eq!(ckpt.global.len(), template.num_params(), "checkpoint model size mismatch");
+        let layout = self.fed.layout();
+        let num_params: usize = layout.iter().map(|m| m.len).sum();
+        assert_eq!(ckpt.global.len(), num_params, "checkpoint model size mismatch");
         let clients = ckpt.client_masks.len();
         assert_eq!(clients, self.fed.num_clients(), "checkpoint client count mismatch");
         let masked_global = |flat: &Vec<f32>| apply_flat_mask(ckpt.global.clone(), flat);
         self.store = Resident {
-            states: ckpt.client_masks.iter().map(|flat| unflatten_mask(&template, flat)).collect(),
+            states: ckpt.client_masks.iter().map(|flat| unflatten_mask(layout, flat)).collect(),
             local_flats: ckpt.client_masks.iter().map(masked_global).collect(),
             history: History::new(),
         };

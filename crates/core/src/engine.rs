@@ -10,7 +10,7 @@ use subfed_metrics::trace::{TraceEvent, Tracer};
 use subfed_nn::loss::softmax_cross_entropy;
 use subfed_nn::models::ModelSpec;
 use subfed_nn::optim::Sgd;
-use subfed_nn::{Mode, ModelMask, Sequential};
+use subfed_nn::{Mode, ModelMask, ParamMeta, Sequential};
 use subfed_tensor::init::SeededRng;
 use subfed_tensor::reduce::argmax_rows;
 use subfed_tensor::workspace::Workspace;
@@ -27,6 +27,8 @@ pub struct Federation {
     config: FedConfig,
     tracer: Tracer,
     workspaces: WorkspacePool,
+    /// `spec`'s flat parameter layout, computed once at construction.
+    layout: Arc<[ParamMeta]>,
 }
 
 impl Federation {
@@ -57,6 +59,7 @@ impl Federation {
     ) -> Self {
         assert_eq!(config.validate(), Ok(()), "invalid federation config");
         assert!(provider.num_clients() > 0, "federation needs at least one client");
+        let layout = spec.build(&mut SeededRng::new(config.seed)).metas().into();
         Self {
             spec,
             provider,
@@ -64,6 +67,7 @@ impl Federation {
             config,
             tracer: Tracer::disabled(),
             workspaces: WorkspacePool::new(),
+            layout,
         }
     }
 
@@ -89,6 +93,13 @@ impl Federation {
     /// The model architecture.
     pub fn spec(&self) -> &ModelSpec {
         &self.spec
+    }
+
+    /// The model's flat parameter layout ([`Sequential::metas`]): the
+    /// offsets through which flat parameter snapshots and flat masks are
+    /// read without building a model.
+    pub(crate) fn layout(&self) -> &[ParamMeta] {
+        &self.layout
     }
 
     /// The local data of client `i` (a vector lookup on materialized

@@ -10,7 +10,7 @@
 //! training benches.
 
 use crate::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU};
-use crate::{ParamKind, Sequential};
+use crate::{ParamKind, ParamMeta, Sequential};
 use serde::{Deserialize, Serialize};
 use subfed_tensor::init::SeededRng;
 
@@ -375,24 +375,35 @@ impl ChannelGraph {
     }
 }
 
-/// Derives the [`ChannelGraph`] of a model by scanning its parameters.
-/// Conv layers not followed by BatchNorm (e.g. [`lenet5_classic`]) carry
-/// no channel-importance indicator and are skipped — such models support
-/// unstructured pruning only.
+/// Derives the [`ChannelGraph`] of a model: [`channel_graph_flat`] over
+/// its [`Sequential::metas`].
+///
+/// # Panics
+///
+/// As [`channel_graph_flat`].
+pub fn channel_graph(model: &Sequential) -> ChannelGraph {
+    channel_graph_flat(&model.metas())
+}
+
+/// Derives the [`ChannelGraph`] of a flat parameter layout (a model's
+/// [`Sequential::metas`]) by scanning its kinds and shapes, so a caller
+/// holding only flat snapshots needs no model. Conv layers not followed by
+/// BatchNorm (e.g. [`lenet5_classic`]) carry no channel-importance
+/// indicator and are skipped — such models support unstructured pruning
+/// only.
 ///
 /// # Panics
 ///
 /// Panics if a conv→BN block has no downstream conv/FC consumer (the
 /// classifier-conv case, which the paper's architectures do not contain).
-pub fn channel_graph(model: &Sequential) -> ChannelGraph {
-    let params = model.params();
+pub fn channel_graph_flat(layout: &[ParamMeta]) -> ChannelGraph {
     let mut blocks = Vec::new();
-    for (i, p) in params.iter().enumerate() {
+    for (i, p) in layout.iter().enumerate() {
         if p.kind != ParamKind::ConvWeight {
             continue;
         }
         let has_bn = matches!(
-            params.get(i + 1..i + 4),
+            layout.get(i + 1..i + 4),
             Some([bias, gamma, beta])
                 if bias.kind == ParamKind::ConvBias
                     && gamma.kind == ParamKind::BnGamma
@@ -401,9 +412,9 @@ pub fn channel_graph(model: &Sequential) -> ChannelGraph {
         if !has_bn {
             continue;
         }
-        let out_channels = p.value.shape()[0];
+        let out_channels = p.shape[0];
         // Find the next weight that consumes these channels.
-        let downstream = params
+        let downstream = layout
             .get(i + 4..)
             .unwrap_or(&[])
             .iter()
@@ -411,7 +422,7 @@ pub fn channel_graph(model: &Sequential) -> ChannelGraph {
             .find_map(|(j, q)| match q.kind {
                 ParamKind::ConvWeight => Some(Downstream::Conv { weight: i + 4 + j }),
                 ParamKind::FcWeight => {
-                    let fan_in = q.value.shape()[1];
+                    let fan_in = q.shape[1];
                     assert_eq!(
                         fan_in % out_channels,
                         0,

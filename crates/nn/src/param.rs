@@ -87,6 +87,18 @@ pub struct ParamMeta {
     pub len: usize,
 }
 
+impl ParamMeta {
+    /// This parameter's values in a flat vector laid out like the model
+    /// that produced this meta (`Sequential::flatten`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat` is too short for this parameter's range.
+    pub fn slice<'a>(&self, flat: &'a [f32]) -> &'a [f32] {
+        &flat[self.offset..self.offset + self.len]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,9 @@
 //! The pruning schedules of Algorithms 1 and 2: *when* a client prunes.
 //!
 //! Both algorithms derive a candidate mask at the end of the first local
-//! epoch and another at the end of the last local epoch, then prune only if
-//! all three gates pass, checked in this order:
+//! epoch and another at the end of the last local epoch, each from that
+//! epoch's flat parameter snapshot read through the model's layout, then
+//! prune only if all three gates pass, checked in this order:
 //!
 //! 1. validation accuracy ≥ `acc_threshold` (don't prune an unconverged
 //!    model),
@@ -19,11 +20,11 @@
 //! track calls the gate directly, and the FC track is Algorithm 1's
 //! [`UnstructuredController::step`].
 
-use crate::structured::{expand_channel_mask, slimming_mask, ChannelMask};
-use crate::unstructured::{magnitude_mask, pruned_fraction, PruneScope, Ranking};
+use crate::structured::{expand_channel_mask_flat, slimming_mask_flat, ChannelMask};
+use crate::unstructured::{magnitude_mask_flat, pruned_fraction, PruneScope, Ranking};
 use serde::{Deserialize, Serialize};
 use subfed_nn::models::channel_graph;
-use subfed_nn::{ModelMask, Sequential};
+use subfed_nn::{ModelMask, ParamMeta, Sequential};
 
 /// Why a pruning gate fired or held — the observable outcome of the
 /// three-gate decision (Algorithm 1 line 14 / Algorithm 2 lines 14–23),
@@ -147,21 +148,30 @@ impl UnstructuredController {
     /// One client-side pruning decision (Algorithm 1 line 14). Once the
     /// accuracy and target gates pass, it derives one geometric pruning
     /// step below `current` from the first-epoch and from the last-epoch
-    /// weights, and gates on their distance Δ. Returns the last-epoch
-    /// candidate if pruning fires, and the decision: which gate held, or
-    /// that pruning fired, with Δ and the resulting pruned fraction.
+    /// weights — two flat parameter snapshots laid out by `layout` (the
+    /// model's `Sequential::metas`) — and gates on their distance Δ.
+    /// Returns the last-epoch candidate if pruning fires, and the
+    /// decision: which gate held, or that pruning fired, with Δ and the
+    /// resulting pruned fraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `current` or a snapshot does not match `layout`.
     // lint: cold — the pruning decision runs once per client-round
     pub fn step(
         &self,
-        model_first_epoch: &Sequential,
-        model_last_epoch: &Sequential,
+        layout: &[ParamMeta],
+        first_epoch: &[f32],
+        last_epoch: &[f32],
         current: &ModelMask,
         val_acc: f32,
     ) -> (Option<ModelMask>, GateDecision) {
         let current_fraction = pruned_fraction(current, self.scope);
         gate(val_acc, self.acc_threshold, current_fraction, self.target, self.eps, || {
-            let candidate = |m| magnitude_mask(m, current, self.rate, self.scope, self.ranking);
-            let (m_fe, m_le) = (candidate(model_first_epoch), candidate(model_last_epoch));
+            let candidate = |flat| {
+                magnitude_mask_flat(layout, flat, current, self.rate, self.scope, self.ranking)
+            };
+            let (m_fe, m_le) = (candidate(first_epoch), candidate(last_epoch));
             let delta = m_fe.hamming_distance(&m_le, |k| self.scope.includes(k));
             let fraction = pruned_fraction(&m_le, self.scope);
             (delta, m_le, fraction)
@@ -175,21 +185,21 @@ impl UnstructuredController {
 pub struct HybridState {
     channels: ChannelMask,
     unstructured: ModelMask,
-    /// Always `expand_channel_mask(model, &channels, &unstructured)`.
+    /// Always `expand_channel_mask_flat(layout, &channels, &unstructured)`.
     mask: ModelMask,
 }
 
 impl HybridState {
     /// The state holding `channels` and the FC base `unstructured`, with
-    /// the parameter mask they expand to over `model`'s layout. A client
-    /// that has never pruned holds
+    /// the parameter mask they expand to over `layout` (the model's
+    /// `Sequential::metas`). A client that has never pruned holds
     /// [`HybridController::initial_channels`] and an all-ones base.
     ///
     /// # Panics
     ///
-    /// Panics if either mask does not match the model.
-    pub fn new(model: &Sequential, channels: ChannelMask, unstructured: ModelMask) -> Self {
-        let mask = expand_channel_mask(model, &channels, &unstructured);
+    /// Panics if either mask does not match the layout.
+    pub fn new(layout: &[ParamMeta], channels: ChannelMask, unstructured: ModelMask) -> Self {
+        let mask = expand_channel_mask_flat(layout, &channels, &unstructured);
         Self { channels, unstructured, mask }
     }
 
@@ -248,16 +258,22 @@ impl HybridController {
         }
     }
 
-    /// One client-side hybrid pruning decision (Algorithm 2 lines 14–23):
-    /// the channel track by BatchNorm |γ|, then the FC track as
+    /// One client-side hybrid pruning decision (Algorithm 2 lines 14–23)
+    /// from the first- and last-epoch flat parameter snapshots laid out by
+    /// `layout`: the channel track by BatchNorm |γ|, then the FC track as
     /// [`UnstructuredController::step`] under the shared `acc_threshold`.
     /// Returns the advanced state if either track fired, and the
     /// decisions of the channel and FC tracks, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `current` or a snapshot does not match `layout`.
     // lint: cold — the pruning decision runs once per client-round
     pub fn step(
         &self,
-        model_first_epoch: &Sequential,
-        model_last_epoch: &Sequential,
+        layout: &[ParamMeta],
+        first_epoch: &[f32],
+        last_epoch: &[f32],
         current: &HybridState,
         val_acc: f32,
     ) -> (Option<HybridState>, [GateDecision; 2]) {
@@ -268,18 +284,20 @@ impl HybridController {
             self.structured_target,
             self.structured_eps,
             || {
-                let candidate = |m| slimming_mask(m, &current.channels, self.structured_rate);
-                let (c_fe, c_le) = (candidate(model_first_epoch), candidate(model_last_epoch));
+                let candidate = |flat| {
+                    slimming_mask_flat(layout, flat, &current.channels, self.structured_rate)
+                };
+                let (c_fe, c_le) = (candidate(first_epoch), candidate(last_epoch));
                 let fraction = c_le.pruned_fraction();
                 (c_fe.hamming_distance(&c_le), c_le, fraction)
             },
         );
         let fc = UnstructuredController { acc_threshold: self.acc_threshold, ..self.unstructured };
         let (unstructured, fc_decision) =
-            fc.step(model_first_epoch, model_last_epoch, &current.unstructured, val_acc);
+            fc.step(layout, first_epoch, last_epoch, &current.unstructured, val_acc);
         let next = (channels.is_some() || unstructured.is_some()).then(|| {
             HybridState::new(
-                model_last_epoch,
+                layout,
                 channels.unwrap_or_else(|| current.channels.clone()),
                 unstructured.unwrap_or_else(|| current.unstructured.clone()),
             )
@@ -296,6 +314,7 @@ impl HybridController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unstructured::magnitude_mask;
     use subfed_nn::models::ModelSpec;
     use subfed_nn::ParamKind;
     use subfed_tensor::init::SeededRng;
@@ -316,8 +335,16 @@ mod tests {
         m
     }
 
+    /// The layout and the flat weights of [`model`]`(seed)`: what a client
+    /// hands the controllers after an epoch.
+    fn snapshot(seed: u64) -> (Vec<ParamMeta>, Vec<f32>) {
+        let m = model(seed);
+        (m.metas(), m.flatten())
+    }
+
     fn fresh(m: &Sequential) -> HybridState {
-        HybridState::new(m, HybridController::initial_channels(m), ModelMask::ones_for(m))
+        let channels = HybridController::initial_channels(m);
+        HybridState::new(&m.metas(), channels, ModelMask::ones_for(m))
     }
 
     #[test]
@@ -325,10 +352,10 @@ mod tests {
         let c = UnstructuredController::paper_defaults(0.7);
         // Two different models (simulating first vs last epoch weights)
         // produce different candidate masks -> distance above eps.
-        let m_fe = model(1);
-        let m_le = model(2);
-        let current = ModelMask::ones_for(&m_fe);
-        let next = c.step(&m_fe, &m_le, &current, 0.9).0.expect("should prune");
+        let (layout, fe) = snapshot(1);
+        let (_, le) = snapshot(2);
+        let current = ModelMask::ones_for(&model(1));
+        let next = c.step(&layout, &fe, &le, &current, 0.9).0.expect("should prune");
         let frac = pruned_fraction(&next, PruneScope::AllWeights);
         assert!((frac - c.rate).abs() < 0.01, "{frac}");
     }
@@ -337,17 +364,17 @@ mod tests {
     fn step_skips_when_mask_stable() {
         let c = UnstructuredController::paper_defaults(0.7);
         // Identical models -> identical candidates -> Δ = 0 < ε.
-        let m = model(3);
-        let current = ModelMask::ones_for(&m);
-        assert!(c.step(&m, &m, &current, 0.9).0.is_none());
+        let (layout, w) = snapshot(3);
+        let current = ModelMask::ones_for(&model(3));
+        assert!(c.step(&layout, &w, &w, &current, 0.9).0.is_none());
     }
 
     #[test]
     fn hybrid_tracks_fire_independently() {
         let hc = HybridController::paper_defaults(0.5, 0.5);
-        let m_fe = model(4);
-        let m_le = model(5);
-        let (next, [channel, fc]) = hc.step(&m_fe, &m_le, &fresh(&m_fe), 0.9);
+        let (layout, fe) = snapshot(4);
+        let (_, le) = snapshot(5);
+        let (next, [channel, fc]) = hc.step(&layout, &fe, &le, &fresh(&model(4)), 0.9);
         // Different models: both tracks should fire.
         assert!(channel.reason.fired());
         assert!(fc.reason.fired());
@@ -363,9 +390,9 @@ mod tests {
     #[test]
     fn hybrid_respects_low_accuracy() {
         let hc = HybridController::paper_defaults(0.5, 0.5);
-        let m_fe = model(6);
-        let m_le = model(7);
-        let (next, [channel, fc]) = hc.step(&m_fe, &m_le, &fresh(&m_fe), 0.1);
+        let (layout, fe) = snapshot(6);
+        let (_, le) = snapshot(7);
+        let (next, [channel, fc]) = hc.step(&layout, &fe, &le, &fresh(&model(6)), 0.1);
         assert!(next.is_none());
         assert!(!channel.reason.fired() && !fc.reason.fired());
         assert_eq!(channel.pruned_fraction, 0.0);
@@ -375,11 +402,11 @@ mod tests {
     #[test]
     fn hybrid_structured_stops_at_target() {
         let hc = HybridController::paper_defaults(0.2, 0.9);
-        let m_fe = model(8);
-        let m_le = model(9);
-        let mut state = fresh(&m_fe);
+        let (layout, fe) = snapshot(8);
+        let (_, le) = snapshot(9);
+        let mut state = fresh(&model(8));
         for _ in 0..30 {
-            if let Some(next) = hc.step(&m_fe, &m_le, &state, 0.9).0 {
+            if let Some(next) = hc.step(&layout, &fe, &le, &state, 0.9).0 {
                 state = next;
             }
         }
@@ -394,10 +421,11 @@ mod tests {
     fn step_reports_the_first_holding_gate() {
         let c = UnstructuredController::paper_defaults(0.5);
         let m_fe = model(1);
-        let m_le = model(2);
+        let (layout, fe) = snapshot(1);
+        let (_, le) = snapshot(2);
         let ones = ModelMask::ones_for(&m_fe);
         // All pass.
-        let (mask, d) = c.step(&m_fe, &m_le, &ones, 0.9);
+        let (mask, d) = c.step(&layout, &fe, &le, &ones, 0.9);
         assert!(mask.is_some());
         assert_eq!(d.reason, GateReason::Pruned);
         assert!(d.reason.fired());
@@ -405,19 +433,19 @@ mod tests {
         assert!((d.pruned_fraction - c.rate).abs() < 0.01);
         // Accuracy too low: held before the candidates are derived.
         for acc in [0.1, 0.4] {
-            let (none, d) = c.step(&m_fe, &m_le, &ones, acc);
+            let (none, d) = c.step(&layout, &fe, &le, &ones, acc);
             assert!(none.is_none());
             assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
             assert!(!d.reason.fired());
             assert_eq!(d.mask_distance, 0.0);
         }
         // Distance below eps.
-        let (none, d) = c.step(&m_fe, &m_fe, &ones, 0.9);
+        let (none, d) = c.step(&layout, &fe, &fe, &ones, 0.9);
         assert!(none.is_none());
         assert_eq!(d.reason, GateReason::MaskStable);
         // Target reached: a mask at 50%.
         let half = magnitude_mask(&m_fe, &ones, 0.5, PruneScope::AllWeights, Ranking::LayerWise);
-        let (none, d) = c.step(&m_fe, &m_le, &half, 0.9);
+        let (none, d) = c.step(&layout, &fe, &le, &half, 0.9);
         assert!(none.is_none());
         assert_eq!(d.reason, GateReason::TargetReached);
         assert_eq!(d.reason.as_str(), "target-reached");
@@ -427,15 +455,15 @@ mod tests {
     #[test]
     fn hybrid_step_reports_both_tracks() {
         let hc = HybridController::paper_defaults(0.5, 0.5);
-        let m_fe = model(4);
-        let m_le = model(5);
-        let state = fresh(&m_fe);
-        let (next, [channel, fc]) = hc.step(&m_fe, &m_le, &state, 0.9);
+        let (layout, fe) = snapshot(4);
+        let (_, le) = snapshot(5);
+        let state = fresh(&model(4));
+        let (next, [channel, fc]) = hc.step(&layout, &fe, &le, &state, 0.9);
         assert!(next.is_some());
         assert_eq!(channel.reason, GateReason::Pruned);
         assert_eq!(fc.reason, GateReason::Pruned);
         // Accuracy gate is shared and reported per track.
-        let (none, held) = hc.step(&m_fe, &m_le, &state, 0.1);
+        let (none, held) = hc.step(&layout, &fe, &le, &state, 0.1);
         assert!(none.is_none());
         for d in held {
             assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
@@ -446,15 +474,15 @@ mod tests {
     #[test]
     fn nan_accuracy_never_prunes() {
         let c = UnstructuredController::paper_defaults(0.5);
-        let m_fe = model(1);
-        let m_le = model(2);
-        let ones = ModelMask::ones_for(&m_fe);
+        let (layout, fe) = snapshot(1);
+        let (_, le) = snapshot(2);
+        let ones = ModelMask::ones_for(&model(1));
         // The same inputs prune at a healthy accuracy...
-        assert!(c.step(&m_fe, &m_le, &ones, 0.9).0.is_some());
+        assert!(c.step(&layout, &fe, &le, &ones, 0.9).0.is_some());
         // ...but a diverged (NaN/∞) accuracy must hold the gate, even
         // though `NaN < threshold` is false.
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let (mask, d) = c.step(&m_fe, &m_le, &ones, bad);
+            let (mask, d) = c.step(&layout, &fe, &le, &ones, bad);
             assert!(mask.is_none(), "{bad} pruned");
             assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
         }
@@ -477,9 +505,9 @@ mod tests {
     #[test]
     fn hybrid_nan_accuracy_holds_both_tracks() {
         let hc = HybridController::paper_defaults(0.5, 0.5);
-        let m_fe = model(4);
-        let m_le = model(5);
-        let (next, decisions) = hc.step(&m_fe, &m_le, &fresh(&m_fe), f32::NAN);
+        let (layout, fe) = snapshot(4);
+        let (_, le) = snapshot(5);
+        let (next, decisions) = hc.step(&layout, &fe, &le, &fresh(&model(4)), f32::NAN);
         assert!(next.is_none());
         for d in decisions {
             assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);

@@ -16,7 +16,13 @@
 //!
 //! All functions are pure with respect to the model: they read weights and
 //! produce masks; applying a mask is the caller's (the federation
-//! engine's) decision.
+//! engine's) decision. Each mask derivation has one core that reads a flat
+//! parameter snapshot through the model's layout (the `ParamMeta` offsets
+//! of `Sequential::metas`) — [`unstructured::magnitude_mask_flat`],
+//! [`structured::slimming_mask_flat`] and
+//! [`structured::expand_channel_mask_flat`] — so the controllers prune
+//! from a client's flat weights without building a model; the `&Sequential`
+//! forms are thin adapters over those cores.
 
 #![forbid(unsafe_code)]
 

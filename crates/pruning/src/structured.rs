@@ -18,9 +18,10 @@
 //! the Sub-FedAvg intersection averaging needs. FLOP savings are computed
 //! analytically from the channel mask by `subfed-metrics`.
 
+use crate::unstructured::prune_count;
 use serde::{Deserialize, Serialize};
-use subfed_nn::models::{channel_graph, ChannelGraph, Downstream};
-use subfed_nn::{ModelMask, Sequential};
+use subfed_nn::models::{channel_graph_flat, ChannelGraph, Downstream};
+use subfed_nn::{ModelMask, ParamMeta, Sequential};
 
 /// Per-block boolean channel keep-lists.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,34 +102,51 @@ impl ChannelMask {
     }
 }
 
-/// Derives the next channel mask from BatchNorm |γ|: removes the `rate`
-/// fraction of currently kept channels with the smallest |γ| (percentile
-/// across all blocks, as in network slimming), keeping at least one channel
-/// per block.
+/// Derives the next channel mask from BatchNorm |γ| of `model`:
+/// [`slimming_mask_flat`] over its layout and flattened parameters.
 ///
 /// # Panics
 ///
-/// Panics if `rate` is outside `[0, 1)` or the mask does not match the
-/// model's channel graph.
+/// As [`slimming_mask_flat`].
 pub fn slimming_mask(model: &Sequential, current: &ChannelMask, rate: f32) -> ChannelMask {
+    slimming_mask_flat(&model.metas(), &model.flatten(), current, rate)
+}
+
+/// Derives the next channel mask from the BatchNorm |γ| of a flat
+/// parameter snapshot laid out by `layout` (a model's
+/// `Sequential::metas`): removes the `rate` fraction of currently kept
+/// channels with the smallest |γ| (percentile across all blocks, as in
+/// network slimming), keeping at least one channel per block.
+///
+/// Unlike unstructured pruning this ranks by a full stable sort: a block
+/// at its one-channel floor is skipped, so the walk may pass more than the
+/// `n_prune` smallest channels, and there are only tens of them.
+///
+/// # Panics
+///
+/// Panics if `rate` is outside `[0, 1)`, or the mask does not match the
+/// layout's channel graph, or `flat` is too short for the layout.
+pub fn slimming_mask_flat(
+    layout: &[ParamMeta],
+    flat: &[f32],
+    current: &ChannelMask,
+    rate: f32,
+) -> ChannelMask {
     assert!((0.0..1.0).contains(&rate), "prune rate must be in [0, 1), got {rate}");
-    let graph = channel_graph(model);
+    let graph = channel_graph_flat(layout);
     assert_eq!(graph.blocks.len(), current.keep.len(), "mask does not match channel graph");
-    let params = model.params();
     // Collect (|gamma|, block, channel) of kept channels.
     let mut kept: Vec<(f32, usize, usize)> = Vec::new();
-    for (b, block) in graph.blocks.iter().enumerate() {
-        // Block indices come from `channel_graph` over these same params.
-        // lint: allow(unchecked-index)
-        let gammas = params[block.bn_gamma].value.data();
-        assert_eq!(gammas.len(), current.keep[b].len(), "gamma/channel count mismatch");
-        for (c, (&g, &k)) in gammas.iter().zip(current.keep[b].iter()).enumerate() {
+    for (b, (block, keep)) in graph.blocks.iter().zip(&current.keep).enumerate() {
+        let gammas = layout[block.bn_gamma].slice(flat);
+        assert_eq!(gammas.len(), keep.len(), "gamma/channel count mismatch");
+        for (c, (&g, &k)) in gammas.iter().zip(keep).enumerate() {
             if k {
                 kept.push((g.abs(), b, c));
             }
         }
     }
-    let n_prune = ((kept.len() as f32 * rate).floor() as usize).min(kept.len().saturating_sub(1));
+    let n_prune = prune_count(kept.len(), rate);
     kept.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut next = current.clone();
     let mut pruned = 0usize;
@@ -147,33 +165,45 @@ pub fn slimming_mask(model: &Sequential, current: &ChannelMask, rate: f32) -> Ch
     next
 }
 
-/// Expands a channel mask into a parameter [`ModelMask`]: the filter, its
-/// bias and BN γ/β, and the downstream inputs of every pruned channel are
-/// zeroed. `base` supplies the unstructured component (the hybrid
-/// algorithm intersects both); pass an all-ones mask for pure structured
-/// pruning.
+/// Expands a channel mask into a parameter [`ModelMask`] over `model`'s
+/// layout: [`expand_channel_mask_flat`] over its `Sequential::metas`.
 ///
 /// # Panics
 ///
-/// Panics if `base` or `channels` do not match the model.
+/// As [`expand_channel_mask_flat`].
 pub fn expand_channel_mask(
     model: &Sequential,
     channels: &ChannelMask,
     base: &ModelMask,
 ) -> ModelMask {
-    let graph = channel_graph(model);
+    expand_channel_mask_flat(&model.metas(), channels, base)
+}
+
+/// Expands a channel mask into a parameter [`ModelMask`] over a flat
+/// parameter layout (a model's `Sequential::metas`): the filter, its bias
+/// and BN γ/β, and the downstream inputs of every pruned channel are
+/// zeroed. `base` supplies the unstructured component (the hybrid
+/// algorithm intersects both); pass an all-ones mask for pure structured
+/// pruning. Only shapes are read, never weights.
+///
+/// # Panics
+///
+/// Panics if `base` or `channels` do not match the layout.
+pub fn expand_channel_mask_flat(
+    layout: &[ParamMeta],
+    channels: &ChannelMask,
+    base: &ModelMask,
+) -> ModelMask {
+    let graph = channel_graph_flat(layout);
     assert_eq!(graph.blocks.len(), channels.keep.len(), "mask does not match channel graph");
-    let params = model.params();
-    assert_eq!(params.len(), base.tensors().len(), "base mask does not match model");
+    assert_eq!(layout.len(), base.tensors().len(), "base mask does not match model");
     let mut out = base.clone();
-    for (b, block) in graph.blocks.iter().enumerate() {
-        // Block indices come from `channel_graph` over these same params.
-        // lint: allow(unchecked-index)
-        let w_shape = params[block.conv_weight].value.shape().to_vec();
+    for (b, (block, keep)) in graph.blocks.iter().zip(&channels.keep).enumerate() {
+        let w_shape = &layout[block.conv_weight].shape;
         let (out_ch, in_ch, kh, kw) = (w_shape[0], w_shape[1], w_shape[2], w_shape[3]);
-        assert_eq!(out_ch, channels.keep[b].len(), "channel count mismatch in block {b}");
+        assert_eq!(out_ch, keep.len(), "channel count mismatch in block {b}");
         let filter = in_ch * kh * kw;
-        for (c, &keepc) in channels.keep[b].iter().enumerate() {
+        for (c, &keepc) in keep.iter().enumerate() {
             if keepc {
                 continue;
             }
@@ -189,9 +219,7 @@ pub fn expand_channel_mask(
             // Downstream inputs.
             match block.downstream {
                 Downstream::Conv { weight } => {
-                    // Downstream indices are graph-validated.
-                    // lint: allow(unchecked-index)
-                    let shape = params[weight].value.shape().to_vec();
+                    let shape = &layout[weight].shape;
                     let (d_out, d_in, d_kh, d_kw) = (shape[0], shape[1], shape[2], shape[3]);
                     assert!(c < d_in, "channel index out of downstream range");
                     let dm = out.tensors_mut()[weight].data_mut();
@@ -204,9 +232,7 @@ pub fn expand_channel_mask(
                     }
                 }
                 Downstream::Linear { weight, spatial } => {
-                    // Downstream indices are graph-validated.
-                    // lint: allow(unchecked-index)
-                    let shape = params[weight].value.shape().to_vec();
+                    let shape = &layout[weight].shape;
                     let (d_out, d_in) = (shape[0], shape[1]);
                     let dm = out.tensors_mut()[weight].data_mut();
                     for o in 0..d_out {
@@ -225,7 +251,7 @@ pub fn expand_channel_mask(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use subfed_nn::models::ModelSpec;
+    use subfed_nn::models::{channel_graph, ModelSpec};
     use subfed_nn::{Mode, ParamKind};
     use subfed_tensor::init::{uniform, SeededRng};
 

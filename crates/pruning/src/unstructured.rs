@@ -7,7 +7,7 @@
 //! pruned (matching the reference implementation).
 
 use serde::{Deserialize, Serialize};
-use subfed_nn::{is_kept, ModelMask, ParamKind, Sequential};
+use subfed_nn::{is_kept, ModelMask, ParamKind, ParamMeta, Sequential};
 
 /// Which weights unstructured pruning may remove.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -38,17 +38,12 @@ pub enum Ranking {
     Global,
 }
 
-/// Derives the next unstructured mask: prunes the lowest `rate` fraction of
-/// the currently kept in-scope weights of `model`.
-///
-/// Returns a mask that is a subset of `current` (monotone shrink). At least
-/// one weight per tensor survives layer-wise ranking; global ranking keeps
-/// at least one weight overall.
+/// Derives the next unstructured mask from the weights of `model`:
+/// [`magnitude_mask_flat`] over its layout and flattened parameters.
 ///
 /// # Panics
 ///
-/// Panics if `rate` is outside `[0, 1)` or `current` does not match the
-/// model layout.
+/// As [`magnitude_mask_flat`].
 pub fn magnitude_mask(
     model: &Sequential,
     current: &ModelMask,
@@ -56,50 +51,95 @@ pub fn magnitude_mask(
     scope: PruneScope,
     ranking: Ranking,
 ) -> ModelMask {
+    magnitude_mask_flat(&model.metas(), &model.flatten(), current, rate, scope, ranking)
+}
+
+/// Derives the next unstructured mask from a flat parameter snapshot laid
+/// out by `layout` (a model's `Sequential::metas`): prunes the lowest
+/// `rate` fraction of the currently kept in-scope weights.
+///
+/// Returns a mask that is a subset of `current` (monotone shrink). At least
+/// one weight per tensor survives layer-wise ranking; global ranking keeps
+/// at least one weight overall. Weights are ranked by |w| under
+/// `f32::total_cmp`, ties broken by position, which selects exactly the
+/// weights a stable sort by |w| would put first.
+///
+/// # Panics
+///
+/// Panics if `rate` is outside `[0, 1)`, `current` does not match the
+/// layout, or `flat` is too short for it.
+pub fn magnitude_mask_flat(
+    layout: &[ParamMeta],
+    flat: &[f32],
+    current: &ModelMask,
+    rate: f32,
+    scope: PruneScope,
+    ranking: Ranking,
+) -> ModelMask {
     assert!((0.0..1.0).contains(&rate), "prune rate must be in [0, 1), got {rate}");
-    let params = model.params();
-    assert_eq!(params.len(), current.tensors().len(), "mask does not match model");
+    assert_eq!(layout.len(), current.tensors().len(), "mask does not match model");
     let mut next = current.clone();
     match ranking {
         Ranking::LayerWise => {
-            for (i, p) in params.iter().enumerate() {
-                if !scope.includes(p.kind) {
-                    continue;
+            for (meta, mask) in layout.iter().zip(next.tensors_mut()) {
+                if scope.includes(meta.kind) {
+                    prune_lowest(meta.slice(flat), mask.data_mut(), rate);
                 }
-                let mask = &mut next.tensors_mut()[i];
-                prune_lowest(p.value.data(), mask.data_mut(), rate);
             }
         }
         Ranking::Global => {
-            // Collect (|w|, param index, offset) of all kept in-scope
+            // Collect (|w|, (param index, offset)) of all kept in-scope
             // weights.
-            let mut kept: Vec<(f32, usize, usize)> = Vec::new();
-            for (i, p) in params.iter().enumerate() {
-                if !scope.includes(p.kind) {
+            let mut kept: Vec<(f32, (usize, usize))> = Vec::new();
+            for (i, (meta, mask)) in layout.iter().zip(current.tensors()).enumerate() {
+                if !scope.includes(meta.kind) {
                     continue;
                 }
-                for (j, (&w, &m)) in
-                    p.value.data().iter().zip(current.tensors()[i].data()).enumerate()
-                {
+                for (j, (&w, &m)) in meta.slice(flat).iter().zip(mask.data()).enumerate() {
                     if is_kept(m) {
-                        kept.push((w.abs(), i, j));
+                        kept.push((w.abs(), (i, j)));
                     }
                 }
             }
-            let n_prune =
-                ((kept.len() as f32 * rate).floor() as usize).min(kept.len().saturating_sub(1));
-            kept.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for &(_, i, j) in kept.iter().take(n_prune) {
-                next.tensors_mut()[i].data_mut()[j] = 0.0;
+            let n_prune = prune_count(kept.len(), rate);
+            let tensors = next.tensors_mut();
+            for &(_, (i, j)) in select_lowest(&mut kept, n_prune) {
+                if let Some(m) = tensors.get_mut(i).and_then(|t| t.data_mut().get_mut(j)) {
+                    *m = 0.0;
+                }
             }
         }
     }
     next
 }
 
+/// How many of `kept` entries one step at `rate` removes: `⌊kept·rate⌋`,
+/// leaving at least one.
+pub(crate) fn prune_count(kept: usize, rate: f32) -> usize {
+    ((kept as f32 * rate).floor() as usize).min(kept.saturating_sub(1))
+}
+
+/// Moves the `n` smallest entries of `kept` to its front and returns them,
+/// in no particular order. Entries are ordered by magnitude under
+/// `f32::total_cmp`, then by their (distinct) index, so the order is total
+/// and the selected set is exactly the first `n` that a stable sort by
+/// magnitude alone would take, ties included — in linear expected time
+/// instead of a sort's n·log n.
+///
+/// # Panics
+///
+/// Panics if `n > kept.len()`.
+fn select_lowest<I: Ord>(kept: &mut [(f32, I)], n: usize) -> &[(f32, I)] {
+    if let Some(nth) = n.checked_sub(1) {
+        kept.select_nth_unstable_by(nth, |a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    }
+    &kept[..n]
+}
+
 /// Zeroes the lowest-`rate` fraction (by |w|) of the kept entries of one
 /// tensor's mask, keeping at least one entry.
 fn prune_lowest(weights: &[f32], mask: &mut [f32], rate: f32) {
+    assert_eq!(weights.len(), mask.len(), "mask does not match its weights");
     let mut kept: Vec<(f32, usize)> = weights
         .iter()
         .zip(mask.iter())
@@ -107,16 +147,11 @@ fn prune_lowest(weights: &[f32], mask: &mut [f32], rate: f32) {
         .filter(|(_, (_, &m))| is_kept(m))
         .map(|(j, (&w, _))| (w.abs(), j))
         .collect();
-    if kept.is_empty() {
-        return;
-    }
-    let n_prune = ((kept.len() as f32 * rate).floor() as usize).min(kept.len() - 1);
-    kept.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for &(_, j) in kept.iter().take(n_prune) {
-        // `j` comes from enumerating this same slice above, so it is in
-        // bounds by construction.
-        // lint: allow(unchecked-index)
-        mask[j] = 0.0;
+    let n_prune = prune_count(kept.len(), rate);
+    for &(_, j) in select_lowest(&mut kept, n_prune) {
+        if let Some(m) = mask.get_mut(j) {
+            *m = 0.0;
+        }
     }
 }
 
