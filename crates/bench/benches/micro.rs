@@ -16,15 +16,7 @@
 //! cargo bench -p subfed-bench --bench micro -- --json ../../BENCH_micro.json
 //! cargo bench -p subfed-bench --bench micro -- --test   # CI smoke mode
 //! cargo bench -p subfed-bench --bench micro -- --test --compare ../../BENCH_micro.json
-//! cargo bench -p subfed-bench --bench micro -- --test --threads 4  # one mt row
 //! ```
-//!
-//! `--threads N` restricts the deterministic multithreaded GEMM rows
-//! (`matmul_128_blocked_tN`) to a single worker count; by default the
-//! bench sweeps 1, 2 and 4 workers. The committed numbers come from a
-//! single-core container, so the `_t` rows document dispatch overhead,
-//! not scaling — what they *do* guarantee (and the tests assert) is that
-//! every worker count produces bit-identical output.
 //!
 //! `--compare` diffs the fresh `speedups` against a committed baseline
 //! and prints an advisory warning when a ratio falls more than 25% below
@@ -46,7 +38,6 @@ use subfed_pruning::unstructured::magnitude_mask;
 use subfed_pruning::{PruneScope, Ranking};
 use subfed_tensor::init::{uniform, SeededRng};
 use subfed_tensor::linalg::{matmul, naive_matmul};
-use subfed_tensor::parallel::gemm_mt;
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
@@ -135,23 +126,6 @@ fn bench_gemm_pair(
     let blocked =
         record(out, cfg, &format!("matmul_{label}_blocked"), flops, "flop/s", || matmul(&a, &b));
     naive / blocked
-}
-
-/// Deterministic multithreaded GEMM at the 128³ shape, one row per
-/// worker count. On this repo's single-core reference container these
-/// rows measure striping/copy-back overhead rather than speedup; they
-/// exist so multi-core machines can quantify scaling against the same
-/// committed baseline names.
-fn bench_gemm_mt(out: &mut Vec<Record>, cfg: Config, threads: &[usize]) {
-    let (a, b) = gemm_inputs(128, 128, 128, 7);
-    let flops = 2.0 * (128usize * 128 * 128) as f64;
-    let mut c = vec![0.0f32; 128 * 128];
-    for &t in threads {
-        record(out, cfg, &format!("matmul_128_blocked_t{t}"), flops, "flop/s", || {
-            gemm_mt(t, 128, 128, 128, a.data(), b.data(), &mut c);
-            c[0]
-        });
-    }
 }
 
 /// A LeNet-5 with `rate` of its conv+fc weights magnitude-pruned (mask
@@ -439,13 +413,6 @@ fn main() {
         println!("  blocked vs naive at {label}: {ratio:.2}x");
         speedups.push((format!("blocked_vs_naive_{label}"), ratio));
     }
-
-    println!("\n-- deterministic multithreaded GEMM (bit-identical across worker counts) --");
-    let threads: Vec<usize> = match arg_value("--threads") {
-        Some(v) => vec![v.parse().expect("--threads expects a worker count")],
-        None => vec![1, 2, 4],
-    };
-    bench_gemm_mt(&mut records, cfg, &threads);
 
     println!("\n-- LeNet-5 forward: dense vs sparse --");
     let (sparse_ratio, hybrid_ratio, model_cfg) = bench_lenet_forward(&mut records);

@@ -363,8 +363,11 @@ pub fn train_client(
 /// [`train_client`] with an explicit scratch [`Workspace`] — the hot path
 /// the federation workers use so im2col buffers, matmul panels, and
 /// gradient temporaries are allocated once per client slot and reused
-/// across batches, epochs, and rounds. Bit-identical to [`train_client`]
-/// (`Workspace::take` zero-fills), which is property-tested.
+/// across batches, epochs, and rounds. Bit-identical to [`train_client`]:
+/// layers draw scratch with `take_scratch`, whose contents are
+/// unspecified, and write every scratch element before reading it (the
+/// `scratch-before-read` lint rule); `workspace_reuse_is_bit_identical`
+/// and the NaN-dirtied-workspace tests in `subfed-nn` pin it.
 ///
 /// When a mask is supplied, its compressed-row patterns are installed on
 /// the model for the whole round, so pruned layers do proportionally less
@@ -427,7 +430,8 @@ pub fn train_client_ws(
 }
 
 /// Classification accuracy of `model` on `dataset`, batched evaluation in
-/// [`Mode::Eval`]. Returns `0.0` for an empty dataset.
+/// [`Mode::Eval`] through the training kernels, with one [`Workspace`]
+/// reused across the batches. Returns `0.0` for an empty dataset.
 ///
 /// The `&mut` is forward-pass scratch only (dropout state, activations);
 /// parameters are untouched and eval timing is charged to the caller's
@@ -437,9 +441,10 @@ pub fn evaluate_accuracy(model: &mut Sequential, dataset: &Dataset, batch: usize
     if dataset.is_empty() {
         return 0.0;
     }
+    let mut ws = Workspace::new();
     let mut correct = 0usize;
     for b in dataset.batches(batch) {
-        let logits = model.forward(&b.images, Mode::Eval);
+        let logits = model.forward_ws(&b.images, Mode::Eval, &mut ws);
         let preds = argmax_rows(&logits);
         correct += preds.iter().zip(b.labels.iter()).filter(|(p, l)| p == l).count();
     }

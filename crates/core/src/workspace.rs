@@ -8,9 +8,12 @@
 //! `threads = T` federation stabilises at `T` live workspaces regardless
 //! of how many clients or rounds run.
 //!
-//! Reuse never changes results: `Workspace::take` hands out zero-filled
-//! buffers, byte-identical to fresh allocation (property-tested in
-//! `crates/core/tests`).
+//! Reuse never changes results. Layers draw their temporaries with
+//! `Workspace::take_scratch`, whose contents are unspecified, and write
+//! every scratch element before reading it: the `scratch-before-read`
+//! lint rule checks that statically, and `workspace_reuse_is_bit_identical`
+//! (`engine.rs`) and the NaN-dirtied-workspace tests in `subfed-nn` check
+//! it at run time.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, MutexGuard};

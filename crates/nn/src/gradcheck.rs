@@ -2,12 +2,13 @@
 //! Finite-difference gradient checking, used by every layer's test module.
 //!
 //! The scalar objective is `L(x) = ½‖f(x)‖²` so that `dL/dy = y`, which lets
-//! the checker drive `backward` without a loss layer. Both the input
+//! the checker drive `backward_ws` without a loss layer. Both the input
 //! gradient and every parameter gradient are compared against central
 //! differences.
 
 use crate::{Layer, Mode};
 use subfed_tensor::init::{uniform, SeededRng};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 fn objective(layer: &mut Box<dyn Layer>, x: &Tensor) -> f32 {
@@ -36,7 +37,7 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input_shape: &[usize], eps: f32, t
 
     // Analytic pass.
     let y = layer.forward(&x, Mode::Train);
-    let dx = layer.backward(&y.clone());
+    let dx = layer.backward_ws(&y, &mut Workspace::new());
     let param_grads: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
 
     // Numeric input gradient (sample at most ~200 coordinates).

@@ -16,49 +16,42 @@ pub enum Mode {
 ///
 /// Conventions:
 ///
-/// * `forward` caches whatever the subsequent `backward` needs; calling
-///   `backward` without a preceding `forward` in [`Mode::Train`] panics.
-/// * `backward` consumes the cached activations, **overwrites** each
-///   parameter's `grad` with this batch's gradient, and returns the gradient
-///   with respect to the layer input. One `forward`/`backward` pair per
-///   optimizer step — gradients are not accumulated across calls.
+/// * [`Layer::forward_ws`] in [`Mode::Train`] caches whatever the
+///   subsequent [`Layer::backward_ws`] needs; calling backward without a
+///   preceding training-mode forward panics. [`Mode::Eval`] keeps no
+///   cache; apart from BatchNorm's running statistics and dropout, it
+///   computes the output exactly as training does.
+/// * `backward_ws` consumes the cached activations, **overwrites** each
+///   parameter's `grad` with this batch's gradient, and returns the
+///   gradient with respect to the layer input. One forward/backward pair
+///   per optimizer step — gradients are not accumulated across calls.
+/// * Temporaries come from the caller's [`Workspace`] through
+///   `take_scratch`, whose contents are unspecified. Every scratch element
+///   is written before it is read (the `scratch-before-read` lint rule,
+///   and the tests that run layers in NaN-dirtied workspaces), so reusing
+///   a workspace across calls never changes a result.
 /// * Layers are `Send` so the federation can train clients on worker
 ///   threads.
 pub trait Layer: Send {
     /// Human-readable layer name (used in parameter names and debugging).
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output for `input`.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+    /// Computes the layer output for `input`, drawing temporaries from
+    /// `ws`.
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor;
+
+    /// [`Layer::forward_ws`] with a fresh [`Workspace`].
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_ws(input, mode, &mut Workspace::new())
+    }
 
     /// Backpropagates `grad_out` (gradient w.r.t. the layer output),
     /// returning the gradient w.r.t. the layer input.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding training-mode `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`Layer::forward`] with an explicit scratch [`Workspace`].
-    ///
-    /// Compute-heavy layers override this to draw their temporaries from
-    /// `ws` instead of allocating; the default simply ignores the
-    /// workspace, so activation/pooling layers need no changes. Numeric
-    /// results are identical either way (`Workspace::take` returns
-    /// zero-filled buffers).
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
-        self.forward(input, mode)
-    }
-
-    /// [`Layer::backward`] with an explicit scratch [`Workspace`]; see
-    /// [`Layer::forward_ws`].
-    ///
-    /// # Panics
-    ///
     /// Panics if called without a preceding training-mode forward.
-    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
-        self.backward(grad_out)
-    }
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// [`Layer::backward_ws`] for a caller that has no use for the input
     /// gradient — the first layer of a model in training. Every
@@ -109,9 +102,9 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
-/// Takes a layer's forward-pass cache for use in `backward`.
+/// Takes a layer's forward-pass cache for use in `backward_ws`.
 ///
-/// Calling `backward` without a preceding training-mode `forward` violates
+/// Calling `backward_ws` without a preceding training-mode forward violates
 /// the [`Layer`] contract; that is a driver bug, so this panics with the
 /// uniform message `"<layer> backward without forward"` that the layer test
 /// suites assert on.

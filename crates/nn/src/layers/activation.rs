@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Rectified linear unit, applied elementwise.
@@ -20,7 +21,7 @@ impl Layer for ReLU {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let out = input.map(|v| v.max(0.0));
         if mode == Mode::Train {
             // lint: allow(hot-path-alloc) — backward cache snapshot; the value-path API owns its tensors
@@ -31,7 +32,7 @@ impl Layer for ReLU {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let x = take_cache(&mut self.cache, "relu");
         grad_out.zip_map(&x, |g, v| if v > 0.0 { g } else { 0.0 }, "relu backward")
     }
@@ -65,7 +66,7 @@ impl Layer for LeakyReLU {
         "leaky_relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let s = self.slope;
         let out = input.map(|v| if v > 0.0 { v } else { s * v });
         if mode == Mode::Train {
@@ -77,7 +78,7 @@ impl Layer for LeakyReLU {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let x = take_cache(&mut self.cache, "leaky_relu");
         let s = self.slope;
         grad_out.zip_map(&x, |g, v| if v > 0.0 { g } else { s * g }, "leaky_relu backward")
@@ -107,7 +108,7 @@ impl Layer for Tanh {
         "tanh"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let out = input.map(f32::tanh);
         if mode == Mode::Train {
             // Cache the *output*: tanh' = 1 - tanh².
@@ -119,7 +120,7 @@ impl Layer for Tanh {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let y = take_cache(&mut self.cache, "tanh");
         grad_out.zip_map(&y, |g, t| g * (1.0 - t * t), "tanh backward")
     }
@@ -147,7 +148,7 @@ impl Layer for Sigmoid {
         "sigmoid"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
         if mode == Mode::Train {
             // lint: allow(hot-path-alloc) — backward cache snapshot; the value-path API owns its tensors
@@ -158,7 +159,7 @@ impl Layer for Sigmoid {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let y = take_cache(&mut self.cache, "sigmoid");
         grad_out.zip_map(&y, |g, s| g * s * (1.0 - s), "sigmoid backward")
     }
@@ -186,7 +187,7 @@ mod tests {
         let x = Tensor::from_slice(&[-1.0, 0.5, 2.0]);
         let _ = relu.forward(&x, Mode::Train);
         let dy = Tensor::from_slice(&[10.0, 20.0, 30.0]);
-        let dx = relu.backward(&dy);
+        let dx = relu.backward_ws(&dy, &mut Workspace::new());
         assert_eq!(dx.data(), &[0.0, 20.0, 30.0]);
     }
 
@@ -200,7 +201,7 @@ mod tests {
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
         let mut relu = ReLU::new();
-        let _ = relu.backward(&Tensor::zeros(&[2]));
+        let _ = relu.backward_ws(&Tensor::zeros(&[2]), &mut Workspace::new());
     }
 
     #[test]
@@ -210,7 +211,7 @@ mod tests {
         let y = l.forward(&x, Mode::Train);
         subfed_tensor::assert_slice_close(y.data(), &[-0.2, 0.0, 3.0], 1e-6, 0.0);
         let dy = Tensor::from_slice(&[10.0, 10.0, 10.0]);
-        let dx = l.backward(&dy);
+        let dx = l.backward_ws(&dy, &mut Workspace::new());
         subfed_tensor::assert_slice_close(dx.data(), &[1.0, 1.0, 10.0], 1e-6, 0.0);
     }
 

@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode, Param, ParamKind};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Batch normalisation over the channel dimension of NCHW tensors.
@@ -62,7 +63,7 @@ impl Layer for BatchNorm2d {
 
     // Channel-strided NCHW access reads clearest with explicit indices.
     #[allow(clippy::needless_range_loop)]
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "batchnorm2d expects NCHW input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, self.channels, "batchnorm2d: expected {} channels, got {c}", self.channels);
@@ -158,7 +159,7 @@ impl Layer for BatchNorm2d {
         Tensor::from_parts(input.shape().to_vec(), out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let cache = take_cache(&mut self.cache, "batchnorm2d");
         assert_eq!(grad_out.shape(), &cache.shape[..], "batchnorm2d backward shape mismatch");
         let (n, c, h, w) = (cache.shape[0], cache.shape[1], cache.shape[2], cache.shape[3]);
@@ -319,6 +320,6 @@ mod tests {
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
         let mut bn = BatchNorm2d::new(1);
-        let _ = bn.backward(&Tensor::zeros(&[1, 1, 2, 2]));
+        let _ = bn.backward_ws(&Tensor::zeros(&[1, 1, 2, 2]), &mut Workspace::new());
     }
 }

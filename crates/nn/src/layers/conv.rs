@@ -1,13 +1,12 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode, Param, ParamKind};
 use subfed_tensor::conv::{
-    build_taps_dense, build_taps_sparse, col2im_batch, conv2d_input_grad_streamed,
-    conv2d_taps_batch, conv2d_taps_batch_train, conv2d_weight_grad_streamed, im2col_batch,
-    im2col_batch_select, taps_supported, ConvGeom,
+    build_taps_sparse, col2im_batch, conv2d_input_grad_streamed, conv2d_taps_batch,
+    conv2d_weight_grad_streamed, im2col_batch, taps_supported, ConvGeom,
 };
 use subfed_tensor::init::{kaiming_uniform, SeededRng};
 use subfed_tensor::linalg::{gemm_nt, gemm_tn_ws, gemm_ws};
-use subfed_tensor::sparse::{spmm, RectPattern, RowPattern, SPARSE_DENSITY_MAX};
+use subfed_tensor::sparse::{spmm, RowPattern, SPARSE_DENSITY_MAX};
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
@@ -19,34 +18,31 @@ use subfed_tensor::Tensor;
 /// [`Layer::install_sparsity`], every pass routes through the
 /// compressed-row pattern and skips pruned weights entirely.
 ///
-/// Three ways to run a pass, picked per geometry, mask and mode:
+/// The kernel is chosen from the mask and the geometry alone, so a
+/// [`Mode::Eval`] forward computes bit for bit what a training forward
+/// computes and differs only in keeping nothing for backward:
 ///
-/// * **Lowered**: the whole batch becomes one `[C·KH·KW, N·Hout·Wout]`
-///   patch matrix, so forward is one `[Cout, C·KH·KW]` multiply (dense
-///   GEMM or `spmm`). A dense layer trains this way, keeping the matrix
-///   for its backward (`gemm_nt` for the weight gradient, `gemm_tn_ws`
-///   then `col2im` for the input gradient), and every forward falls back
-///   to it.
-/// * **Taps**: unpadded unit-stride geometries with 8–48 px output rows
-///   ([`taps_supported`]) skip the lowering and run the direct tap-list
-///   kernel, whose cost is proportional to the number of *kept* weights —
-///   what makes an unstructured-pruned forward measurably cheaper than a
-///   dense one (see `docs/PERFORMANCE.md`). Eval takes it for every such
-///   layer and seeds each chain with the bias; training takes it under a
-///   mask and adds the bias last, which reproduces the lowered forward bit
-///   for bit.
-/// * **Streamed**: in training, a masked layer keeps its input batch
-///   instead of the patch matrix. Backward builds one patch row at a time
-///   for the weight gradient and scatters one row of the input gradient
-///   at a time, touching only columns some kept weight uses —
-///   bit-identical to the lowered backward. Forward takes the tap path,
-///   or a throwaway patch matrix where taps do not apply.
+/// * **Lowered** (dense layers, and masked layers where taps do not
+///   apply): the whole batch becomes one `[C·KH·KW, N·Hout·Wout]` patch
+///   matrix, so forward is one `[Cout, C·KH·KW]` multiply (dense GEMM or
+///   `spmm`) followed by the bias. A dense layer in training keeps the
+///   matrix for its backward (`gemm_nt` for the weight gradient,
+///   `gemm_tn_ws` then `col2im` for the input gradient).
+/// * **Taps** (masked layers with unpadded unit-stride geometries and
+///   8–48 px output rows, [`taps_supported`]): the direct tap-list kernel
+///   skips the lowering. Its cost is proportional to the number of *kept*
+///   weights — what makes an unstructured-pruned forward measurably
+///   cheaper than a dense one (see `docs/PERFORMANCE.md`) — and it
+///   reproduces the lowered `spmm` forward bit for bit.
+/// * **Streamed** backward: in training, a masked layer keeps its input
+///   batch instead of the patch matrix. Backward builds one patch row at a
+///   time for the weight gradient and scatters one row of the input
+///   gradient at a time, touching only columns some kept weight uses —
+///   bit-identical to the lowered backward.
 ///
-/// A mask whose kept entries form a rectangle (structured channel
-/// pruning) also gets an eval path where no tap path applies: the kept
-/// sub-matrix runs through the blocked *dense* kernel at the pruned
-/// network's smaller shape, and `im2col` lowers only the surviving patch
-/// rows. The first layer of a model never needs its input gradient, and
+/// Dense layers stay on the GEMM where taps would apply: with every
+/// weight kept, the blocked GEMM beats the tap rows on the 16×16 presets'
+/// shapes. The first layer of a model never needs its input gradient, and
 /// [`Layer::backward_params_ws`] skips that pass.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -59,9 +55,6 @@ pub struct Conv2d {
     pad: usize,
     cache: Option<Cache>,
     sparse: Option<RowPattern>,
-    /// Rectangular factorisation of `sparse`, when one exists (eval-only
-    /// fast path; training keeps the general compressed-row kernels).
-    rect: Option<RectPattern>,
 }
 
 /// What a training forward keeps for backward.
@@ -95,18 +88,7 @@ impl Conv2d {
             kaiming_uniform(&[out_ch, in_ch, kernel, kernel], fan_in, rng),
         );
         let bias = Param::new(ParamKind::ConvBias, kaiming_uniform(&[out_ch], fan_in, rng));
-        Self {
-            weight,
-            bias,
-            in_ch,
-            out_ch,
-            kernel,
-            stride,
-            pad,
-            cache: None,
-            sparse: None,
-            rect: None,
-        }
+        Self { weight, bias, in_ch, out_ch, kernel, stride, pad, cache: None, sparse: None }
     }
 
     /// Number of output channels.
@@ -129,12 +111,6 @@ impl Conv2d {
         self.sparse.is_some()
     }
 
-    /// Whether the installed mask is rectangular (structured), enabling
-    /// the compacted dense inference path.
-    pub fn has_rect_path(&self) -> bool {
-        self.rect.is_some()
-    }
-
     fn geom_for(&self, h: usize, w: usize) -> ConvGeom {
         ConvGeom {
             channels: self.in_ch,
@@ -147,69 +123,13 @@ impl Conv2d {
         }
     }
 
-    /// Forward through the direct tap-list kernel, with the training
-    /// numerics (bias added last) when `train`.
-    fn forward_taps(&self, input: &[f32], geom: &ConvGeom, n: usize, train: bool) -> Vec<f32> {
-        let wvals = self.weight.value.data();
-        let (tap_ptr, taps) = match &self.sparse {
-            Some(pat) => build_taps_sparse(pat, wvals, geom),
-            None => build_taps_dense(wvals, geom, self.out_ch),
-        };
+    /// Forward through the direct tap-list kernel over the pattern's kept
+    /// weights.
+    fn forward_taps(&self, pat: &RowPattern, input: &[f32], geom: &ConvGeom, n: usize) -> Vec<f32> {
+        let (tap_ptr, taps) = build_taps_sparse(pat, self.weight.value.data(), geom);
         // lint: allow(hot-path-alloc) — output buffer returned as an owned Tensor by API contract
         let mut out = vec![0.0f32; n * self.out_ch * geom.col_cols()];
-        let bias = self.bias.value.data();
-        if train {
-            conv2d_taps_batch_train(input, geom, n, &tap_ptr, &taps, bias, &mut out);
-        } else {
-            conv2d_taps_batch(input, geom, n, &tap_ptr, &taps, bias, &mut out);
-        }
-        out
-    }
-
-    /// Eval forward under a rectangular (structured) mask: a smaller dense
-    /// network. Lowers only the used patch rows, gathers the kept weight
-    /// sub-matrix, and runs the blocked dense kernel at the pruned shape.
-    fn forward_rect(
-        &self,
-        rect: &RectPattern,
-        input: &[f32],
-        geom: &ConvGeom,
-        n: usize,
-        ws: &mut Workspace,
-    ) -> Vec<f32> {
-        let col_cols = geom.col_cols();
-        let fused_cols = n * col_cols;
-        let kept = rect.keep_rows().len();
-        let used = rect.used_cols().len();
-        let mut cols = ws.take_scratch(used * fused_cols);
-        im2col_batch_select(input, geom, n, &mut cols, rect.used_cols());
-        let mut wc = ws.take_scratch(kept * used);
-        rect.gather_weights(self.weight.value.data(), &mut wc);
-        let mut prod = ws.take_scratch(kept * fused_cols);
-        gemm_ws(kept, used, fused_cols, &wc, &cols, &mut prod, ws);
-        ws.put(wc);
-        ws.put(cols);
-        // Compact-row position per output channel; pruned channels emit
-        // their (mask-zeroed) bias plane, exactly what the dense product
-        // over zero weights yields.
-        // lint: allow(hot-path-alloc) — per-layer index table of out_ch entries, not tensor-sized
-        let mut pos = vec![usize::MAX; self.out_ch];
-        for (p, &r) in rect.keep_rows().iter().enumerate() {
-            pos[r as usize] = p;
-        }
-        let mut out = Vec::with_capacity(n * self.out_ch * col_cols);
-        for i in 0..n {
-            for (oc, &p) in pos.iter().enumerate() {
-                let b = self.bias.value.data()[oc];
-                if p == usize::MAX {
-                    out.extend(std::iter::repeat_n(b, col_cols));
-                } else {
-                    let src = &prod[p * fused_cols + i * col_cols..][..col_cols];
-                    out.extend(src.iter().map(|&s| s + b));
-                }
-            }
-        }
-        ws.put(prod);
+        conv2d_taps_batch(input, geom, n, &tap_ptr, &taps, self.bias.value.data(), &mut out);
         out
     }
 
@@ -319,16 +239,6 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "conv2d expects NCHW input, got {:?}", input.shape());
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
@@ -336,32 +246,22 @@ impl Layer for Conv2d {
         let geom = self.geom_for(h, w);
         let (oh, ow) = (geom.out_h(), geom.out_w());
         let train = mode == Mode::Train;
-        // A masked layer trains without keeping its patch matrix. Dense
-        // layers keep the blocked GEMMs: with every weight kept they beat
-        // the tap rows on the 16×16 presets' shapes (see
-        // docs/PERFORMANCE.md).
-        let streamed = train && self.sparse.is_some();
         self.cache = None;
-        let out = if taps_supported(&geom) && (!train || streamed) {
-            // Direct tap-list kernel: no lowering, no permute — work is
-            // proportional to the (kept) tap count, so any pruned filter
-            // (structured or not) pays off linearly in its sparsity.
-            // Checked before the rect path: at the unpadded shapes this
-            // kernel supports, skipping im2col beats even the compacted
-            // dense GEMM.
-            self.forward_taps(input.data(), &geom, n, train)
-        } else if let (false, Some(rect)) = (train, &self.rect) {
-            self.forward_rect(rect, input.data(), &geom, n, ws)
-        } else {
-            let (out, cols) = self.forward_lowered(input.data(), &geom, n, ws);
-            if train && !streamed {
-                self.cache = Some(Cache { saved: cols, geom, batch: n });
-            } else {
-                ws.put(cols);
+        let out = match &self.sparse {
+            Some(pat) if taps_supported(&geom) => self.forward_taps(pat, input.data(), &geom, n),
+            _ => {
+                let (out, cols) = self.forward_lowered(input.data(), &geom, n, ws);
+                if train && self.sparse.is_none() {
+                    self.cache = Some(Cache { saved: cols, geom, batch: n });
+                } else {
+                    ws.put(cols);
+                }
+                out
             }
-            out
         };
-        if streamed {
+        // A masked layer trains without keeping its patch matrix: the
+        // streamed backward rebuilds patch rows from the input batch.
+        if train && self.sparse.is_some() {
             let mut saved = ws.take_scratch(input.len());
             saved.copy_from_slice(input.data());
             self.cache = Some(Cache { saved, geom, batch: n });
@@ -403,7 +303,6 @@ impl Layer for Conv2d {
         // A pending forward cache was laid out for the old pattern.
         self.cache = None;
         self.sparse = None;
-        self.rect = None;
         let Some(wm) = param_masks.first() else { return };
         assert_eq!(
             wm.shape(),
@@ -413,7 +312,6 @@ impl Layer for Conv2d {
         let pat =
             RowPattern::from_mask(self.out_ch, self.in_ch * self.kernel * self.kernel, wm.data());
         if pat.density() <= SPARSE_DENSITY_MAX {
-            self.rect = RectPattern::from_pattern(&pat);
             self.sparse = Some(pat);
         }
     }
@@ -470,17 +368,18 @@ mod tests {
     #[test]
     fn unpadded_eval_takes_tap_path_and_matches_im2col() {
         let mut rng = SeededRng::new(31);
-        // LeNet conv1 shape: pad 0, stride 1 → eval runs the bias-seeded
-        // tap kernel; train runs im2col+GEMM dense and the bias-last tap
-        // kernel under a mask. The summation orders must agree to float
-        // tolerance, dense and unstructured-sparse alike.
+        // LeNet conv1 shape: pad 0, stride 1 → both modes run im2col+GEMM
+        // dense and the tap kernel under a mask, so eval and train agree
+        // bit for bit, dense and unstructured-sparse alike.
+        let to_bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut conv = Conv2d::new(3, 6, 5, 1, 0, &mut rng);
         let x = uniform(&[2, 3, 32, 32], -1.0, 1.0, &mut rng);
         let ye = conv.forward(&x, Mode::Eval);
         let yt = conv.forward(&x, Mode::Train);
         assert_eq!(ye.shape(), &[2, 6, 28, 28]);
-        subfed_tensor::assert_slice_close(ye.data(), yt.data(), 1e-4, 1e-4);
-        let _ = conv.backward(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng));
+        assert_eq!(to_bits(&ye), to_bits(&yt));
+        let _ =
+            conv.backward_ws(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng), &mut Workspace::new());
 
         let mut bits = vec![0.0f32; 6 * 3 * 5 * 5];
         for (t, bit) in bits.iter_mut().enumerate() {
@@ -494,11 +393,12 @@ mod tests {
         let bits_t = Tensor::from_parts(vec![6, 3, 5, 5], bits);
         let ones = Tensor::full(&[6], 1.0);
         conv.install_sparsity(&[&bits_t, &ones]);
-        assert!(conv.has_sparse_path() && !conv.has_rect_path());
+        assert!(conv.has_sparse_path());
         let ys = conv.forward(&x, Mode::Eval);
         let yst = conv.forward(&x, Mode::Train);
-        subfed_tensor::assert_slice_close(ys.data(), yst.data(), 1e-4, 1e-4);
-        let _ = conv.backward(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng));
+        assert_eq!(to_bits(&ys), to_bits(&yst));
+        let _ =
+            conv.backward_ws(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng), &mut Workspace::new());
     }
 
     #[test]
@@ -534,8 +434,8 @@ mod tests {
         subfed_tensor::assert_slice_close(ys.data(), yd.data(), 1e-5, 1e-5);
 
         let dy = uniform(&[3, 4, 6, 6], -1.0, 1.0, &mut rng);
-        let dxd = dense.backward(&dy);
-        let dxs = sparse.backward(&dy);
+        let dxd = dense.backward_ws(&dy, &mut Workspace::new());
+        let dxs = sparse.backward_ws(&dy, &mut Workspace::new());
         subfed_tensor::assert_slice_close(dxs.data(), dxd.data(), 1e-4, 1e-4);
         subfed_tensor::assert_slice_close(
             dense.bias.grad.data(),
@@ -557,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn structured_mask_takes_rect_path_and_matches_dense_eval() {
+    fn structured_mask_matches_dense_eval() {
         let mut rng = SeededRng::new(21);
         let mut dense = Conv2d::new(4, 6, 3, 1, 1, &mut rng);
         // Structured mask: drop output channels 1 and 4 entirely, and
@@ -576,44 +476,28 @@ mod tests {
         // expand_channel_mask would arrange.
         dense.bias.value.data_mut()[1] = 0.0;
         dense.bias.value.data_mut()[4] = 0.0;
-        let mut rect = dense.clone();
+        let mut masked = dense.clone();
         let bits_t = Tensor::from_parts(vec![6, 4, 3, 3], bits);
         let ones = Tensor::full(&[6], 1.0);
-        rect.install_sparsity(&[&bits_t, &ones]);
-        assert!(rect.has_sparse_path() && rect.has_rect_path());
+        masked.install_sparsity(&[&bits_t, &ones]);
+        assert!(masked.has_sparse_path());
 
         let x = uniform(&[3, 4, 6, 6], -1.0, 1.0, &mut rng);
         let yd = dense.forward(&x, Mode::Eval);
-        let yr = rect.forward(&x, Mode::Eval);
-        subfed_tensor::assert_slice_close(yr.data(), yd.data(), 1e-5, 1e-5);
+        let ym = masked.forward(&x, Mode::Eval);
+        subfed_tensor::assert_slice_close(ym.data(), yd.data(), 1e-5, 1e-5);
         // Pruned output channels are exact bias planes (zero here).
         for i in 0..3 {
             for oc in [1usize, 4] {
-                let plane = &yr.data()[(i * 6 + oc) * 36..][..36];
+                let plane = &ym.data()[(i * 6 + oc) * 36..][..36];
                 assert!(plane.iter().all(|&v| v == 0.0));
             }
         }
-        // Train mode stays on the general sparse path and still agrees.
-        let yt = rect.forward(&x, Mode::Train);
+        // Train mode runs the same kernel and still agrees.
+        let yt = masked.forward(&x, Mode::Train);
         subfed_tensor::assert_slice_close(yt.data(), yd.data(), 1e-5, 1e-5);
-        let _ = rect.backward(&uniform(&[3, 6, 6, 6], -1.0, 1.0, &mut rng));
-    }
-
-    #[test]
-    fn unstructured_mask_has_no_rect_path() {
-        let mut rng = SeededRng::new(22);
-        let mut conv = Conv2d::new(2, 3, 3, 1, 0, &mut rng);
-        let mut bits = vec![0.0f32; 3 * 2 * 3 * 3];
-        for (t, bit) in bits.iter_mut().enumerate() {
-            if t % 3 == 0 || t % 7 == 0 {
-                *bit = 1.0;
-            }
-        }
-        let bits_t = Tensor::from_parts(vec![3, 2, 3, 3], bits);
-        let ones = Tensor::full(&[3], 1.0);
-        conv.install_sparsity(&[&bits_t, &ones]);
-        assert!(conv.has_sparse_path());
-        assert!(!conv.has_rect_path());
+        let _ =
+            masked.backward_ws(&uniform(&[3, 6, 6, 6], -1.0, 1.0, &mut rng), &mut Workspace::new());
     }
 
     #[test]
@@ -643,7 +527,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut rng = SeededRng::new(4);
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng);
-        let _ = conv.backward(&Tensor::zeros(&[1, 1, 3, 3]));
+        let _ = conv.backward_ws(&Tensor::zeros(&[1, 1, 3, 3]), &mut Workspace::new());
     }
 
     #[test]
@@ -666,7 +550,7 @@ mod tests {
         let zeros = Tensor::zeros(&[2, 1, 3, 3]);
         conv.install_sparsity(&[&zeros, &Tensor::full(&[2], 1.0)]);
         assert!(conv.has_sparse_path());
-        let _ = conv.backward(&Tensor::zeros(&[2, 2, 4, 4]));
+        let _ = conv.backward_ws(&Tensor::zeros(&[2, 2, 4, 4]), &mut Workspace::new());
     }
 
     #[test]

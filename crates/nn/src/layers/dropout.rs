@@ -1,6 +1,7 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
 use subfed_tensor::init::SeededRng;
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Inverted dropout: zeroes activations with probability `p` during
@@ -40,7 +41,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         match mode {
             Mode::Eval => {
                 self.mask = None;
@@ -68,7 +69,7 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let mask = take_cache(&mut self.mask, "dropout");
         grad_out.mul(&mask)
     }
@@ -110,7 +111,7 @@ mod tests {
         let x = Tensor::ones(&[100]);
         let y = d.forward(&x, Mode::Train);
         let dy = Tensor::ones(&[100]);
-        let dx = d.backward(&dy);
+        let dx = d.backward_ws(&dy, &mut Workspace::new());
         // Gradient is zero exactly where the activation was dropped.
         for (g, v) in dx.data().iter().zip(y.data()) {
             assert_eq!(*g == 0.0, *v == 0.0);

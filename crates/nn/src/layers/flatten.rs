@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Flattens NCHW feature maps into `[batch, features]` rows.
@@ -20,7 +21,7 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert!(input.ndim() >= 2, "flatten expects at least 2 dimensions");
         let batch = input.shape()[0];
         let features: usize = input.shape()[1..].iter().product();
@@ -33,7 +34,7 @@ impl Layer for Flatten {
         input.reshaped(&[batch, features])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let shape = take_cache(&mut self.in_shape, "flatten");
         grad_out.reshaped(&shape)
     }
@@ -54,7 +55,7 @@ mod tests {
         let y = f.forward(&x, Mode::Train);
         assert_eq!(y.shape(), &[2, 12]);
         assert_eq!(y.data(), x.data());
-        let dx = f.backward(&y);
+        let dx = f.backward_ws(&y, &mut Workspace::new());
         assert_eq!(dx.shape(), x.shape());
         assert_eq!(dx.data(), x.data());
     }
@@ -63,6 +64,6 @@ mod tests {
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
         let mut f = Flatten::new();
-        let _ = f.backward(&Tensor::zeros(&[1, 4]));
+        let _ = f.backward_ws(&Tensor::zeros(&[1, 4]), &mut Workspace::new());
     }
 }

@@ -77,16 +77,6 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         self.check_input(input);
         let n = input.shape()[0];
@@ -265,7 +255,7 @@ mod tests {
         let x = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let _ = lin.forward(&x, Mode::Train);
         let dy = Tensor::from_vec(vec![2, 2], vec![1.0, 10.0, 2.0, 20.0]).unwrap();
-        let _ = lin.backward(&dy);
+        let _ = lin.backward_ws(&dy, &mut Workspace::new());
         assert_eq!(lin.bias.grad.data(), &[3.0, 30.0]);
     }
 
@@ -294,8 +284,8 @@ mod tests {
         subfed_tensor::assert_slice_close(ys.data(), yd.data(), 1e-5, 1e-5);
 
         let dy = subfed_tensor::init::uniform(&[5, 4], -1.0, 1.0, &mut rng);
-        let dxd = dense.backward(&dy);
-        let dxs = sparse.backward(&dy);
+        let dxd = dense.backward_ws(&dy, &mut Workspace::new());
+        let dxs = sparse.backward_ws(&dy, &mut Workspace::new());
         subfed_tensor::assert_slice_close(dxs.data(), dxd.data(), 1e-5, 1e-5);
         assert_eq!(dense.bias.grad.data(), sparse.bias.grad.data());
         for ((&gd, &gs), &bit) in
@@ -325,8 +315,8 @@ mod tests {
         let yd = dense.forward(&x, Mode::Train);
         subfed_tensor::assert_slice_close(ys.data(), yd.data(), 1e-6, 1e-6);
         let dy = Tensor::from_vec(vec![1, 2], vec![1.0, -1.0]).unwrap();
-        let dxs = lin.backward(&dy);
-        let dxd = dense.backward(&dy);
+        let dxs = lin.backward_ws(&dy, &mut Workspace::new());
+        let dxd = dense.backward_ws(&dy, &mut Workspace::new());
         subfed_tensor::assert_slice_close(dxs.data(), dxd.data(), 1e-6, 1e-6);
     }
 
@@ -335,7 +325,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut rng = SeededRng::new(4);
         let mut lin = Linear::new(2, 2, &mut rng);
-        let _ = lin.backward(&Tensor::zeros(&[1, 2]));
+        let _ = lin.backward_ws(&Tensor::zeros(&[1, 2]), &mut Workspace::new());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Max pooling over NCHW tensors with a square window.
@@ -44,7 +45,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "maxpool2d expects NCHW input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let (oh, ow) = (self.out_side(h), self.out_side(w));
@@ -144,7 +145,7 @@ impl Layer for MaxPool2d {
         Tensor::from_parts(out_shape, out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let cache = take_cache(&mut self.cache, "maxpool2d");
         assert_eq!(grad_out.shape(), &cache.out_shape[..], "maxpool2d backward shape mismatch");
         // lint: allow(hot-path-alloc) — dx is returned as an owned Tensor by API contract
@@ -191,7 +192,7 @@ impl Layer for AvgPool2d {
         "avgpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "avgpool2d expects NCHW input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let (oh, ow) = (self.out_side(h), self.out_side(w));
@@ -227,7 +228,7 @@ impl Layer for AvgPool2d {
         Tensor::from_parts(vec![n, c, oh, ow], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let shape = take_cache(&mut self.in_shape, "avgpool2d");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = (self.out_side(h), self.out_side(w));
@@ -289,7 +290,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 4.0, 2.0, 3.0]).unwrap();
         let _ = pool.forward(&x, Mode::Train);
         let dy = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]).unwrap();
-        let dx = pool.backward(&dy);
+        let dx = pool.backward_ws(&dy, &mut Workspace::new());
         assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -336,7 +337,7 @@ mod tests {
         let x = Tensor::ones(&[1, 1, 2, 2]);
         let _ = pool.forward(&x, Mode::Train);
         let dy = Tensor::from_vec(vec![1, 1, 1, 1], vec![8.0]).unwrap();
-        let dx = pool.backward(&dy);
+        let dx = pool.backward_ws(&dy, &mut Workspace::new());
         assert_eq!(dx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 

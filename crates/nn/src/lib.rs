@@ -3,7 +3,8 @@
 //! A layer-wise neural-network substrate built on [`subfed_tensor`],
 //! providing everything the Sub-FedAvg reproduction trains:
 //!
-//! * the [`Layer`] trait with explicit `forward`/`backward` passes,
+//! * the [`Layer`] trait with explicit forward and backward passes over a
+//!   caller-supplied scratch workspace (`forward_ws`/`backward_ws`),
 //! * the paper's layers: [`layers::Conv2d`], [`layers::BatchNorm2d`],
 //!   [`layers::ReLU`], [`layers::MaxPool2d`], [`layers::Flatten`],
 //!   [`layers::Linear`], [`layers::Dropout`],

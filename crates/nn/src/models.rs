@@ -452,6 +452,7 @@ pub fn channel_graph_flat(layout: &[ParamMeta]) -> ChannelGraph {
 mod tests {
     use super::*;
     use crate::Mode;
+    use subfed_tensor::workspace::Workspace;
     use subfed_tensor::Tensor;
 
     #[test]
@@ -589,9 +590,13 @@ mod tests {
         let mut rng = SeededRng::new(8);
         let mut m = lenet5_classic(1, 16, 16, 4, &mut rng);
         let x = Tensor::zeros(&[2, 1, 16, 16]);
-        let y = m.forward(&x, Mode::Train);
+        let mut ws = Workspace::new();
+        let y = m.forward_ws(&x, Mode::Train, &mut ws);
         assert_eq!(y.shape(), &[2, 4]);
-        let dx = m.backward(&y);
+        let mut dx = y;
+        for layer in m.layers_mut().iter_mut().rev() {
+            dx = layer.backward_ws(&dx, &mut ws);
+        }
         assert_eq!(dx.shape(), &[2, 1, 16, 16]);
         // No BatchNorm: channel_graph finds no prunable blocks, so the
         // classic variant is unstructured-only by construction.

@@ -178,13 +178,14 @@ mod tests {
     use crate::layers::Linear;
     use crate::{Mode, ParamKind};
     use subfed_tensor::init::SeededRng;
+    use subfed_tensor::workspace::Workspace;
 
     fn model_with_grads(rng: &mut SeededRng) -> Sequential {
         let mut m = Sequential::new();
         m.push(Box::new(Linear::new(3, 2, rng)));
         let x = subfed_tensor::init::uniform(&[4, 3], -1.0, 1.0, rng);
         let y = m.forward(&x, Mode::Train);
-        m.backward(&y);
+        m.backward_ws(&y, &mut Workspace::new());
         m
     }
 
@@ -238,7 +239,7 @@ mod tests {
             // Refresh gradients each step.
             let x = subfed_tensor::init::uniform(&[4, 3], -1.0, 1.0, &mut rng);
             let y = m.forward(&x, Mode::Train);
-            m.backward(&y);
+            m.backward_ws(&y, &mut Workspace::new());
             opt.step(&mut m, Some(&mask), None);
             assert_eq!(m.params()[0].value.data()[0], 0.0, "masked weight moved");
         }
@@ -254,7 +255,7 @@ mod tests {
         m.push(Box::new(BatchNorm2d::new(2)));
         let x = subfed_tensor::init::uniform(&[2, 2, 3, 3], -1.0, 1.0, &mut rng);
         let y = m.forward(&x, Mode::Train);
-        m.backward(&y);
+        m.backward_ws(&y, &mut Workspace::new());
         let mean_before: Vec<f32> =
             m.params().iter().find(|p| p.kind == ParamKind::BnMean).unwrap().value.data().to_vec();
         let mut opt = Sgd::new(0.1, 0.0);

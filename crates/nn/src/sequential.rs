@@ -54,34 +54,13 @@ impl Sequential {
         &mut self.layers
     }
 
-    /// Runs the forward pass through every layer.
+    /// [`Sequential::forward_ws`] with a fresh [`Workspace`].
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the batch input; activations then move layer to layer
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-        }
-        x
+        self.forward_ws(input, mode, &mut Workspace::new())
     }
 
-    /// Runs the backward pass, filling every parameter's gradient, and
-    /// returns the gradient w.r.t. the model input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no training-mode forward preceded this call.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the output grad; grads then move layer to layer
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// [`Sequential::forward`] with an explicit scratch [`Workspace`]
-    /// threaded through every layer; numerically identical to the plain
-    /// forward, without per-layer heap allocation.
+    /// Runs the forward pass through every layer, threading one scratch
+    /// [`Workspace`] through all of them.
     pub fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         // lint: allow(hot-path-alloc) — one clone of the batch input; activations then move layer to layer
         let mut x = input.clone();
@@ -91,11 +70,13 @@ impl Sequential {
         x
     }
 
-    /// The training backward: fills every parameter's gradient exactly as
-    /// [`Sequential::backward`] does, with an explicit scratch
-    /// [`Workspace`]. It returns nothing, because training has no use for
-    /// the gradient w.r.t. the model input, so the first layer is asked
-    /// for its parameter gradients only ([`Layer::backward_params_ws`]).
+    /// The training backward: runs the layers' backward passes in reverse
+    /// order with an explicit scratch [`Workspace`], filling every
+    /// parameter's gradient. It returns nothing, because training has no
+    /// use for the gradient w.r.t. the model input, so the first layer is
+    /// asked for its parameter gradients only
+    /// ([`Layer::backward_params_ws`]) and every other layer runs
+    /// [`Layer::backward_ws`].
     ///
     /// # Panics
     ///
@@ -347,7 +328,7 @@ mod tests {
         let labels = [0usize, 1, 2, 0, 1, 2, 0, 1];
         let logits = m.forward(&x, Mode::Train);
         let (loss0, grad) = softmax_cross_entropy(&logits, &labels);
-        m.backward(&grad);
+        m.backward_ws(&grad, &mut Workspace::new());
         for p in m.params_mut() {
             if p.kind.is_trainable() {
                 let g = p.grad.clone();

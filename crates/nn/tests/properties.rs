@@ -88,7 +88,7 @@ proptest! {
         for _ in 0..2 {
             let logits = m.forward(&x, Mode::Train);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
-            m.backward(&grad);
+            m.backward_ws(&grad, &mut subfed_tensor::workspace::Workspace::new());
             opt.step(&mut m, Some(&mask), None);
         }
         for (p, t) in m.params().iter().zip(mask.tensors()) {
@@ -170,7 +170,8 @@ proptest! {
 /// skip the patch matrix: `im2col_batch` → `gemm_ws`/`spmm` → permute +
 /// bias forward; `gemm_nt`/`masked_dot_nt` for the weight gradient, row
 /// sums for the bias gradient, and `gemm_tn_ws`/`spmm_t` → `col2im_batch`
-/// for the input gradient. Returns `(y, dW, db, dX)`.
+/// for the input gradient. Returns `(y, dW, db, dX)`; an eval-mode
+/// forward must produce the same `y`.
 fn lowered_conv_oracle(
     x: &Tensor,
     geom: &subfed_tensor::conv::ConvGeom,
@@ -313,6 +314,9 @@ fn train_conv_matches_the_lowered_composition_bit_for_bit() {
                     } else {
                         subfed_tensor::workspace::Workspace::new()
                     };
+                    // Eval runs the training kernels and keeps no cache.
+                    let ye = conv.forward_ws(&x, Mode::Eval, &mut ws);
+                    assert_eq!(bits(ye.data()), bits(&y0), "eval forward, {case}");
                     let y = conv.forward_ws(&x, Mode::Train, &mut ws);
                     let dx = conv.backward_ws(&dy, &mut ws);
                     assert_eq!(bits(y.data()), bits(&y0), "forward, {case}");

@@ -21,27 +21,26 @@
 //! # Direct tap-list path
 //!
 //! For unpadded unit-stride geometries ([`taps_supported`]) the forward
-//! skips the lowering entirely: [`conv2d_taps_batch`] streams each
-//! output row through fixed-width lane accumulators, one broadcast-FMA
-//! per *kernel tap* — a `(flat input offset, weight)` pair. Work is
-//! therefore proportional to the number of taps, so a filter whose
-//! unstructured mask keeps 50% of its weights runs in roughly half the
-//! dense time, which im2col+GEMM can never deliver (the lowering cost is
-//! identical for dense and pruned filters). The tap builders
-//! ([`build_taps_dense`], [`build_taps_sparse`]) emit taps in ascending
-//! `(channel, ky, kx)` order, so a dense filter and a fully-kept sparse
-//! filter produce bit-identical outputs.
+//! of a masked layer skips the lowering entirely: [`conv2d_taps_batch`]
+//! streams each output row through fixed-width lane accumulators, one
+//! broadcast-FMA per *kernel tap* — a `(flat input offset, weight)` pair
+//! that [`build_taps_sparse`] emits for every kept weight, in ascending
+//! `(channel, ky, kx)` order. Work is therefore proportional to the
+//! number of kept weights, so a filter whose unstructured mask keeps 50%
+//! of its weights runs in roughly half the dense time, which im2col+GEMM
+//! can never deliver (the lowering cost is identical for dense and pruned
+//! filters). Each chain starts from `+0.0` and the bias is added last,
+//! the numerics of the lowered product, so the tap forward and the
+//! lowered one agree bit for bit in training and evaluation alike.
 //!
 //! # Training without the patch matrix
 //!
 //! Under a sparsity pattern, training keeps no patch matrix for backward
-//! and never builds its adjoint. [`conv2d_taps_batch_train`] is the tap
-//! forward with the lowered path's numerics, and
-//! [`conv2d_weight_grad_streamed`] and [`conv2d_input_grad_streamed`]
-//! build or scatter one patch row at a time in a workspace buffer, only
-//! for columns some kept weight uses, at any geometry. Each replays the
-//! summation order of the lowered kernels it replaces, so results are
-//! bit-identical.
+//! and never builds its adjoint. [`conv2d_weight_grad_streamed`] and
+//! [`conv2d_input_grad_streamed`] build or scatter one patch row at a
+//! time in a workspace buffer, only for columns some kept weight uses, at
+//! any geometry. Each replays the summation order of the lowered kernels
+//! it replaces, so results are bit-identical.
 
 use crate::linalg::{dot, fmadd};
 use crate::sparse::{gather_t_row, RowPattern, PANEL};
@@ -339,35 +338,6 @@ pub fn im2col_batch(images: &[f32], geom: &ConvGeom, batch: usize, cols: &mut [f
     }
 }
 
-/// Batch-fused im2col over a **selection of patch rows**: lowers only the
-/// kernel-matrix rows listed in `rows` (indices into the full
-/// `C·KH·KW` row space), writing them *compacted* in the given order, so
-/// `cols` is `[rows.len(), batch · col_cols]`. Paired with
-/// [`RectPattern`](crate::sparse::RectPattern) this skips the lowering
-/// work for input channels a structured mask has pruned.
-///
-/// # Panics
-///
-/// Panics if `images` or `cols` have the wrong length, or any row index
-/// is out of range.
-pub fn im2col_batch_select(
-    images: &[f32],
-    geom: &ConvGeom,
-    batch: usize,
-    cols: &mut [f32],
-    rows: &[u32],
-) {
-    let img_len = geom.channels * geom.height * geom.width;
-    assert_eq!(images.len(), batch * img_len, "image length mismatch");
-    let width = batch * geom.col_cols();
-    assert_eq!(cols.len(), rows.len() * width, "cols length mismatch");
-    let layout = PatchRows::new(geom, batch);
-    for (dst, &row) in cols.chunks_exact_mut(width.max(1)).zip(rows) {
-        assert!((row as usize) < geom.col_rows(), "patch row {row} out of range");
-        layout.gather(images, row as usize, dst);
-    }
-}
-
 /// Adjoint of [`im2col_batch`]: scatters a fused patch-matrix gradient
 /// `[C·KH·KW, N·Hout·Wout]` back to image gradients `[N, C, H, W]`.
 /// Unlike [`col2im`], `images_grad` is **overwritten** (zeroed first) —
@@ -423,13 +393,12 @@ pub fn taps_supported(geom: &ConvGeom) -> bool {
 /// One output row via `NLANES` overlapping `L`-wide lanes. `starts` are
 /// lane origins within the row; the last lane typically overlaps its
 /// predecessor so the lanes cover `out_w` exactly. Every output pixel's
-/// value is the same tap-ascending fmadd chain regardless of which lane
-/// computes it, so the overlap is bit-consistent. Eval seeds the chain
-/// with `bias`; with `BIAS_LAST` it starts from `+0.0` and `bias` is added
-/// to the finished chain, which is what the lowered GEMM followed by the
-/// permute's bias add computes.
+/// value is the same tap-ascending fmadd chain from `+0.0` regardless of
+/// which lane computes it, so the overlap is bit-consistent, and `bias`
+/// is added to the finished chain — what the lowered product followed by
+/// the permute's bias add computes.
 #[inline(always)]
-fn conv_row<const L: usize, const NLANES: usize, const BIAS_LAST: bool>(
+fn conv_row<const L: usize, const NLANES: usize>(
     taps: &[(u32, f32)],
     img: &[f32],
     base: usize,
@@ -437,7 +406,7 @@ fn conv_row<const L: usize, const NLANES: usize, const BIAS_LAST: bool>(
     orow: &mut [f32],
     bias: f32,
 ) {
-    let mut acc = [[if BIAS_LAST { 0.0 } else { bias }; L]; NLANES];
+    let mut acc = [[0.0f32; L]; NLANES];
     for &(off, w) in taps {
         let o = base + off as usize;
         for (a, &s) in acc.iter_mut().zip(starts) {
@@ -445,13 +414,8 @@ fn conv_row<const L: usize, const NLANES: usize, const BIAS_LAST: bool>(
         }
     }
     for (a, &s) in acc.iter().zip(starts) {
-        let dst = &mut orow[s..s + L];
-        if BIAS_LAST {
-            for (d, &v) in dst.iter_mut().zip(a) {
-                *d = v + bias;
-            }
-        } else {
-            dst.copy_from_slice(a);
+        for (d, &v) in orow[s..s + L].iter_mut().zip(a) {
+            *d = v + bias;
         }
     }
 }
@@ -466,32 +430,11 @@ fn tap_offset(geom: &ConvGeom, col: usize) -> u32 {
     (ic * geom.height * geom.width + ky * geom.width + kx) as u32
 }
 
-/// Builds the full tap list of a dense `[Cout, C·KH·KW]` weight matrix:
-/// `tap_ptr[oc]..tap_ptr[oc+1]` indexes output channel `oc`'s
-/// `(offset, weight)` pairs in ascending `(channel, ky, kx)` order.
-pub fn build_taps_dense(
-    weight: &[f32],
-    geom: &ConvGeom,
-    cout: usize,
-) -> (Vec<usize>, Vec<(u32, f32)>) {
-    let cr = geom.col_rows();
-    assert_eq!(weight.len(), cout * cr, "build_taps_dense: weight length mismatch");
-    let mut taps = Vec::with_capacity(cout * cr);
-    let mut tap_ptr = Vec::with_capacity(cout + 1);
-    tap_ptr.push(0);
-    for oc in 0..cout {
-        for c in 0..cr {
-            taps.push((tap_offset(geom, c), weight[oc * cr + c]));
-        }
-        tap_ptr.push(taps.len());
-    }
-    (tap_ptr, taps)
-}
-
-/// [`build_taps_dense`] restricted to the kept positions of an
-/// unstructured mask: only surviving weights become taps, so the kernel
-/// does work proportional to the kept count. Column order within a
-/// pattern row is ascending, matching the dense builder's chain order.
+/// Builds the tap list of a `[Cout, C·KH·KW]` weight matrix under a
+/// pattern: `tap_ptr[oc]..tap_ptr[oc+1]` indexes output channel `oc`'s
+/// `(offset, weight)` pairs, one per kept weight, in ascending
+/// `(channel, ky, kx)` order, so the kernel does work proportional to the
+/// kept count. An all-kept pattern gives the full list.
 pub fn build_taps_sparse(
     pat: &RowPattern,
     weight: &[f32],
@@ -513,57 +456,22 @@ pub fn build_taps_sparse(
 }
 
 /// Direct tap-list convolution over a batch: `images` is `[N, C, H, W]`
-/// flat, `out` is `[N, Cout, Hout, Wout]` flat and fully overwritten
-/// (bias included — a channel with no taps emits its bias plane). Output
-/// rows are computed by overlapping fixed-width lanes, one broadcast-FMA
-/// per tap per lane; see the module header for when this beats im2col.
-/// Each chain is seeded with its channel's bias: these are the inference
-/// numerics, which validation accuracy (and so the pruning gate) depends
-/// on. [`conv2d_taps_batch_train`] is the training variant.
+/// flat, `out` is `[N, Cout, Hout, Wout]` flat and fully overwritten (a
+/// channel with no taps emits its bias plane). Output rows are computed
+/// by overlapping fixed-width lanes, one broadcast-FMA per tap per lane;
+/// see the module header for when this beats im2col.
+///
+/// Each output element is the fmadd chain from `+0.0` over its channel's
+/// taps in ascending column order, with the bias added afterwards. For
+/// the kept taps of a pattern ([`build_taps_sparse`]) that is bit for bit
+/// what [`im2col_batch`] followed by `spmm` and the bias add compute, so
+/// a masked layer skips the patch matrix without moving a single result.
 ///
 /// # Panics
 ///
 /// Panics if the geometry is unsupported ([`taps_supported`]) or any
 /// slice length disagrees with the dimensions implied by `geom`.
 pub fn conv2d_taps_batch(
-    images: &[f32],
-    geom: &ConvGeom,
-    batch: usize,
-    tap_ptr: &[usize],
-    taps: &[(u32, f32)],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    taps_batch::<false>(images, geom, batch, tap_ptr, taps, bias, out);
-}
-
-/// [`conv2d_taps_batch`] with the lowered path's numerics: each output
-/// element is the fmadd chain from `+0.0` over its channel's taps in
-/// ascending column order, and the bias is added afterwards. For the
-/// kept taps of a pattern ([`build_taps_sparse`]) that is bit for bit
-/// what [`im2col_batch`] followed by `spmm` and the bias add compute (and
-/// for dense taps what `gemm_ws` computes while `C·KH·KW ≤ KC`, its one
-/// reduction panel), so training can skip the patch matrix without moving
-/// a single update.
-///
-/// # Panics
-///
-/// As [`conv2d_taps_batch`].
-pub fn conv2d_taps_batch_train(
-    images: &[f32],
-    geom: &ConvGeom,
-    batch: usize,
-    tap_ptr: &[usize],
-    taps: &[(u32, f32)],
-    bias: &[f32],
-    out: &mut [f32],
-) {
-    taps_batch::<true>(images, geom, batch, tap_ptr, taps, bias, out);
-}
-
-/// Shared body of the two tap entry points; `BIAS_LAST` picks the
-/// numerics (see [`conv_row`]).
-fn taps_batch<const BIAS_LAST: bool>(
     images: &[f32],
     geom: &ConvGeom,
     batch: usize,
@@ -589,10 +497,10 @@ fn taps_batch<const BIAS_LAST: bool>(
     }
     if img_len == 0 {
         // Zero input channels: every chain is empty, so every output
-        // pixel is its channel's seed plus whatever bias is still owed.
+        // pixel is `+0.0` plus its channel's bias.
         for oimg in out.chunks_exact_mut((cout * oh * ow).max(1)) {
             for (oc, oplane) in oimg.chunks_exact_mut(oh * ow).enumerate() {
-                oplane.fill(if BIAS_LAST { 0.0 + bias[oc] } else { bias[oc] });
+                oplane.fill(0.0 + bias[oc]);
             }
         }
         return;
@@ -605,11 +513,11 @@ fn taps_batch<const BIAS_LAST: bool>(
             for (y, orow) in oplane.chunks_exact_mut(ow).enumerate() {
                 let base = y * w;
                 match ow {
-                    8 => conv_row::<L8, 1, BIAS_LAST>(tp, img, base, &[0], orow, b),
-                    9..=15 => conv_row::<L8, 2, BIAS_LAST>(tp, img, base, &[0, ow - L8], orow, b),
-                    16 => conv_row::<16, 1, BIAS_LAST>(tp, img, base, &[0], orow, b),
-                    17..=31 => conv_row::<16, 2, BIAS_LAST>(tp, img, base, &[0, ow - 16], orow, b),
-                    _ => conv_row::<16, 3, BIAS_LAST>(tp, img, base, &[0, 16, ow - 16], orow, b),
+                    8 => conv_row::<L8, 1>(tp, img, base, &[0], orow, b),
+                    9..=15 => conv_row::<L8, 2>(tp, img, base, &[0, ow - L8], orow, b),
+                    16 => conv_row::<16, 1>(tp, img, base, &[0], orow, b),
+                    17..=31 => conv_row::<16, 2>(tp, img, base, &[0, ow - 16], orow, b),
+                    _ => conv_row::<16, 3>(tp, img, base, &[0, 16, ow - 16], orow, b),
                 }
             }
         }
@@ -994,7 +902,8 @@ mod tests {
             let imgs = uniform(&[batch * c * hw * hw], -1.0, 1.0, &mut rng);
             let w = uniform(&[cout, c, k, k], -0.5, 0.5, &mut rng);
             let bias = uniform(&[cout], -0.1, 0.1, &mut rng);
-            let (tap_ptr, taps) = build_taps_dense(w.data(), &g, cout);
+            let all_kept = RowPattern::from_mask(cout, g.col_rows(), &vec![1.0; w.len()]);
+            let (tap_ptr, taps) = build_taps_sparse(&all_kept, w.data(), &g);
             let (oh, ow) = (g.out_h(), g.out_w());
             let mut out = vec![0.0f32; batch * cout * oh * ow];
             conv2d_taps_batch(imgs.data(), &g, batch, &tap_ptr, &taps, bias.data(), &mut out);
@@ -1059,21 +968,39 @@ mod tests {
         let mut rng = SeededRng::new(71);
         let (c, hw, k, cout) = (2, 14, 5, 4);
         let g = geom(c, hw, hw, k, 1, 0);
-        let w = uniform(&[cout, c, k, k], -0.5, 0.5, &mut rng);
+        let cr = g.col_rows();
+        let mut w = uniform(&[cout, c, k, k], -0.5, 0.5, &mut rng);
         let bias = uniform(&[cout], -0.1, 0.1, &mut rng);
-        let bits = vec![1.0f32; cout * g.col_rows()];
-        let pat = RowPattern::from_mask(cout, g.col_rows(), &bits);
-        let (dp, dt) = build_taps_dense(w.data(), &g, cout);
-        let (sp, st) = build_taps_sparse(&pat, w.data(), &g);
-        assert_eq!(dp, sp);
-        assert_eq!(dt, st);
+        // An all-kept pattern lists every weight of every output channel
+        // in ascending (channel, ky, kx) order.
+        let full = RowPattern::from_mask(cout, cr, &vec![1.0; cout * cr]);
+        let (fp, ft) = build_taps_sparse(&full, w.data(), &g);
+        let in_order: Vec<(u32, f32)> = (0..cout * cr)
+            .map(|t| {
+                let (ic, tap) = (t % cr / (k * k), t % (k * k));
+                ((ic * hw * hw + tap / k * hw + tap % k) as u32, w.data()[t])
+            })
+            .collect();
+        assert_eq!(fp, (0..=cout).map(|oc| oc * cr).collect::<Vec<_>>());
+        assert_eq!(ft, in_order);
+        // Pruned weights are exact zeros, so the full list over the masked
+        // weights and the kept-only list produce the same bits.
+        let bits: Vec<f32> = (0..cout * cr).map(|t| f32::from(u8::from(t % 3 != 0))).collect();
+        for (v, &bit) in w.data_mut().iter_mut().zip(&bits) {
+            *v *= bit;
+        }
+        let kept = RowPattern::from_mask(cout, cr, &bits);
+        let (fp, ft) = build_taps_sparse(&full, w.data(), &g);
+        let (sp, st) = build_taps_sparse(&kept, w.data(), &g);
+        assert_eq!(st.len(), kept.nnz());
         let imgs = uniform(&[c * hw * hw], -1.0, 1.0, &mut rng);
         let (oh, ow) = (g.out_h(), g.out_w());
         let mut dense = vec![0.0f32; cout * oh * ow];
         let mut sparse = vec![0.0f32; cout * oh * ow];
-        conv2d_taps_batch(imgs.data(), &g, 1, &dp, &dt, bias.data(), &mut dense);
+        conv2d_taps_batch(imgs.data(), &g, 1, &fp, &ft, bias.data(), &mut dense);
         conv2d_taps_batch(imgs.data(), &g, 1, &sp, &st, bias.data(), &mut sparse);
-        assert_eq!(dense, sparse);
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(to_bits(&dense), to_bits(&sparse));
     }
 
     #[test]

@@ -112,13 +112,6 @@ pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut SeededRng) -> Tensor
     Tensor::from_parts(shape.to_vec(), data)
 }
 
-/// Tensor with elements drawn from `N(mean, std²)`.
-pub fn normal(shape: &[usize], mean: f32, std: f32, rng: &mut SeededRng) -> Tensor {
-    let len: usize = shape.iter().product();
-    let data: Vec<f32> = (0..len).map(|_| mean + std * rng.normal_f32()).collect();
-    Tensor::from_parts(shape.to_vec(), data)
-}
-
 /// Kaiming-uniform initialisation used by the conv/linear layers:
 /// `U(-b, b)` with `b = sqrt(1 / fan_in)` (PyTorch's default for these
 /// layers, which the paper's reference implementation relies on).
@@ -167,17 +160,6 @@ mod tests {
         let mut rng = SeededRng::new(3);
         let t = uniform(&[1000], -0.25, 0.5, &mut rng);
         assert!(t.data().iter().all(|&v| (-0.25..0.5).contains(&v)));
-    }
-
-    #[test]
-    fn normal_has_roughly_right_moments() {
-        let mut rng = SeededRng::new(4);
-        let t = normal(&[20_000], 1.0, 2.0, &mut rng);
-        let mean = t.mean();
-        let var =
-            t.data().iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / (t.len() - 1) as f32;
-        assert!((mean - 1.0).abs() < 0.06, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.2, "var {var}");
     }
 
     #[test]

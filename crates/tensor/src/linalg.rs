@@ -54,9 +54,8 @@
 //! instruction scheduling but not the per-accumulator dependency chain;
 //! zero-padded pack lanes touch only rows/columns that are never written
 //! back. The result is bit-identical across the packed and direct paths,
-//! any output-column partitioning (the [`NC`] loop, or the disjoint
-//! column stripes [`crate::parallel::gemm_mt`] hands to worker threads),
-//! and any tile shape — the property tests assert this exactly.
+//! any output-column partitioning (the [`NC`] loop) and any tile shape —
+//! the property tests assert this exactly.
 //!
 //! # Pruned-zero policy
 //!
@@ -272,20 +271,15 @@ fn mk_write_tail(
     }
 }
 
-/// Packed-path span kernel: computes output columns `[j0, j0 + jw)` of
-/// `C = A · B` (or `Aᵀ · B` when `TA`) into `out` at column offset 0,
-/// leading dimension `ldc`. Works for any shape; see the module header.
-#[allow(clippy::too_many_arguments)] // a GEMM span is irreducibly (dims, operands, span, out, pool)
-fn packed_span<const TA: bool>(
+/// Packed-path kernel: computes `C = A · B` (or `Aᵀ · B` when `TA`) into
+/// `out` (`[m, n]`). Works for any shape; see the module header.
+fn gemm_packed<const TA: bool>(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    j0: usize,
-    jw: usize,
     out: &mut [f32],
-    ldc: usize,
     ws: &mut Workspace,
 ) {
     // Scratch contract: every pack region is fully written before the
@@ -294,16 +288,16 @@ fn packed_span<const TA: bool>(
     let mut pa = ws.take_scratch(KC * MR);
     let mut tile = ws.take_scratch(MR * NR);
     let mut jp = 0;
-    while jp < jw {
-        let jn = NC.min(jw - jp);
+    while jp < n {
+        let jn = NC.min(n - jp);
         let jt_count = jn.div_ceil(NR);
         let mut p0 = 0;
         while p0 < k {
             let kb = KC.min(k - p0);
             let add = p0 > 0;
             for jt in 0..jt_count {
-                let jj = j0 + jp + jt * NR;
-                let w = NR.min(j0 + jp + jn - jj);
+                let jj = jp + jt * NR;
+                let w = NR.min(jp + jn - jj);
                 let dst = &mut pb[jt * kb * NR..(jt + 1) * kb * NR];
                 for (p, d) in dst.chunks_exact_mut(NR).enumerate() {
                     d[..w].copy_from_slice(&b[(p0 + p) * n + jj..][..w]);
@@ -328,13 +322,13 @@ fn packed_span<const TA: bool>(
                 }
                 for jt in 0..jt_count {
                     let jc = jp + jt * NR;
-                    let w = NR.min(jw - jc);
+                    let w = NR.min(n - jc);
                     let acc = mk_packed(&pa[..kb * MR], &pb[jt * kb * NR..(jt + 1) * kb * NR]);
-                    let dst = &mut out[i0 * ldc + jc..];
+                    let dst = &mut out[i0 * n + jc..];
                     if w == NR {
-                        mk_write(&acc, mb, dst, ldc, add);
+                        mk_write(&acc, mb, dst, n, add);
                     } else {
-                        mk_write_tail(&acc, mb, w, dst, ldc, add, &mut tile);
+                        mk_write_tail(&acc, mb, w, dst, n, add, &mut tile);
                     }
                 }
                 i0 += MR;
@@ -348,27 +342,23 @@ fn packed_span<const TA: bool>(
     ws.put(pb);
 }
 
-/// Direct-path span kernel: single reduction panel (`k ≤ KC`), A and B
-/// read in place, column tail packed into one zero-padded strip.
-#[allow(clippy::too_many_arguments)] // a GEMM span is irreducibly (dims, operands, span, out, pool)
-fn direct_span(
+/// Direct-path kernel: single reduction panel (`k ≤ KC`), A and B read
+/// in place, column tail packed into one zero-padded strip.
+fn gemm_direct(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    j0: usize,
-    jw: usize,
     out: &mut [f32],
-    ldc: usize,
     ws: &mut Workspace,
 ) {
-    let jt_full = jw / NR;
-    let wtail = jw - jt_full * NR;
+    let jt_full = n / NR;
+    let wtail = n - jt_full * NR;
     let mut pbt = ws.take_scratch(k * NR);
     let mut tile = ws.take_scratch(MR * NR);
     if wtail > 0 {
-        let jj = j0 + jt_full * NR;
+        let jj = jt_full * NR;
         for (p, d) in pbt.chunks_exact_mut(NR).enumerate() {
             d[..wtail].copy_from_slice(&b[p * n + jj..][..wtail]);
             d[wtail..].fill(0.0);
@@ -379,13 +369,13 @@ fn direct_span(
         let mb = MR.min(m - i0);
         let ab = &a[i0 * k..];
         for jt in 0..jt_full {
-            let jj = j0 + jt * NR;
+            let jj = jt * NR;
             let acc = if mb == MR {
                 mk_direct(k, ab, k, &b[jj..], n)
             } else {
                 mk_direct_partial(k, mb, ab, k, &b[jj..], n)
             };
-            mk_write(&acc, mb, &mut out[i0 * ldc + jt * NR..], ldc, false);
+            mk_write(&acc, mb, &mut out[i0 * n + jj..], n, false);
         }
         if wtail > 0 {
             let acc = if mb == MR {
@@ -393,15 +383,7 @@ fn direct_span(
             } else {
                 mk_direct_partial(k, mb, ab, k, &pbt, NR)
             };
-            mk_write_tail(
-                &acc,
-                mb,
-                wtail,
-                &mut out[i0 * ldc + jt_full * NR..],
-                ldc,
-                false,
-                &mut tile,
-            );
+            mk_write_tail(&acc, mb, wtail, &mut out[i0 * n + jt_full * NR..], n, false, &mut tile);
         }
         i0 += MR;
     }
@@ -409,43 +391,31 @@ fn direct_span(
     ws.put(pbt);
 }
 
-/// Span dispatcher shared by the sequential entry points and the
-/// column-striped parallel driver ([`crate::parallel::gemm_mt`]):
-/// computes output columns `[j0, j0 + jw)` into `out` (column offset 0,
-/// leading dimension `ldc ≥ jw`). `j0` must be a multiple of [`NR`] so
-/// register-tile boundaries — and therefore every write-back — land on
-/// the same global column grid regardless of how the span was cut.
-#[allow(clippy::too_many_arguments)] // a GEMM span is irreducibly (dims, operands, span, out, pool)
-pub(crate) fn gemm_span<const TA: bool>(
+/// Dispatcher shared by the four entry points: computes `C = A · B` (or
+/// `Aᵀ · B` when `TA`) into `out` (`[m, n]`).
+fn gemm_dispatch<const TA: bool>(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    j0: usize,
-    jw: usize,
     out: &mut [f32],
-    ldc: usize,
     ws: &mut Workspace,
 ) {
-    debug_assert!(j0.is_multiple_of(NR), "gemm_span: span start must be NR-aligned");
-    debug_assert!(j0 + jw <= n && ldc >= jw);
-    if m == 0 || jw == 0 {
+    if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        for r in 0..m {
-            out[r * ldc..r * ldc + jw].fill(0.0);
-        }
+        out[..m * n].fill(0.0);
         return;
     }
     // Path choice never affects bits (module header): with k ≤ KC both
     // paths run the identical single-panel fmadd chain per element.
-    let direct = !TA && k <= KC && (m * k + k * jw) * 4 <= DIRECT_FOOTPRINT_BYTES;
+    let direct = !TA && k <= KC && (m * k + k * n) * 4 <= DIRECT_FOOTPRINT_BYTES;
     if direct {
-        direct_span(m, k, n, a, b, j0, jw, out, ldc, ws);
+        gemm_direct(m, k, n, a, b, out, ws);
     } else {
-        packed_span::<TA>(m, k, n, a, b, j0, jw, out, ldc, ws);
+        gemm_packed::<TA>(m, k, n, a, b, out, ws);
     }
 }
 
@@ -481,7 +451,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32])
     assert_eq!(b.len(), k * n, "gemm: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm: out length mismatch");
     LOCAL_POOL.with(|pool| {
-        gemm_span::<false>(m, k, n, a, b, 0, n, out, n, &mut pool.borrow_mut());
+        gemm_dispatch::<false>(m, k, n, a, b, out, &mut pool.borrow_mut());
     });
 }
 
@@ -503,7 +473,7 @@ pub fn gemm_ws(
     assert_eq!(a.len(), m * k, "gemm: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm: out length mismatch");
-    gemm_span::<false>(m, k, n, a, b, 0, n, out, n, ws);
+    gemm_dispatch::<false>(m, k, n, a, b, out, ws);
 }
 
 /// Slice-level `C = Aᵀ · B` with `A: [k,m]`, `B: [k,n]`; `out` is
@@ -518,7 +488,7 @@ pub fn gemm_tn(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     assert_eq!(b.len(), k * n, "gemm_tn: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_tn: out length mismatch");
     LOCAL_POOL.with(|pool| {
-        gemm_span::<true>(m, k, n, a, b, 0, n, out, n, &mut pool.borrow_mut());
+        gemm_dispatch::<true>(m, k, n, a, b, out, &mut pool.borrow_mut());
     });
 }
 
@@ -539,7 +509,7 @@ pub fn gemm_tn_ws(
     assert_eq!(a.len(), k * m, "gemm_tn: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_tn: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_tn: out length mismatch");
-    gemm_span::<true>(m, k, n, a, b, 0, n, out, n, ws);
+    gemm_dispatch::<true>(m, k, n, a, b, out, ws);
 }
 
 /// Slice-level `C = A · Bᵀ` with `A: [m,k]`, `B: [n,k]`; `out` is

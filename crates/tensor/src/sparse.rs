@@ -175,14 +175,10 @@ impl RowPattern {
 ///
 /// This is exactly the shape structured (channel) pruning produces —
 /// removing an output channel empties a whole row, removing an input
-/// channel removes the same column block from every row. Compacting the
-/// kept weights into the rectangle lets forward inference run the
-/// *blocked dense* kernel on the small matrix, realising the "smaller
-/// network" structured pruning promises instead of paying the gather
-/// overhead of the general sparse path. Like [`RowPattern`], no weight
-/// values are stored: they change every SGD step, so
-/// [`gather_weights`](Self::gather_weights) compacts from the live dense
-/// tensor at call time (a few hundred floats for the paper's models).
+/// channel removes the same column block from every row — so a layer
+/// whose pattern factorises could run as a physically smaller dense
+/// layer. Like [`RowPattern`], no weight values are stored. No kernel
+/// consumes the rectangle yet; it tells which masks are structured.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RectPattern {
     rows: usize,
@@ -228,29 +224,6 @@ impl RectPattern {
     /// Shared column support of the kept rows, sorted ascending.
     pub fn used_cols(&self) -> &[u32] {
         &self.used_cols
-    }
-
-    /// Gathers the kept sub-matrix of `vals` (row-major `rows × cols`)
-    /// into `out` (row-major `keep_rows.len() × used_cols.len()`),
-    /// overwriting every element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` or `out` have the wrong length.
-    pub fn gather_weights(&self, vals: &[f32], out: &mut [f32]) {
-        assert_eq!(vals.len(), self.rows * self.cols, "gather_weights: vals length mismatch");
-        assert_eq!(
-            out.len(),
-            self.keep_rows.len() * self.used_cols.len(),
-            "gather_weights: out length mismatch"
-        );
-        let width = self.used_cols.len();
-        for (dst, &r) in out.chunks_exact_mut(width.max(1)).zip(&self.keep_rows) {
-            let vrow = &vals[r as usize * self.cols..(r as usize + 1) * self.cols];
-            for (d, &c) in dst.iter_mut().zip(&self.used_cols) {
-                *d = vrow[c as usize];
-            }
-        }
     }
 }
 

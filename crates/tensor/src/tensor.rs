@@ -149,13 +149,6 @@ impl Tensor {
         self.data[self.offset(idx)]
     }
 
-    /// Mutable element access via multi-dimensional index.
-    #[inline]
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        let off = self.offset(idx);
-        &mut self.data[off]
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Errors
@@ -221,24 +214,11 @@ impl Tensor {
         self.zip_map(other, |a, b| a * b, "mul")
     }
 
-    /// Elementwise division. Panics on shape mismatch.
-    pub fn div(&self, other: &Self) -> Self {
-        self.zip_map(other, |a, b| a / b, "div")
-    }
-
     /// In-place elementwise addition. Panics on shape mismatch.
     pub fn add_assign(&mut self, other: &Self) {
         self.check_same_shape(other, "add_assign");
         for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
-        }
-    }
-
-    /// In-place elementwise subtraction. Panics on shape mismatch.
-    pub fn sub_assign(&mut self, other: &Self) {
-        self.check_same_shape(other, "sub_assign");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
         }
     }
 
@@ -275,7 +255,7 @@ impl Tensor {
         }
     }
 
-    /// Sets every element to zero, keeping the allocation.
+    /// Sets every element to `value`, keeping the allocation.
     pub fn fill(&mut self, value: f32) {
         for v in &mut self.data {
             *v = value;
@@ -286,13 +266,6 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         // lint: allow(hot-path-alloc) — map returns an owned result by contract
         Self { shape: self.shape.clone(), data: self.data.iter().map(|&v| f(v)).collect() }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_assign(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Combines two same-shaped tensors elementwise with `f`.
@@ -381,13 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn at_mut_writes_through() {
-        let mut t = Tensor::zeros(&[2, 2]);
-        *t.at_mut(&[1, 1]) = 7.0;
-        assert_eq!(t.data()[3], 7.0);
-    }
-
-    #[test]
     fn from_parts_accepts_matching_length() {
         let t = Tensor::from_parts(vec![2, 3], (0..6).map(|v| v as f32).collect());
         assert_eq!(t.shape(), &[2, 3]);
@@ -430,7 +396,6 @@ mod tests {
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
     }
 
     #[test]
@@ -447,14 +412,12 @@ mod tests {
         let b = Tensor::from_slice(&[3.0, 4.0]);
         a.add_assign(&b);
         assert_eq!(a.data(), &[4.0, 6.0]);
-        a.sub_assign(&b);
-        assert_eq!(a.data(), &[1.0, 2.0]);
         a.mul_assign(&b);
-        assert_eq!(a.data(), &[3.0, 8.0]);
+        assert_eq!(a.data(), &[12.0, 24.0]);
         a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[4.5, 10.0]);
+        assert_eq!(a.data(), &[13.5, 26.0]);
         a.scale_assign(2.0);
-        assert_eq!(a.data(), &[9.0, 20.0]);
+        assert_eq!(a.data(), &[27.0, 52.0]);
     }
 
     #[test]
@@ -463,9 +426,6 @@ mod tests {
         assert_eq!(a.add_scalar(1.0).data(), &[2.0, -1.0]);
         assert_eq!(a.scale(3.0).data(), &[3.0, -6.0]);
         assert_eq!(a.map(f32::abs).data(), &[1.0, 2.0]);
-        let mut b = a.clone();
-        b.map_assign(|v| v * v);
-        assert_eq!(b.data(), &[1.0, 4.0]);
     }
 
     #[test]

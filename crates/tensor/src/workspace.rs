@@ -24,8 +24,7 @@
 ///
 /// Not thread-safe by design: each worker thread (one client at a time)
 /// owns its workspace. Cross-thread pooling lives in `subfed-core` (the
-/// client round loop) and [`crate::parallel`] (the striped GEMM's
-/// checkout/restore pool).
+/// client round loop).
 #[derive(Debug, Default, Clone)]
 pub struct Workspace {
     free: Vec<Vec<f32>>,
@@ -105,11 +104,6 @@ impl Workspace {
     pub fn retained(&self) -> usize {
         self.free.len()
     }
-
-    /// Total capacity in bytes across retained buffers.
-    pub fn retained_bytes(&self) -> usize {
-        self.free.iter().map(|b| b.capacity() * std::mem::size_of::<f32>()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +162,6 @@ mod tests {
             ws.put(vec![0.0; i + 1]);
         }
         assert!(ws.retained() <= MAX_RETAINED);
-        assert!(ws.retained_bytes() > 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! rows, batch of one, stride > 1 with padding).
 
 use proptest::prelude::*;
-use subfed_tensor::conv::{col2im, im2col, im2col_batch, im2col_batch_select, ConvGeom};
+use subfed_tensor::conv::{col2im, im2col, ConvGeom};
 use subfed_tensor::linalg::{
     gemm, matmul, matmul_nt, matmul_tn, naive_matmul, naive_matmul_nt, naive_matmul_tn, transpose,
 };
@@ -264,8 +264,12 @@ proptest! {
         }
         let n = 7;
         let b = subfed_tensor::init::uniform(&[cols, n], -1.0, 1.0, &mut rng);
-        let mut wc = vec![0.0f32; kept_rows * used_cols];
-        rect.gather_weights(w.data(), &mut wc);
+        let wc: Vec<f32> = rect
+            .keep_rows()
+            .iter()
+            .flat_map(|&r| rect.used_cols().iter().map(move |&c| (r as usize, c as usize)))
+            .map(|(r, c)| w.data()[r * cols + c])
+            .collect();
         let bc: Vec<f32> = rect
             .used_cols()
             .iter()
@@ -281,36 +285,6 @@ proptest! {
                 1e-4,
                 1e-4,
             );
-        }
-    }
-
-    #[test]
-    fn im2col_select_matches_full_lowering(
-        c in 1usize..3,
-        h in 4usize..9,
-        w in 4usize..9,
-        k in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
-        batch in 1usize..4,
-        row_bits in prop::collection::vec(prop::bool::ANY, 27),
-        seed in 0u64..1000,
-    ) {
-        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
-        let geom = ConvGeom { channels: c, height: h, width: w, kh: k, kw: k, stride, pad };
-        let mut rng = subfed_tensor::init::SeededRng::new(seed);
-        let x = subfed_tensor::init::uniform(&[batch * c * h * w], -1.0, 1.0, &mut rng);
-        let cc = geom.col_cols();
-        let mut full = vec![0.0f32; geom.col_rows() * batch * cc];
-        im2col_batch(x.data(), &geom, batch, &mut full);
-        let rows: Vec<u32> =
-            (0..geom.col_rows()).filter(|&r| row_bits[r % row_bits.len()]).map(|r| r as u32).collect();
-        let mut sel = vec![f32::NAN; rows.len() * batch * cc];
-        im2col_batch_select(x.data(), &geom, batch, &mut sel, &rows);
-        for (ri, &r) in rows.iter().enumerate() {
-            let got = &sel[ri * batch * cc..(ri + 1) * batch * cc];
-            let want = &full[r as usize * batch * cc..(r as usize + 1) * batch * cc];
-            prop_assert_eq!(got, want, "selected row {} differs", r);
         }
     }
 
