@@ -23,9 +23,11 @@
 //! it; the exit code never changes, because shared CI runners have no
 //! stable clock.
 //!
-//! The JSON carries one record per bench (`name`, `median_ns`,
-//! `throughput`, `unit`) plus a `speedups` map with the ratios
-//! `docs/PERFORMANCE.md` quotes (blocked-vs-naive, sparse-vs-dense).
+//! The JSON carries the host's core count (`cores`, from
+//! `std::thread::available_parallelism`; 0 when unknown), one record per
+//! bench (`name`, `median_ns`, `throughput`, `unit`) plus a `speedups`
+//! map with the ratios `docs/PERFORMANCE.md` quotes (blocked-vs-naive,
+//! sparse-vs-dense).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -369,7 +371,8 @@ fn compare_speedups(path: &str, fresh: &[(String, f64)]) {
 }
 
 fn write_json(path: &str, records: &[Record], speedups: &[(String, f64)]) {
-    let mut s = String::from("{\n  \"benches\": [\n");
+    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let mut s = format!("{{\n  \"cores\": {cores},\n  \"benches\": [\n");
     for (i, r) in records.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"median_ns\": {:.0}, \"throughput\": {:.3e}, \

@@ -45,9 +45,11 @@ impl FedAvg {
     fn maybe_quantize(&self, flat: &[f32]) -> Vec<f32> {
         if self.quantized {
             let buf = crate::wire::encode_update_q8(flat);
-            // Produced by `encode_update_q8` one line up; failure here is a
-            // codec bug, not a recoverable condition.
-            // lint: allow(no-unwrap)
+            #[expect(
+                clippy::expect_used,
+                reason = "produced by `encode_update_q8` one line up; failure here is a codec \
+                          bug, not a recoverable condition"
+            )]
             crate::wire::decode_update_q8(&buf, flat.len()).expect("self-encoded buffer decodes")
         } else {
             flat.to_vec()

@@ -27,7 +27,7 @@
 
 use super::common::{apply_flat_mask, is_eval_round, kept_count, record_round, train_step};
 use crate::aggregate::unflatten_mask;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::registry::ClientRegistry;
 use crate::stream_agg::OrderedAccumulator;
 use crate::{
@@ -495,10 +495,12 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                 let (us, bytes) = (enc_span.elapsed_us(), buf.len() as u64);
                 tracer.emit(TraceEvent::Encode { round, client: i, us, bytes, kept });
                 let dec_span = tracer.span();
-                // The buffer was produced by `encode_update` above, so
-                // decoding cannot fail; a failure here is a codec bug.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the buffer was produced by `encode_update` above, so decoding \
+                              cannot fail; a failure here is a codec bug"
+                )]
                 let (dec_params, dec_mask) =
-                    // lint: allow(no-unwrap)
                     wire::decode_update(&buf).expect("self-encoded update decodes");
                 // Decode boundary: the decoded update must fit the model
                 // and carry a strictly binary mask.
@@ -512,11 +514,12 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                 let update = match &acc {
                     Some(acc) => {
                         let folded = acc.fold(slot, dec_params, dec_mask);
-                        // Each slot is handed in exactly once by the
-                        // strided schedule, with the lengths the decode
-                        // invariant just checked, so a rejection here is a
-                        // driver bug.
-                        // lint: allow(no-unwrap)
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "each slot is handed in exactly once by the strided \
+                                      schedule, with the lengths the decode invariant just \
+                                      checked, so a rejection here is a driver bug"
+                        )]
                         folded.expect("strided slots fold exactly once");
                         None
                     }
@@ -656,16 +659,33 @@ impl SubFedAvgUn {
     /// history restarts — only the *training* trajectory is guaranteed to
     /// continue exactly (verified by the resume test).
     ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Mismatch`] and leaves the driver as it
+    /// was when the checkpoint's model size, client count or a client
+    /// mask length differs from the federation's: a checkpoint file is
+    /// untrusted input, and it may come from another federation.
+    ///
     /// # Panics
     ///
-    /// Panics if the checkpoint does not match the federation's model size
-    /// or client count, or a mask entry is not 0 or 1.
-    pub fn restore(&mut self, ckpt: &Checkpoint) {
+    /// Panics if a mask entry is not 0 or 1 (never the case for a
+    /// [`Checkpoint::decode`]d checkpoint, whose masks are bit-packed).
+    #[must_use = "a dropped Result hides a checkpoint that was not restored"]
+    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         let layout = self.fed.layout();
         let num_params: usize = layout.iter().map(|m| m.len).sum();
-        assert_eq!(ckpt.global.len(), num_params, "checkpoint model size mismatch");
-        let clients = ckpt.client_masks.len();
-        assert_eq!(clients, self.fed.num_clients(), "checkpoint client count mismatch");
+        let check = |what, got, want| {
+            if got == want {
+                Ok(())
+            } else {
+                Err(CheckpointError::Mismatch { what, got, want })
+            }
+        };
+        check("model size", ckpt.global.len(), num_params)?;
+        check("client count", ckpt.client_masks.len(), self.fed.num_clients())?;
+        for flat in &ckpt.client_masks {
+            check("client mask length", flat.len(), num_params)?;
+        }
         let masked_global = |flat: &Vec<f32>| apply_flat_mask(ckpt.global.clone(), flat);
         self.store = Resident {
             states: ckpt.client_masks.iter().map(|flat| unflatten_mask(layout, flat)).collect(),
@@ -675,6 +695,7 @@ impl SubFedAvgUn {
         self.next_round = ckpt.round as usize + 1;
         self.global = ckpt.global.clone();
         self.cum_bytes = 0;
+        Ok(())
     }
 }
 
@@ -769,7 +790,8 @@ mod tests {
 
     mod un {
         use super::*;
-        use crate::tests_support::tiny_federation;
+        use crate::tests_support::{tiny_federation, tiny_federation_of};
+        use subfed_nn::models::ModelSpec;
 
         fn test_controller(target: f32) -> UnstructuredController {
             let mut controller = UnstructuredController::paper_defaults(target);
@@ -894,7 +916,7 @@ mod tests {
             assert_eq!(mid.round, 3);
 
             let mut second = SubFedAvgUn::with_controller(tiny_federation(6, 4), controller);
-            second.restore(&mid);
+            second.restore(&mid).expect("same federation");
             let resumed_history = second.resume();
             let final_ckpt = second.checkpoint();
 
@@ -904,6 +926,33 @@ mod tests {
             // The resumed history covers rounds 4..=6 only.
             assert_eq!(resumed_history.records.len(), 3);
             assert_eq!(resumed_history.records[0].round, 4);
+        }
+
+        #[test]
+        fn restore_rejects_a_checkpoint_of_another_federation() {
+            let lenet = tiny_federation_of(ModelSpec::lenet5(1, 16, 16, 4), 2, 4);
+            let mut algo = SubFedAvgUn::with_controller(lenet, test_controller(0.5));
+            let _ = algo.run();
+            let before = algo.checkpoint();
+
+            // A CNN-5 checkpoint has another model size.
+            let cnn5 = run_with_target(0.5, 2).0.checkpoint();
+            match algo.restore(&cnn5) {
+                Err(CheckpointError::Mismatch { what: "model size", got, want }) => {
+                    assert_eq!((got, want), (cnn5.global.len(), before.global.len()));
+                }
+                other => panic!("CNN-5 checkpoint restored into LeNet-5: {other:?}"),
+            }
+            assert_eq!(algo.checkpoint(), before, "a rejected restore touched the driver");
+
+            // One client too many.
+            let mut crowded = before.clone();
+            crowded.client_masks.push(before.client_masks[0].clone());
+            match algo.restore(&crowded) {
+                Err(CheckpointError::Mismatch { what: "client count", got: 5, want: 4 }) => {}
+                other => panic!("5-client checkpoint restored into 4 clients: {other:?}"),
+            }
+            assert_eq!(algo.checkpoint(), before, "a rejected restore touched the driver");
         }
 
         #[test]

@@ -52,6 +52,16 @@ pub enum CheckpointError {
     },
     /// Header-declared lengths overflow the platform's address range.
     LengthOverflow,
+    /// A well-formed checkpoint of another federation: its model size,
+    /// client count or a client mask length differs from the driver's.
+    Mismatch {
+        /// What differs (`"model size"`, `"client count"`, `"client mask length"`).
+        what: &'static str,
+        /// The checkpoint's value.
+        got: usize,
+        /// The federation's value.
+        want: usize,
+    },
     /// The checkpoint file could not be read or written.
     Io(std::io::Error),
 }
@@ -71,6 +81,9 @@ impl std::fmt::Display for CheckpointError {
             }
             Self::LengthOverflow => {
                 write!(f, "header-declared lengths overflow the platform's address range")
+            }
+            Self::Mismatch { what, got, want } => {
+                write!(f, "checkpoint {what} mismatch: got {got}, want {want}")
             }
             Self::Io(e) => write!(f, "checkpoint i/o failed: {e}"),
         }

@@ -124,10 +124,13 @@ impl Federation {
     /// # Panics
     ///
     /// Panics when the provider is on-demand.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: only valid on materialized providers"
+    )]
     pub fn materialized_clients(&self) -> Vec<ClientData> {
         self.provider
             .materialized()
-            // lint: allow(no-unwrap) — documented panic: only valid on materialized providers
             .expect("materialized_clients on an on-demand provider")
             .iter()
             .map(|c| (**c).clone())

@@ -231,11 +231,13 @@ where
     F: FnOnce() -> Result<(), InvariantViolation>,
 {
     #[cfg(debug_assertions)]
+    #[expect(
+        clippy::panic,
+        reason = "the whole point of the debug-assert layer: fail loudly at the boundary \
+                  where the corrupt data entered the federation"
+    )]
     if let Err(violation) = check() {
         report(tracer, round, context, &violation);
-        // The whole point of the debug-assert layer: fail loudly at the
-        // boundary where the corrupt data entered the federation.
-        // lint: allow(no-unwrap)
         panic!("invariant violated at {context} (round {round}): {violation}");
     }
     #[cfg(not(debug_assertions))]

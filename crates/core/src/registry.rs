@@ -183,9 +183,13 @@ impl ClientRegistry {
         debug_assert_eq!(packed.len(), self.slot_bytes);
         let rec = &mut self.records[id];
         if rec.mask_slot == NO_SLOT {
-            rec.mask_slot = u32::try_from(self.arena.len() / self.slot_bytes)
-                // lint: allow(no-unwrap) — slot count bounded by u32 population × masks
+            #[expect(
+                clippy::expect_used,
+                reason = "the slot count is bounded by the u32 population × masks"
+            )]
+            let slot = u32::try_from(self.arena.len() / self.slot_bytes)
                 .expect("arena slot index overflow");
+            rec.mask_slot = slot;
             self.arena.extend_from_slice(&packed);
         } else {
             let start = rec.mask_slot as usize * self.slot_bytes;
@@ -208,9 +212,13 @@ impl ClientRegistry {
         assert!(kept <= self.mask_len, "kept count exceeds model");
         let rec = &mut self.records[id];
         if rec.mask_slot == NO_SLOT {
-            rec.mask_slot = u32::try_from(self.arena.len() / self.slot_bytes)
-                // lint: allow(no-unwrap) — slot count bounded by u32 population × masks
+            #[expect(
+                clippy::expect_used,
+                reason = "the slot count is bounded by the u32 population × masks"
+            )]
+            let slot = u32::try_from(self.arena.len() / self.slot_bytes)
                 .expect("arena slot index overflow");
+            rec.mask_slot = slot;
             self.arena.extend_from_slice(packed);
         } else {
             let start = rec.mask_slot as usize * self.slot_bytes;

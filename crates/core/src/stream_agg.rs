@@ -18,7 +18,7 @@
 //! by client id) no matter which worker finishes first, which makes the
 //! streamed aggregate **bit-identical** to the batch oracle and across
 //! thread counts. The property tests assert exact equality; the
-//! `order-sensitive-fold` rule of `subfed-lint analyze` rejects any
+//! `order-sensitive-fold` rule of `subfed-lint check` rejects any
 //! arrival-order fold that sneaks back in. See `docs/SCALING.md`
 //! § "Numerical determinism".
 

@@ -7,6 +7,11 @@ use subfed_nn::models::ModelSpec;
 /// A 4-class, `num_clients`-client CNN-5 federation small enough for unit
 /// tests: ~40 local examples per client, 2 labels each, 2 local epochs.
 pub(crate) fn tiny_federation(rounds: usize, num_clients: usize) -> Federation {
+    tiny_federation_of(ModelSpec::cnn5(1, 16, 16, 4), rounds, num_clients)
+}
+
+/// [`tiny_federation`] over another model for its 1×16×16, 4-class data.
+pub(crate) fn tiny_federation_of(spec: ModelSpec, rounds: usize, num_clients: usize) -> Federation {
     let data = SynthVision::generate(SynthConfig {
         channels: 1,
         height: 16,
@@ -31,7 +36,7 @@ pub(crate) fn tiny_federation(rounds: usize, num_clients: usize) -> Federation {
         },
     );
     Federation::new(
-        ModelSpec::cnn5(1, 16, 16, 4),
+        spec,
         clients,
         FedConfig { rounds, local_epochs: 2, sample_frac: 0.5, seed: 17, ..Default::default() },
     )

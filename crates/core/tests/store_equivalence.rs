@@ -58,6 +58,7 @@ fn federation(threads: usize, sample_frac: f32, dropout_prob: f32) -> Federation
 }
 
 /// `cum_bytes` of the last `round_end` a sink recorded.
+#[expect(clippy::expect_used, reason = "a test helper outside any #[test] function")]
 fn last_cum_bytes(sink: &VecSink) -> u64 {
     sink.snapshot()
         .iter()

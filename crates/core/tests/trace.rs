@@ -92,6 +92,7 @@ fn traced_baseline(name: &str, rounds: usize, threads: usize, dropout_prob: f32)
         "fedprox" => Box::new(FedProx::new(fed, 0.5)),
         "lg-fedavg" => Box::new(LgFedAvg::new(fed)),
         "mtl" => Box::new(FedMtl::new(fed, 0.1)),
+        #[expect(clippy::panic, reason = "a test helper outside any #[test] function")]
         other => panic!("unknown baseline {other}"),
     };
     let _ = algo.run();

@@ -53,8 +53,8 @@ pub const HOT_ENTRIES: [&str; 12] = [
     "conv2d_taps_batch",
 ];
 
-/// One scanned file, parsed once and shared by the graph and the
-/// dataflow analyses.
+/// One scanned file, parsed once and shared by every rule: the token
+/// and scope rules, the call graph, and the analyses over it.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path label used in findings.

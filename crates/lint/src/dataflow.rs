@@ -1,6 +1,6 @@
 //! Dataflow-flavoured analyses over the call graph: the three hot-path
-//! rules behind `subfed-lint analyze` (the four concurrency rules live
-//! in [`crate::locks`]).
+//! rules of `subfed-lint check` (the three concurrency rules live in
+//! [`crate::locks`]).
 //!
 //! * [`HOT_PATH_ALLOC`] — no allocation in hot-reachable code. Flags
 //!   `Vec::new()`, `vec![…]`, `.clone()`, `.to_vec()` and `.collect()`
@@ -23,13 +23,13 @@
 //!   loops freely (e.g. once-per-round over layers).
 //!
 //! All three respect the standard escape hatch: `// lint: allow(rule)`
-//! on the finding's line or the line above, audited for staleness by
-//! `subfed-lint analyze` itself.
+//! on the finding's line or the line above, audited for staleness with
+//! every other rule's directives (see [`crate::check`]).
 
 use crate::callgraph::{CallGraph, SourceFile};
-use crate::lexer::Token;
+use crate::lexer::{ident, ident_at, matching, punct, Token};
 use crate::parser::{call_sites, loop_bodies};
-use crate::rules::{ident, punct, Finding};
+use crate::rules::Finding;
 use crate::summaries::alloc_sites;
 
 /// Identifier of the allocation-on-hot-path rule.
@@ -39,30 +39,8 @@ pub const SCRATCH_BEFORE_READ: &str = "scratch-before-read";
 /// Identifier of the sparsity-pattern-rebuilt-per-batch rule.
 pub const PATTERN_REBUILD_IN_LOOP: &str = "pattern-rebuild-in-loop";
 
-/// The rules owned by `subfed-lint analyze` (vs `check`); `check`'s
-/// stale-allow audit ignores directives naming these. The three hot-path
-/// rules live here; the four concurrency rules in [`crate::locks`], the
-/// four determinism rules in [`crate::taint`], the three totality rules
-/// in [`crate::totality`].
-pub const ANALYZE_RULES: [&str; 14] = [
-    HOT_PATH_ALLOC,
-    SCRATCH_BEFORE_READ,
-    PATTERN_REBUILD_IN_LOOP,
-    crate::locks::RAW_LOCK_UNWRAP,
-    crate::locks::LOCK_ORDER,
-    crate::locks::ALLOC_UNDER_LOCK,
-    crate::locks::GUARD_ACROSS_SPAWN,
-    crate::taint::UNSEEDED_RNG,
-    crate::taint::SEED_COLLISION,
-    crate::taint::WALLCLOCK_TAINT,
-    crate::taint::ORDER_SENSITIVE_FOLD,
-    crate::totality::PANIC_REACHABLE,
-    crate::totality::ARITH_OVERFLOW,
-    crate::totality::ERROR_SWALLOW,
-];
-
-/// Whether the hot-path rules apply to a file. The metrics crate is
-/// scanned by `analyze` for the concurrency rules only: its sinks sit on
+/// Whether the hot-path rules apply to a file. The other rules scan the
+/// metrics crate, but the hot-path rules skip it: its sinks sit on
 /// the *reporting* path, and the name-resolved over-approximation
 /// (`.len()`, `.record()` collisions) would otherwise drag them into the
 /// hot set and bury the kernel-path signal in telemetry noise.
@@ -187,7 +165,7 @@ fn check_scratch_before_read(
             continue;
         }
         let Some(name) = binding_name(toks, open, t) else { continue };
-        let args_close = matching_paren(toks, t + 1);
+        let args_close = matching(toks, t + 1);
         let mut j = args_close + 1;
         while j < close {
             if ident(&toks[j]) == Some(name) {
@@ -278,9 +256,9 @@ fn classify_use(toks: &[Token], i: usize) -> Use {
         }
         Some('[') => {
             // Skip chained index/range groups: `buf[a..][..k]`.
-            let mut b = matching_bracket(toks, i + 1);
+            let mut b = matching(toks, i + 1);
             while toks.get(b + 1).and_then(punct) == Some('[') {
-                b = matching_bracket(toks, b + 1);
+                b = matching(toks, b + 1);
             }
             let after = toks.get(b + 1).and_then(punct);
             let after2 = toks.get(b + 2).and_then(punct);
@@ -306,44 +284,6 @@ fn classify_use(toks: &[Token], i: usize) -> Use {
         }
         _ => Use::Read("used by value"),
     }
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    toks.get(i).and_then(ident)
-}
-
-fn matching_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-fn matching_bracket(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('[') => depth += 1,
-            Some(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 #[cfg(test)]

@@ -48,6 +48,14 @@ pub struct AllowDirective {
     pub rules: Vec<String>,
 }
 
+impl AllowDirective {
+    /// Whether the directive covers a `rule` finding on `line`: it must
+    /// name the rule and sit on that line or the line above.
+    pub fn covers(&self, line: usize, rule: &str) -> bool {
+        (self.line == line || self.line + 1 == line) && self.rules.iter().any(|r| r == rule)
+    }
+}
+
 /// What a `// lint: hot` / `// lint: cold` / `// lint: total` marker says
 /// about the function it annotates (the `fn` on the same line or the line
 /// below).
@@ -365,6 +373,59 @@ fn parse_marker(comment: &str, line: usize) -> Option<Marker> {
     }
 }
 
+/// The identifier a token spells, if it is one.
+pub(crate) fn ident(t: &Token) -> Option<&str> {
+    match &t.kind {
+        TokenKind::Ident(s) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+/// The punctuation character a token is, if it is one.
+pub(crate) fn punct(t: &Token) -> Option<char> {
+    match t.kind {
+        TokenKind::Punct(c) => Some(c),
+        _ => None,
+    }
+}
+
+/// [`ident`] of the token at `i`; `None` past the end.
+pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+    toks.get(i).and_then(ident)
+}
+
+/// [`punct`] of the token at `i`; `None` past the end.
+pub(crate) fn punct_at(toks: &[Token], i: usize) -> Option<char> {
+    toks.get(i).and_then(punct)
+}
+
+/// Index of the token closing the `(`, `[` or `{` at `open`, counting
+/// only that delimiter pair. An unclosed group, or an `open` that holds
+/// none of the three, runs to the last token.
+pub(crate) fn matching(toks: &[Token], open: usize) -> usize {
+    let last = toks.len().saturating_sub(1);
+    let (lo, hi) = match punct_at(toks, open) {
+        Some('(') => ('(', ')'),
+        Some('[') => ('[', ']'),
+        Some('{') => ('{', '}'),
+        _ => return last,
+    };
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        match punct(t) {
+            Some(c) if c == lo => depth += 1,
+            Some(c) if c == hi => {
+                depth -= 1;
+                if depth == 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+    }
+    last
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,11 +509,11 @@ mod tests {
 
     #[test]
     fn allow_directives_are_captured() {
-        let src = "foo(); // lint: allow(no-unwrap, float-eq)\nbar();\n// lint: allow(unchecked-index)\nbaz();\n";
+        let src = "foo(); // lint: allow(must-use-result, float-eq)\nbar();\n// lint: allow(unchecked-index)\nbaz();\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].rules, vec!["no-unwrap", "float-eq"]);
+        assert_eq!(lexed.allows[0].rules, vec!["must-use-result", "float-eq"]);
         assert_eq!(lexed.allows[1].line, 3);
         assert_eq!(lexed.allows[1].rules, vec!["unchecked-index"]);
     }
@@ -508,11 +569,11 @@ mod tests {
         // The lexer reports every directive; exempting test modules is the
         // rule engine's job (it needs the token ranges to decide).
         let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); } // lint: allow(no-unwrap)\n}\n";
+            "#[cfg(test)]\nmod tests {\n    fn t() { if x == 0.5 {} } // lint: allow(float-eq)\n}\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
         assert_eq!(lexed.allows[0].line, 3);
-        assert_eq!(lexed.allows[0].rules, vec!["no-unwrap"]);
+        assert_eq!(lexed.allows[0].rules, vec!["float-eq"]);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! # subfed-lint
 //!
-//! In-repo analysis for the Sub-FedAvg workspace, in two halves:
+//! In-repo analysis for the Sub-FedAvg workspace:
 //!
-//! * **`check`** — dependency-free static analysis: a Rust lexer
-//!   ([`lexer`]) plus a rule engine ([`rules`], [`scope`]) that reports
-//!   federated-learning-specific hazards the compiler cannot see;
-//! * **`analyze`** — dataflow-powered hot-path and concurrency
-//!   analysis: a lightweight parser ([`parser`]), a workspace-wide call
-//!   graph with hot-entry reachability ([`callgraph`]), the dataflow
-//!   rules ([`dataflow`]) that defend the PR-4 performance contracts,
-//!   bottom-up function summaries ([`summaries`]), the interprocedural
-//!   lock-order / held-region rules ([`locks`]), the determinism
-//!   taint rules ([`taint`]) that defend the replay-identity gate, and
-//!   the totality rules ([`totality`]) that prove the decode→fold spine
-//!   panic-free;
+//! * **`check`** — dependency-free static analysis over one parse of
+//!   the five scanned crates ([`walk::CRATES`]): a Rust lexer
+//!   ([`lexer`]) and a lightweight parser ([`parser`]) feed the token
+//!   and scope rules ([`rules`], [`scope`]) that report
+//!   federated-learning-specific hazards the compiler cannot see, and a
+//!   workspace-wide call graph with hot-entry reachability
+//!   ([`callgraph`]) feeds the dataflow rules ([`dataflow`]) that defend
+//!   the PR-4 performance contracts, bottom-up function summaries
+//!   ([`summaries`]), the interprocedural lock-order / held-region rules
+//!   ([`locks`]), the determinism taint rules ([`taint`]) that defend the
+//!   replay-identity gate, and the totality rules ([`totality`]) that
+//!   prove the decode→fold spine panic-free. One suppression pass and
+//!   one stale-directive audit cover every rule ([`check`]);
 //! * **`certify`** — the totality walk condensed into a per-entry
 //!   panic-freedom certificate ([`totality::certify`]), diffed in CI
 //!   against the committed `CERTIFIED.json`;
@@ -23,7 +24,6 @@
 //!
 //! | Rule | Hazard |
 //! |---|---|
-//! | `no-unwrap` | `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code — one client's malformed update must not abort the federation |
 //! | `float-eq` | `==`/`!=` against float literals — a NaN accuracy or Δ silently falls through every equality gate |
 //! | `unchecked-index` | direct `buf[i]` indexing of mask/param/weight buffers — shape conformance should be checked once, not per access |
 //! | `must-use-result` | `pub fn … -> Result` without `#[must_use]` — dropped errors are how masks and models drift apart |
@@ -32,7 +32,6 @@
 //! | `hot-path-alloc` | *(dataflow)* an allocation in code reachable from a hot entry point — per-batch allocator traffic |
 //! | `scratch-before-read` | *(dataflow)* a `take_scratch` buffer read before any full write — stale contents leak into results |
 //! | `pattern-rebuild-in-loop` | *(dataflow)* `RowPattern`/`RectPattern` built inside a hot loop — a once-per-round artifact paid per batch |
-//! | `raw-lock-unwrap` | *(concurrency)* `.lock().unwrap()` and friends — poisoning policy must flow through `subfed_metrics::sync`, not panic |
 //! | `lock-order` | *(concurrency)* a cycle in the workspace lock-order graph — two threads interleaving the witness chains can deadlock |
 //! | `alloc-under-lock` | *(concurrency)* an allocation (direct or via a callee) inside a critical section — lock hold times balloon under contention |
 //! | `guard-across-spawn` | *(concurrency)* a guard held across `spawn`/`thread::scope`/`join()`/`recv()` or a lock-acquiring loop — workers contend on or deadlock against the held lock |
@@ -47,18 +46,25 @@
 //!
 //! Suppress an intentional occurrence with `// lint: allow(rule-id)` on
 //! the same line or the line above (stale allows are themselves flagged).
+//!
+//! `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in library code
+//! (one client's malformed update must not abort the federation) are
+//! clippy's: the root `Cargo.toml` denies `clippy::{unwrap_used,
+//! expect_used, panic, todo, unimplemented}` in `[workspace.lints.clippy]`,
+//! the five scanned crates inherit it, `clippy.toml` exempts test code,
+//! and an intentional site carries `#[expect(clippy::…, reason = "…")]`.
+//!
 //! Rule catalog, allow syntax, and CI wiring: `docs/STATIC_ANALYSIS.md`.
 //! The round-protocol spec and its predicate table: `docs/PROTOCOL.md`.
 //!
 //! Run it with `cargo run -p subfed-lint -- check`,
-//! `cargo run -p subfed-lint -- analyze`,
 //! `cargo run -p subfed-lint -- certify`, or
 //! `cargo run -p subfed-lint -- conform trace.jsonl`.
 
 #![forbid(unsafe_code)]
 
-pub mod analyze;
 pub mod callgraph;
+pub mod check;
 pub mod conform;
 pub mod dataflow;
 pub mod lexer;
@@ -72,17 +78,14 @@ pub mod taint;
 pub mod totality;
 pub mod walk;
 
-pub use analyze::{analyze_sources, analyze_workspace};
+pub use check::{check_sources, check_workspace, Report};
 pub use conform::{verify_events, verify_reader, verify_replay_pair, ConformReport};
-pub use dataflow::ANALYZE_RULES;
 pub use locks::{lock_findings, LockGraph};
-pub use rules::{analyze_source, Finding, ALL_RULES};
+pub use rules::{Finding, ALL_RULES};
 pub use spec::{replay_identity, ProtocolSpec, Violation};
 pub use summaries::Summaries;
 pub use totality::{
     certify, certify_workspace, render_certificates_json, totality_findings, EntryCertificate,
     TOTAL_ENTRIES,
 };
-pub use walk::{
-    check_workspace, crate_sources, find_workspace_root, Report, ANALYZE_CRATES, TARGET_CRATES,
-};
+pub use walk::{find_workspace_root, parse_workspace, CRATES};

@@ -1,6 +1,6 @@
 //! Lock-site extraction, lock-identity resolution, the workspace-wide
-//! lock-order graph, and the four concurrency rules of
-//! `subfed-lint analyze`.
+//! lock-order graph, and the three concurrency rules of
+//! `subfed-lint check`.
 //!
 //! # Acquisitions and identities
 //!
@@ -28,18 +28,19 @@
 //!
 //! # Held regions
 //!
-//! A guard bound by `let g = <acquisition>;` (optionally through the
-//! `.unwrap()`/`.expect(…)` that `raw-lock-unwrap` flags) is live from
-//! the acquisition to the end of the innermost enclosing block, or to an
-//! explicit `drop(g)`. An unbound (temporary) guard is live to the end of
+//! A guard bound by `let g = <acquisition>;` (optionally through an
+//! `.unwrap()`/`.expect(…)`, which clippy rejects in library code) is
+//! live from the acquisition to the end of the innermost enclosing block,
+//! or to an explicit `drop(g)`. An unbound (temporary) guard is live to the end of
 //! its statement. Both are conservative over-approximations of the
 //! borrow checker's real drop points — fine for a hazard filter.
 //!
-//! # The four rules
+//! # The three rules
 //!
-//! * [`RAW_LOCK_UNWRAP`] — a lock result meeting a bare
-//!   `.unwrap()`/`.expect(…)`; route it through
-//!   `subfed_metrics::sync::lock_unpoisoned` instead.
+//! (A lock result meeting a bare `.unwrap()`/`.expect(…)` is clippy's
+//! `unwrap_used`/`expect_used`, denied in every scanned crate; route it
+//! through `subfed_metrics::sync::lock_unpoisoned` instead.)
+//!
 //! * [`ALLOC_UNDER_LOCK`] — an allocation shape (see
 //!   [`crate::summaries::alloc_sites`]) directly or transitively inside a
 //!   held region.
@@ -53,14 +54,12 @@
 //!   (locking `shards[i]` in ascending `i`) stays legal.
 
 use crate::callgraph::{resolve, CallGraph, SourceFile};
-use crate::lexer::Token;
+use crate::lexer::{ident, ident_at, matching, punct, punct_at, Token};
 use crate::parser::{call_sites, loop_bodies, CallSite, FnDef};
-use crate::rules::{ident, punct, Finding};
+use crate::rules::Finding;
 use crate::summaries::{alloc_sites, spawn_shape, sync_block_shape, Summaries};
 use std::collections::BTreeSet;
 
-/// Identifier of the bare-unwrap-on-lock-result rule.
-pub const RAW_LOCK_UNWRAP: &str = "raw-lock-unwrap";
 /// Identifier of the lock-order-cycle rule.
 pub const LOCK_ORDER: &str = "lock-order";
 /// Identifier of the allocation-while-locked rule.
@@ -287,21 +286,7 @@ fn path_after(toks: &[Token], start: usize, hi: usize) -> Vec<String> {
             k += 3;
         } else if punct_at(toks, k + 1) == Some('[') {
             // Index group, then optionally more path: `shards[i].lock`.
-            let mut depth = 0i32;
-            let mut j = k + 1;
-            while j <= hi {
-                match punct_at(toks, j) {
-                    Some('[') => depth += 1,
-                    Some(']') => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
+            let j = matching(toks, k + 1);
             if punct_at(toks, j + 1) == Some('.') {
                 k = j + 2;
             } else {
@@ -316,16 +301,15 @@ fn path_after(toks: &[Token], start: usize, hi: usize) -> Vec<String> {
 
 /// The token span a guard from the acquisition at `call` is live over.
 fn guard_region(toks: &[Token], call: &CallSite, open: usize, close: usize) -> (usize, usize) {
-    // The argument list of the acquiring call.
-    let args_open = call.idx + 1;
-    let mut after = matching_paren(toks, args_open) + 1;
+    // Past the argument list of the acquiring call.
+    let mut after = matching(toks, call.open) + 1;
     // `.unwrap()` / `.expect(…)` chained on the lock result still yields
-    // the guard (and is what `raw-lock-unwrap` flags).
+    // the guard.
     if punct_at(toks, after) == Some('.')
         && matches!(ident_at(toks, after + 1), Some("unwrap") | Some("expect"))
         && punct_at(toks, after + 2) == Some('(')
     {
-        after = matching_paren(toks, after + 2) + 1;
+        after = matching(toks, after + 2) + 1;
     }
     let binding = binding_of(toks, open, call.idx);
     let bound = binding.is_some() && punct_at(toks, after) == Some(';');
@@ -597,7 +581,7 @@ fn resolve_call(
     )
 }
 
-/// Runs all four concurrency rules over the parsed workspace.
+/// Runs the three concurrency rules over the parsed workspace.
 /// Suppression is the caller's job (it needs the per-file directives).
 pub fn lock_findings(
     files: &[SourceFile],
@@ -605,11 +589,6 @@ pub fn lock_findings(
     summaries: &Summaries,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-
-    for file in files {
-        raw_lock_unwrap(file, &mut out);
-    }
-
     let lg = LockGraph::build(files, graph, summaries);
     for cycle in lg.cycles() {
         let mut clauses = Vec::new();
@@ -828,67 +807,6 @@ fn region_rules(
     }
 }
 
-/// Token-level scan for `.lock().unwrap()`-shaped poison bombs.
-fn raw_lock_unwrap(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
-    for i in 1..toks.len() {
-        if file.in_tests(i) {
-            continue;
-        }
-        let Some(name) = ident(&toks[i]) else { continue };
-        if !(GUARD_METHODS.contains(&name) || name == "into_inner") {
-            continue;
-        }
-        if punct_at(toks, i - 1) != Some('.')
-            || punct_at(toks, i + 1) != Some('(')
-            || punct_at(toks, i + 2) != Some(')')
-            || punct_at(toks, i + 3) != Some('.')
-        {
-            continue;
-        }
-        let Some(u) = ident_at(toks, i + 4) else { continue };
-        if !matches!(u, "unwrap" | "expect") || punct_at(toks, i + 5) != Some('(') {
-            continue;
-        }
-        out.push(Finding {
-            file: file.label.clone(),
-            line: toks[i + 4].line,
-            rule: RAW_LOCK_UNWRAP,
-            message: format!(
-                "`.{name}().{u}(…)` panics if the lock is poisoned; route the result \
-                 through `subfed_metrics::sync::lock_unpoisoned`/`into_inner_unpoisoned` \
-                 so the workspace poisoning policy stays in one place"
-            ),
-            suppressed: false,
-        });
-    }
-}
-
-fn matching_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    toks.get(i).and_then(ident)
-}
-
-fn punct_at(toks: &[Token], i: usize) -> Option<char> {
-    toks.get(i).and_then(punct)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,10 +816,6 @@ mod tests {
         let graph = CallGraph::build(&files);
         let summaries = Summaries::build(&files, &graph);
         lock_findings(&files, &graph, &summaries)
-    }
-
-    fn rules_of(fs: &[Finding]) -> Vec<&'static str> {
-        fs.iter().map(|f| f.rule).collect()
     }
 
     fn acquisitions(src: &str) -> Vec<Acquisition> {
@@ -948,18 +862,6 @@ mod tests {
         let toks = &file.lexed.tokens;
         let drop_idx = toks.iter().position(|t| ident(t) == Some("drop")).unwrap();
         assert_eq!(acqs[0].region.1, drop_idx, "region must end at drop(g)");
-    }
-
-    #[test]
-    fn raw_lock_unwrap_flags_bare_unwrap_and_expect_only() {
-        let fs = run("fn f(m: &Mutex<V>) {\n\
-                      let a = m.lock().unwrap();\n\
-                      let b = m.lock().expect(\"poisoned\");\n\
-                      let c = lock_unpoisoned(m);\n\
-                      let d = m.into_inner().unwrap_or_else(e);\n\
-                      }");
-        assert_eq!(rules_of(&fs), vec![RAW_LOCK_UNWRAP, RAW_LOCK_UNWRAP], "{fs:?}");
-        assert!(fs[0].message.contains("lock_unpoisoned"));
     }
 
     #[test]

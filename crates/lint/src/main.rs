@@ -2,22 +2,21 @@
 //!
 //! ```text
 //! subfed-lint check [--root DIR] [--format text|json]   # exit 1 on findings
-//! subfed-lint analyze [--root DIR] [--format text|json] # dataflow rules
 //! subfed-lint certify [--root DIR] [--json]             # panic-freedom certificate
 //! subfed-lint conform [FILE [FILE2]] [--format text|json] # verify JSONL trace(s)
 //! subfed-lint rules                                     # print the catalog
 //! ```
 //!
-//! `check` runs the token/scope rules; `analyze` runs the call-graph
-//! dataflow rules (hot-path allocation freedom, the `take_scratch`
-//! write-before-read contract, per-batch pattern rebuilds), the
-//! interprocedural concurrency rules (raw lock unwraps, lock-order
-//! cycles, allocation under a held guard, guards held across
-//! spawn/join), the determinism taint rules (unseeded or colliding
-//! RNG seeds, wall-clock reads, arrival-order float folds), and the
-//! totality rules (panic sources, overflow-prone length math, and
-//! swallowed errors on the certified-total paths). Both exit 1 on
-//! unsuppressed findings.
+//! `check` parses the scanned crates once and runs every rule over that
+//! parse: the token/scope rules, the call-graph dataflow rules
+//! (hot-path allocation freedom, the `take_scratch` write-before-read
+//! contract, per-batch pattern rebuilds), the interprocedural
+//! concurrency rules (lock-order cycles, allocation under a held guard,
+//! guards held across spawn/join), the determinism taint rules
+//! (unseeded or colliding RNG seeds, wall-clock reads, arrival-order
+//! float folds), and the totality rules (panic sources, overflow-prone
+//! length math, and swallowed errors on the certified-total paths). It
+//! exits 1 on unsuppressed findings.
 //!
 //! `certify` condenses the totality walk into the per-entry
 //! panic-freedom certificate: one line (or JSON object) per entry in
@@ -39,12 +38,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use subfed_lint::rules::rule_description;
 use subfed_lint::{
-    analyze_workspace, certify_workspace, check_workspace, find_workspace_root,
-    render_certificates_json, verify_reader, verify_replay_pair, Report, ALL_RULES,
+    certify_workspace, check_workspace, find_workspace_root, render_certificates_json,
+    verify_reader, verify_replay_pair, ALL_RULES,
 };
 
 fn usage() -> &'static str {
-    "usage: subfed-lint <check|analyze|certify|conform|rules> [FILE [FILE2]] [--root DIR] \
+    "usage: subfed-lint <check|certify|conform|rules> [FILE [FILE2]] [--root DIR] \
      [--format text|json] [--json]"
 }
 
@@ -61,8 +60,7 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "check" => run_scan(&args[1..], check_workspace),
-        "analyze" => run_scan(&args[1..], analyze_workspace),
+        "check" => run_check(&args[1..]),
         "certify" => run_certify(&args[1..]),
         "conform" => run_conform(&args[1..]),
         other => {
@@ -188,7 +186,7 @@ fn workspace_root() -> Result<PathBuf, String> {
     find_workspace_root(&cwd)
 }
 
-fn run_scan(flags: &[String], scan: fn(&std::path::Path) -> Result<Report, String>) -> ExitCode {
+fn run_check(flags: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = "text".to_string();
     let mut it = flags.iter();
@@ -214,26 +212,14 @@ fn run_scan(flags: &[String], scan: fn(&std::path::Path) -> Result<Report, Strin
             }
         }
     }
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let cwd = match std::env::current_dir() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("cannot read current dir: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match find_workspace_root(&cwd) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let root = match root.map_or_else(workspace_root, Ok) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
         }
     };
-    let report = match scan(&root) {
+    let report = match check_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");

@@ -17,8 +17,7 @@
 //! unparsable construct degrades to "no item recovered", never an abort,
 //! because the linter must survive every file it scans.
 
-use crate::lexer::{Token, TokenKind};
-use crate::rules::{ident, matching_brace, punct};
+use crate::lexer::{ident, matching, punct, punct_at, Token, TokenKind};
 use crate::scope::{function_items, FnItem};
 
 /// One `fn` definition with its `impl` context.
@@ -57,6 +56,8 @@ pub struct CallSite {
     pub line: usize,
     /// Token index of the callee token.
     pub idx: usize,
+    /// Token index of the argument list's `(` (past any turbofish).
+    pub open: usize,
 }
 
 /// Parses one lexed file into its function definitions.
@@ -115,7 +116,7 @@ pub fn impl_ranges(toks: &[Token]) -> Vec<(String, usize, usize)> {
             j += 1;
         }
         if j < toks.len() && punct(&toks[j]) == Some('{') {
-            let close = matching_brace(toks, j);
+            let close = matching(toks, j);
             if let Some(name) = candidate {
                 out.push((name, j, close));
             }
@@ -204,6 +205,7 @@ pub fn call_sites(toks: &[Token], lo: usize, hi: usize) -> Vec<CallSite> {
             is_method,
             line: toks[i].line,
             idx: i,
+            open,
         });
         i += 1;
     }
@@ -259,14 +261,10 @@ pub fn loop_bodies(toks: &[Token], lo: usize, hi: usize) -> Vec<(usize, usize)> 
             continue;
         }
         if let Some(open) = open {
-            out.push((open, matching_brace(toks, open)));
+            out.push((open, matching(toks, open)));
         }
     }
     out
-}
-
-fn punct_at(toks: &[Token], i: usize) -> Option<char> {
-    toks.get(i).and_then(punct)
 }
 
 #[cfg(test)]

@@ -1,20 +1,16 @@
-//! The FL-specific rule catalog and the engine that applies it to one
-//! lexed file.
+//! The FL-specific rule catalog, the finding type every rule reports,
+//! and the token rules.
 //!
-//! Each token rule pattern-matches over the flat token stream from
-//! [`crate::lexer::lex`]; the scope-aware rules in [`crate::scope`] are
-//! run from here on the files they apply to. Findings inside
-//! `#[cfg(test)] mod … { … }` blocks are dropped (test code may unwrap
-//! freely), and a `// lint: allow(rule-id)` comment on the same line or
-//! the line above suppresses a finding while keeping it countable. After
-//! suppression, allow directives that suppressed nothing are reported as
-//! [`STALE_ALLOW`] — an audit of the escape hatch itself, which is why
-//! that rule can never be suppressed.
+//! Each token rule pattern-matches over the flat token stream of one
+//! [`SourceFile`]; the scope-aware rules in [`crate::scope`] are run
+//! from here on the files they apply to. Findings inside
+//! `#[cfg(test)] mod … { … }` blocks are dropped. Suppression and the
+//! [`STALE_ALLOW`] audit happen once for every rule, in
+//! [`crate::check`].
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::callgraph::SourceFile;
+use crate::lexer::{ident, matching, punct, Token, TokenKind};
 
-/// Identifier of the panicking-call rule.
-pub const NO_UNWRAP: &str = "no-unwrap";
 /// Identifier of the float-equality rule.
 pub const FLOAT_EQ: &str = "float-eq";
 /// Identifier of the mask/weight-buffer indexing rule.
@@ -26,11 +22,10 @@ pub const STALE_ALLOW: &str = "stale-allow";
 
 /// Every rule id, in reporting order (the two scope-aware rules live in
 /// [`crate::scope`], the three hot-path dataflow rules in
-/// [`crate::dataflow`], the four concurrency rules in [`crate::locks`],
+/// [`crate::dataflow`], the three concurrency rules in [`crate::locks`],
 /// the four determinism rules in [`crate::taint`], the three totality
 /// rules in [`crate::totality`]).
-pub const ALL_RULES: [&str; 21] = [
-    NO_UNWRAP,
+pub const ALL_RULES: [&str; 19] = [
     FLOAT_EQ,
     UNCHECKED_INDEX,
     MUST_USE_RESULT,
@@ -39,7 +34,6 @@ pub const ALL_RULES: [&str; 21] = [
     crate::dataflow::HOT_PATH_ALLOC,
     crate::dataflow::SCRATCH_BEFORE_READ,
     crate::dataflow::PATTERN_REBUILD_IN_LOOP,
-    crate::locks::RAW_LOCK_UNWRAP,
     crate::locks::LOCK_ORDER,
     crate::locks::ALLOC_UNDER_LOCK,
     crate::locks::GUARD_ACROSS_SPAWN,
@@ -56,10 +50,6 @@ pub const ALL_RULES: [&str; 21] = [
 /// One-line description of a rule, for `subfed-lint rules`.
 pub fn rule_description(rule: &str) -> &'static str {
     match rule {
-        NO_UNWRAP => {
-            "unwrap()/expect()/panic!/todo!/unimplemented! in library code; \
-             propagate a typed error or justify with an allow comment"
-        }
         FLOAT_EQ => {
             "== or != against a float literal; NaN never compares equal, use \
              total_cmp/epsilon or an is-kept helper for mask bits"
@@ -88,10 +78,6 @@ pub fn rule_description(rule: &str) -> &'static str {
         rule if rule == crate::dataflow::PATTERN_REBUILD_IN_LOOP => {
             "RowPattern/RectPattern built inside a loop on the hot path; \
              patterns are once-per-round artifacts, build at install time"
-        }
-        rule if rule == crate::locks::RAW_LOCK_UNWRAP => {
-            "a lock result meets a bare .unwrap()/.expect(); route it \
-             through subfed_metrics::sync::lock_unpoisoned instead"
         }
         rule if rule == crate::locks::LOCK_ORDER => {
             "a cycle in the derived lock-order graph; interleaved threads \
@@ -176,7 +162,8 @@ impl Finding {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal.
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -191,84 +178,23 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Analyzes one file's source, returning all findings (suppressed ones
-/// included, flagged). `skip_entirely` short-circuits files that are
-/// test-only modules of their crate.
-pub fn analyze_source(file_label: &str, source: &str) -> Vec<Finding> {
-    let lexed = lex(source);
-    let test_ranges = test_module_ranges(&lexed.tokens);
+/// The token and scope rules' findings for one file, unsuppressed; test
+/// modules are skipped.
+pub fn token_findings(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let in_tests = |idx: usize| test_ranges.iter().any(|&(lo, hi)| idx >= lo && idx <= hi);
-
-    let toks = &lexed.tokens;
+    let toks = &file.lexed.tokens;
     for i in 0..toks.len() {
-        if in_tests(i) {
+        if file.in_tests(i) {
             continue;
         }
-        check_no_unwrap(file_label, toks, i, &mut findings);
-        check_float_eq(file_label, toks, i, &mut findings);
-        check_unchecked_index(file_label, toks, i, &mut findings);
-        check_must_use(file_label, toks, i, &mut findings);
+        check_float_eq(&file.label, toks, i, &mut findings);
+        check_unchecked_index(&file.label, toks, i, &mut findings);
+        check_must_use(&file.label, toks, i, &mut findings);
     }
-    if crate::scope::applies_to(file_label) {
-        findings.extend(crate::scope::scope_rules(file_label, toks, &test_ranges));
-    }
-
-    for f in &mut findings {
-        f.suppressed = lexed.allows.iter().any(|a| {
-            (a.line == f.line || a.line + 1 == f.line) && a.rules.iter().any(|r| r == f.rule)
-        });
-    }
-
-    // Stale-suppression audit: every allow directive must still earn its
-    // keep by silencing at least one real finding at its site. Directives
-    // inside `#[cfg(test)] mod` blocks are exempt (their findings were
-    // never computed), and `stale-allow` findings are appended after the
-    // suppression pass, so they can never be allowed away.
-    let test_lines: Vec<(usize, usize)> =
-        test_ranges.iter().map(|&(lo, hi)| (toks[lo].line, toks[hi].line)).collect();
-    for a in &lexed.allows {
-        if test_lines.iter().any(|&(lo, hi)| a.line >= lo && a.line <= hi) {
-            continue;
-        }
-        for rule in &a.rules {
-            // Directives for the dataflow rules are judged by `subfed-lint
-            // analyze` (which computes the findings they could suppress),
-            // not here.
-            if crate::dataflow::ANALYZE_RULES.contains(&rule.as_str()) {
-                continue;
-            }
-            let earns_keep = findings
-                .iter()
-                .any(|f| f.rule == rule.as_str() && (a.line == f.line || a.line + 1 == f.line));
-            if !earns_keep {
-                findings.push(Finding {
-                    file: file_label.to_string(),
-                    line: a.line,
-                    rule: STALE_ALLOW,
-                    message: format!(
-                        "allow({rule}) suppresses nothing here; remove the stale directive"
-                    ),
-                    suppressed: false,
-                });
-            }
-        }
+    if crate::scope::applies_to(&file.label) {
+        findings.extend(crate::scope::scope_rules(file));
     }
     findings
-}
-
-pub(crate) fn ident(t: &Token) -> Option<&str> {
-    match &t.kind {
-        TokenKind::Ident(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-pub(crate) fn punct(t: &Token) -> Option<char> {
-    match t.kind {
-        TokenKind::Punct(c) => Some(c),
-        _ => None,
-    }
 }
 
 /// Token-index ranges covered by `#[cfg(test)] mod … { … }` blocks.
@@ -282,13 +208,13 @@ pub(crate) fn test_module_ranges(toks: &[Token]) -> Vec<(usize, usize)> {
             while toks.get(j).and_then(punct) == Some('#')
                 && toks.get(j + 1).and_then(punct) == Some('[')
             {
-                j = skip_attr(toks, j);
+                j = matching(toks, j + 1) + 1;
             }
             // `mod name { … }` (a `mod name;` declaration has no body here).
             if toks.get(j).and_then(ident) == Some("mod") && j + 2 < toks.len() {
                 let k = j + 2;
                 if punct(&toks[k]) == Some('{') {
-                    let close = matching_brace(toks, k);
+                    let close = matching(toks, k);
                     out.push((i, close));
                     i = close + 1;
                     continue;
@@ -319,9 +245,7 @@ fn is_cfg_test_attr(toks: &[Token], i: usize) -> bool {
 
 /// Names of modules declared `#[cfg(test)] mod name;` — their backing
 /// files are entirely test code.
-pub fn cfg_test_mod_decls(source: &str) -> Vec<String> {
-    let lexed = lex(source);
-    let toks = &lexed.tokens;
+pub fn cfg_test_mod_decls(toks: &[Token]) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < toks.len() {
@@ -336,7 +260,7 @@ pub fn cfg_test_mod_decls(source: &str) -> Vec<String> {
                     && j + 1 < toks.len()
                     && punct(&toks[j + 1]) == Some('[')
                 {
-                    j = skip_attr(toks, j);
+                    j = matching(toks, j + 1) + 1;
                 } else if ident(&toks[j]) == Some("pub") {
                     j += 1;
                     if j < toks.len() && punct(&toks[j]) == Some('(') {
@@ -361,75 +285,6 @@ pub fn cfg_test_mod_decls(source: &str) -> Vec<String> {
         i += 1;
     }
     out
-}
-
-/// Index just past a `#[…]` attribute starting at `i` (which must point
-/// at the `#`).
-fn skip_attr(toks: &[Token], i: usize) -> usize {
-    let mut depth = 0;
-    let mut j = i + 1;
-    while j < toks.len() {
-        match punct(&toks[j]) {
-            Some('[') => depth += 1,
-            Some(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
-/// Index of the `}` matching the `{` at `open`.
-pub(crate) fn matching_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('{') => depth += 1,
-            Some('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
-
-fn check_no_unwrap(file: &str, toks: &[Token], i: usize, out: &mut Vec<Finding>) {
-    let Some(name) = ident(&toks[i]) else { return };
-    let prev = i.checked_sub(1).map(|p| &toks[p]);
-    let next = toks.get(i + 1);
-    if (name == "unwrap" || name == "expect")
-        && prev.and_then(punct) == Some('.')
-        && next.and_then(punct) == Some('(')
-    {
-        out.push(Finding {
-            file: file.to_string(),
-            line: toks[i].line,
-            rule: NO_UNWRAP,
-            message: format!(".{name}() can panic; propagate a typed error instead"),
-            suppressed: false,
-        });
-    } else if PANIC_MACROS.contains(&name) && next.and_then(punct) == Some('!') {
-        // `debug_assert!`-style macros and `#[should_panic]` are fine;
-        // only the direct macros are flagged.
-        out.push(Finding {
-            file: file.to_string(),
-            line: toks[i].line,
-            rule: NO_UNWRAP,
-            message: format!("{name}! in library code; return an error or justify"),
-            suppressed: false,
-        });
-    }
 }
 
 fn check_float_eq(file: &str, toks: &[Token], i: usize, out: &mut Vec<Finding>) {
@@ -622,34 +477,20 @@ fn has_preceding_must_use(toks: &[Token], mut i: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_sources;
+    use crate::lexer::lex;
+
+    fn all(src: &str) -> Vec<Finding> {
+        check_sources(&[("fixture.rs".to_string(), src.to_string())])
+    }
 
     fn unsuppressed(src: &str) -> Vec<Finding> {
-        analyze_source("fixture.rs", src).into_iter().filter(|f| !f.suppressed).collect()
-    }
-
-    #[test]
-    fn flags_unwrap_expect_and_panic_macros() {
-        let src = "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"no\"); todo!(); }";
-        let fs = unsuppressed(src);
-        assert_eq!(fs.len(), 4);
-        assert!(fs.iter().all(|f| f.rule == NO_UNWRAP));
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_not_flagged() {
-        let src = "fn f() { x.unwrap_or(0); x.unwrap_or_else(|| 1); x.unwrap_or_default(); }";
-        assert!(unsuppressed(src).is_empty());
-    }
-
-    #[test]
-    fn debug_assert_and_should_panic_are_not_flagged() {
-        let src = "#[should_panic(expected = \"boom\")]\nfn f() { debug_assert!(x > 0); assert_eq!(a, b); }";
-        assert!(unsuppressed(src).is_empty());
+        all(src).into_iter().filter(|f| !f.suppressed).collect()
     }
 
     #[test]
     fn test_modules_are_exempt() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x.unwrap(); panic!(); }\n}\nfn lib2() { y.unwrap(); }";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { if x == 0.5 {} if 1.0 != y {} }\n}\nfn lib2() { if y == 0.5 {} }";
         let fs = unsuppressed(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].line, 7);
@@ -657,8 +498,8 @@ mod tests {
 
     #[test]
     fn allow_comment_suppresses_same_and_next_line() {
-        let src = "fn f() {\n  x.unwrap(); // lint: allow(no-unwrap)\n  // lint: allow(no-unwrap)\n  y.unwrap();\n  z.unwrap();\n}";
-        let all = analyze_source("fixture.rs", src);
+        let src = "fn f() {\n  if x == 0.5 {} // lint: allow(float-eq)\n  // lint: allow(float-eq)\n  if y == 0.5 {}\n  if z == 0.5 {}\n}";
+        let all = all(src);
         let suppressed: Vec<_> = all.iter().filter(|f| f.suppressed).collect();
         let live: Vec<_> = all.iter().filter(|f| !f.suppressed).collect();
         assert_eq!(suppressed.len(), 2);
@@ -668,28 +509,28 @@ mod tests {
 
     #[test]
     fn allow_of_other_rule_does_not_suppress() {
-        let src = "fn f() { x.unwrap(); } // lint: allow(float-eq)";
+        let src = "fn f() { if x == 0.5 {} } // lint: allow(unchecked-index)";
         let fs = unsuppressed(src);
-        // The unwrap stays live, and the useless directive is itself
+        // The comparison stays live, and the useless directive is itself
         // flagged by the stale-suppression audit.
         assert_eq!(fs.len(), 2, "{fs:?}");
-        assert!(fs.iter().any(|f| f.rule == NO_UNWRAP));
+        assert!(fs.iter().any(|f| f.rule == FLOAT_EQ));
         assert!(fs.iter().any(|f| f.rule == STALE_ALLOW));
     }
 
     #[test]
     fn stale_allow_is_flagged_and_live_allow_is_not() {
-        let src = "fn f() {\n  x.unwrap(); // lint: allow(no-unwrap)\n  y.ok(); // lint: allow(no-unwrap)\n}";
+        let src = "fn f() {\n  if x == 0.5 {} // lint: allow(float-eq)\n  y.ok(); // lint: allow(float-eq)\n}";
         let fs = unsuppressed(src);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].rule, STALE_ALLOW);
         assert_eq!(fs[0].line, 3);
-        assert!(fs[0].message.contains("allow(no-unwrap)"));
+        assert!(fs[0].message.contains("allow(float-eq)"));
     }
 
     #[test]
     fn stale_allow_cannot_be_suppressed() {
-        let src = "fn f() {\n  // lint: allow(stale-allow)\n  x.ok(); // lint: allow(no-unwrap)\n}";
+        let src = "fn f() {\n  // lint: allow(stale-allow)\n  x.ok(); // lint: allow(float-eq)\n}";
         let fs = unsuppressed(src);
         // Both directives are stale: the first allows a rule that never
         // fires (and could not be silenced even by itself), the second
@@ -708,7 +549,7 @@ mod tests {
 
     #[test]
     fn allow_inside_cfg_test_module_is_exempt_from_the_audit() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() {\n    x.unwrap(); // lint: allow(no-unwrap)\n  }\n}";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() {\n    if x == 0.5 {} // lint: allow(float-eq)\n  }\n}";
         // The directive suppresses nothing (test findings are never
         // computed) but sits inside the test module, so it is not stale.
         assert!(unsuppressed(src).is_empty(), "{:?}", unsuppressed(src));
@@ -779,7 +620,7 @@ mod tests {
     #[test]
     fn cfg_test_mod_decl_detection() {
         let src = "#[cfg(test)]\npub(crate) mod tests_support;\nmod real;\n";
-        assert_eq!(cfg_test_mod_decls(src), vec!["tests_support".to_string()]);
+        assert_eq!(cfg_test_mod_decls(&lex(src).tokens), vec!["tests_support".to_string()]);
     }
 
     #[test]
@@ -787,11 +628,11 @@ mod tests {
         let f = Finding {
             file: "a.rs".into(),
             line: 3,
-            rule: NO_UNWRAP,
+            rule: FLOAT_EQ,
             message: "msg with \"quotes\"".into(),
             suppressed: false,
         };
-        assert_eq!(f.render(), "a.rs:3: [no-unwrap] msg with \"quotes\"");
+        assert_eq!(f.render(), "a.rs:3: [float-eq] msg with \"quotes\"");
         assert!(f.to_json().contains("\\\"quotes\\\""));
     }
 }

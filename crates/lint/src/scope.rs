@@ -23,8 +23,9 @@
 //!
 //! [`Tracer`]: subfed_metrics::trace::Tracer
 
-use crate::lexer::{Token, TokenKind};
-use crate::rules::{ident, matching_brace, punct, Finding};
+use crate::callgraph::SourceFile;
+use crate::lexer::{ident, matching, punct, Token, TokenKind};
+use crate::rules::Finding;
 
 /// Identifier of the mask-mutated-after-upload rule.
 pub const MASK_MUTATION_AFTER_UPLOAD: &str = "mask-mutation-after-upload";
@@ -124,7 +125,7 @@ pub fn function_items(toks: &[Token]) -> Vec<FnItem> {
             i += 1;
             continue;
         }
-        let close_paren = matching_paren(toks, j);
+        let close_paren = matching(toks, j);
         let (has_self, params) = parse_params(&toks[j + 1..close_paren]);
         // Find the body `{` (or `;` for a bodiless declaration). The
         // return type may contain `<…>` but never a brace; an array type
@@ -138,7 +139,7 @@ pub fn function_items(toks: &[Token]) -> Vec<FnItem> {
                 Some('[') => bracket += 1,
                 Some(']') => bracket -= 1,
                 Some('{') => {
-                    body = Some((k, matching_brace(toks, k)));
+                    body = Some((k, matching(toks, k)));
                     break;
                 }
                 Some(';') if bracket == 0 => break,
@@ -186,42 +187,6 @@ fn has_pub_before(toks: &[Token], mut i: usize) -> bool {
         }
     }
     false
-}
-
-/// Index of the `)` matching the `(` at `open`.
-fn matching_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Index of the `]` matching the `[` at `open`.
-fn matching_bracket(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('[') => depth += 1,
-            Some(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// Splits a parameter-list token slice at top-level commas and parses
@@ -286,18 +251,18 @@ fn parse_params(toks: &[Token]) -> (bool, Vec<Param>) {
     (has_self, params)
 }
 
-/// Runs both scope rules over one file's tokens. `test_ranges` are the
-/// token-index spans of `#[cfg(test)] mod` blocks (their functions are
-/// exempt, like everywhere else in the linter).
-pub fn scope_rules(file: &str, toks: &[Token], test_ranges: &[(usize, usize)]) -> Vec<Finding> {
+/// Runs both scope rules over one parsed file; functions inside
+/// `#[cfg(test)] mod` blocks are exempt, like everywhere else in the
+/// linter.
+pub fn scope_rules(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    let in_tests = |idx: usize| test_ranges.iter().any(|&(lo, hi)| idx >= lo && idx <= hi);
-    for item in function_items(toks) {
-        if in_tests(item.name_idx) {
+    let toks = &file.lexed.tokens;
+    for def in &file.defs {
+        if file.in_tests(def.item.name_idx) {
             continue;
         }
-        check_tracer_threading(file, toks, &item, &mut out);
-        check_mask_mutation_after_upload(file, toks, &item, &mut out);
+        check_tracer_threading(&file.label, toks, &def.item, &mut out);
+        check_mask_mutation_after_upload(&file.label, toks, &def.item, &mut out);
     }
     out
 }
@@ -388,7 +353,7 @@ fn mutation_after(toks: &[Token], i: usize, close: usize) -> Option<&'static str
     // Skip any `[…]` index groups after the name.
     let mut j = i + 1;
     while j < close && punct(&toks[j]) == Some('[') {
-        j = matching_bracket(toks, j) + 1;
+        j = matching(toks, j) + 1;
     }
     match toks.get(j).and_then(punct) {
         Some('=') if toks.get(j + 1).and_then(punct) != Some('=') => {
@@ -424,8 +389,7 @@ mod tests {
     const LABEL: &str = "crates/core/src/algorithms/fixture.rs";
 
     fn findings(src: &str) -> Vec<Finding> {
-        let lexed = lex(src);
-        scope_rules(LABEL, &lexed.tokens, &[])
+        scope_rules(&SourceFile::parse(LABEL, src))
     }
 
     #[test]
@@ -521,11 +485,9 @@ mod tests {
     #[test]
     fn functions_in_test_ranges_are_exempt() {
         let src = "fn lib() { emit(Upload); mask = m; }";
-        let lexed = lex(src);
-        let all = scope_rules(LABEL, &lexed.tokens, &[]);
-        assert_eq!(all.len(), 1);
-        let none = scope_rules(LABEL, &lexed.tokens, &[(0, lexed.tokens.len() - 1)]);
-        assert!(none.is_empty());
+        assert_eq!(findings(src).len(), 1);
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}");
+        assert!(findings(&in_tests).is_empty());
     }
 
     #[test]

@@ -45,6 +45,7 @@
 //! The verifier front-end (file handling, `seq` ordering, reporting)
 //! lives in [`crate::conform`].
 
+use crate::rules::escape_json;
 use std::collections::BTreeMap;
 use subfed_metrics::trace::TraceEvent;
 
@@ -108,19 +109,6 @@ impl Violation {
             escape_json(&self.message)
         )
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Where a surviving client is in its round pipeline.

@@ -25,9 +25,8 @@
 //! edge would leak test idioms into library findings.
 
 use crate::callgraph::{CallGraph, SourceFile};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{ident, ident_at, punct, punct_at, Token, TokenKind};
 use crate::parser::{call_sites, CallSite};
-use crate::rules::{ident, punct};
 use std::collections::BTreeMap;
 
 /// One allocation site inside a token range.
@@ -278,14 +277,6 @@ fn direct_summary(file: &SourceFile, def_idx: usize) -> Summary {
         });
     }
     s
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    toks.get(i).and_then(ident)
-}
-
-fn punct_at(toks: &[Token], i: usize) -> Option<char> {
-    toks.get(i).and_then(punct)
 }
 
 /// Whether the puncts starting at `i` spell exactly `pat`.

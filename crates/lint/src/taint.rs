@@ -1,5 +1,5 @@
 //! Determinism taint analysis: the four nondeterminism rules of
-//! `subfed-lint analyze`.
+//! `subfed-lint check`.
 //!
 //! The replay-identity gate (`subfed-lint conform run-a.jsonl
 //! run-b.jsonl`) demands that two runs of the same federation produce
@@ -40,12 +40,12 @@
 //! replay why the fold is order-sensitive without re-deriving the graph.
 //! Test modules are skipped throughout — tests may pin literal seeds and
 //! time things freely. The standard `// lint: allow(rule)` escape hatch
-//! applies, audited for staleness like every analyze-side rule.
+//! applies, audited for staleness like every other rule's.
 
 use crate::callgraph::{CallGraph, SourceFile};
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{ident, matching, punct, punct_at, Token, TokenKind};
 use crate::parser::{call_sites, CallSite, FnDef};
-use crate::rules::{ident, punct, Finding};
+use crate::rules::Finding;
 use crate::summaries::{Fact, Summaries};
 
 /// Identifier of the entropy-/clock-/provenance-free-seed rule.
@@ -202,7 +202,7 @@ fn classify_rng_call(toks: &[Token], call: &CallSite, close: usize) -> Option<Se
     if punct_at(toks, call.idx + 1) != Some('(') {
         return None;
     }
-    let args_close = matching_paren(toks, call.idx + 1).min(close);
+    let args_close = matching(toks, call.idx + 1).min(close);
     let lo = call.idx + 2;
     if lo >= args_close {
         return Some(SeedKind::Opaque); // no argument at all
@@ -468,34 +468,13 @@ fn float_accum_site(toks: &[Token], open: usize, close: usize) -> Option<(usize,
     None
 }
 
-fn punct_at(toks: &[Token], i: usize) -> Option<char> {
-    toks.get(i).and_then(punct)
-}
-
-fn matching_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        match punct(t) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::analyze_sources;
+    use crate::check::check_sources;
 
     fn findings(src: &str) -> Vec<Finding> {
-        analyze_sources(&[("fixture.rs".to_string(), src.to_string())])
+        check_sources(&[("fixture.rs".to_string(), src.to_string())])
             .into_iter()
             .filter(|f| !f.suppressed)
             .collect()
@@ -531,7 +510,7 @@ mod tests {
 
     #[test]
     fn literal_seeds_collide_across_files_by_normalized_value() {
-        let fs: Vec<Finding> = analyze_sources(&[
+        let fs: Vec<Finding> = check_sources(&[
             ("a.rs".to_string(), "fn init() { let r = SeededRng::new(42); }".to_string()),
             ("b.rs".to_string(), "fn noise() { let r = SeededRng::new(0x2A); }".to_string()),
         ])

@@ -44,11 +44,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 
 use crate::callgraph::{resolve, CallGraph, SourceFile};
-use crate::lexer::{MarkerKind, Token, TokenKind};
-use crate::parser::call_sites;
-use crate::rules::{ident, punct, Finding};
+use crate::lexer::{ident, ident_at, matching, punct, punct_at, MarkerKind, Token, TokenKind};
+use crate::parser::{call_sites, CallSite};
+use crate::rules::Finding;
 use crate::summaries::Fact;
-use crate::walk::{crate_sources, ANALYZE_CRATES};
+use crate::walk::parse_workspace;
 
 /// Rule id: a panic source is reachable from a total entry point.
 pub const PANIC_REACHABLE: &str = "panic-reachable";
@@ -491,7 +491,7 @@ fn swallow_findings(files: &[SourceFile], graph: &CallGraph) -> Vec<Finding> {
             let Some(err) = targets.iter().find_map(|t| carries.get(t)) else { continue };
             let how = if discarded_by_let(toks, call.idx) {
                 Some("`let _ =`")
-            } else if discarded_by_ok(toks, call.idx, close) {
+            } else if discarded_by_ok(toks, &call) {
                 Some("`.ok()`")
             } else {
                 None
@@ -531,38 +531,14 @@ fn discarded_by_let(toks: &[Token], idx: usize) -> bool {
         && toks[j - 3].kind == TokenKind::Ident("let".into())
 }
 
-/// Whether the call at `idx` is immediately followed by `.ok()` after
-/// its argument list closes.
-fn discarded_by_ok(toks: &[Token], idx: usize, close: usize) -> bool {
-    let at = |i: usize| toks.get(i).and_then(punct);
-    let mut i = idx + 1;
-    // Step over a turbofish, then require the argument list.
-    if at(i) == Some(':') {
-        while i <= close && at(i) != Some('(') {
-            i += 1;
-        }
-    }
-    if i > close || at(i) != Some('(') {
-        return false;
-    }
-    let mut depth = 0usize;
-    while i <= close {
-        match at(i) {
-            Some('(') => depth += 1,
-            Some(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    at(i + 1) == Some('.')
-        && toks.get(i + 2).and_then(ident) == Some("ok")
-        && at(i + 3) == Some('(')
-        && at(i + 4) == Some(')')
+/// Whether the call is immediately followed by `.ok()` after its
+/// argument list closes.
+fn discarded_by_ok(toks: &[Token], call: &CallSite) -> bool {
+    let end = matching(toks, call.open);
+    punct_at(toks, end + 1) == Some('.')
+        && ident_at(toks, end + 2) == Some("ok")
+        && punct_at(toks, end + 3) == Some('(')
+        && punct_at(toks, end + 4) == Some(')')
 }
 
 /// One line of the panic-freedom certificate.
@@ -588,12 +564,9 @@ pub fn certify(files: &[SourceFile], graph: &CallGraph) -> Vec<EntryCertificate>
         .map(|audit| {
             let (mut live, mut silenced) = (0usize, 0usize);
             for w in &audit.witnesses {
-                let allowed = allows.get(w.fact.file.as_str()).is_some_and(|f| {
-                    f.lexed.allows.iter().any(|a| {
-                        (a.line == w.fact.line || a.line + 1 == w.fact.line)
-                            && a.rules.iter().any(|r| r == w.rule)
-                    })
-                });
+                let allowed = allows
+                    .get(w.fact.file.as_str())
+                    .is_some_and(|f| f.lexed.allows.iter().any(|a| a.covers(w.fact.line, w.rule)));
                 if allowed {
                     silenced += 1;
                 } else {
@@ -610,15 +583,18 @@ pub fn certify(files: &[SourceFile], graph: &CallGraph) -> Vec<EntryCertificate>
         .collect()
 }
 
-/// Parses the analyzed crates under `root` and certifies every entry.
-/// Returns the certificates and the number of files scanned.
+/// Parses the scanned crates under `root` (the same parse `check`
+/// runs on) and certifies every entry. Returns the certificates and the
+/// number of files scanned.
+///
+/// # Errors
+///
+/// Returns a message when a source tree cannot be read.
+#[must_use = "the certificates carry the verdicts and the exit status"]
 pub fn certify_workspace(root: &Path) -> Result<(Vec<EntryCertificate>, usize), String> {
-    let sources = crate_sources(root, &ANALYZE_CRATES)?;
-    let files: Vec<SourceFile> =
-        sources.iter().map(|(label, text)| SourceFile::parse(label, text)).collect();
+    let files = parse_workspace(root)?;
     let graph = CallGraph::build(&files);
-    let n = files.len();
-    Ok((certify(&files, &graph), n))
+    Ok((certify(&files, &graph), files.len()))
 }
 
 /// The stable JSON rendering of a certificate set — one object per

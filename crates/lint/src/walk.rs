@@ -1,69 +1,23 @@
-//! Workspace traversal: which files get linted, and the aggregate
-//! report `subfed-lint check` builds from them.
+//! Workspace traversal: which files `subfed-lint check` and `certify`
+//! scan, each parsed once.
 //!
-//! The scan covers the **library code** of the four correctness-critical
-//! crates (`tensor`, `nn`, `pruning`, `core`) — `src/**/*.rs`, minus
-//! integration-test trees and any module a crate declares as
-//! `#[cfg(test)] mod name;`. Benches, `vendor/`, the CLI, and this crate
-//! are out of scope: panics there abort one process, not a federation.
+//! The scan covers the **library code** of the five crates in
+//! [`CRATES`] — `src/**/*.rs`, minus integration-test trees and any
+//! module a crate declares as `#[cfg(test)] mod name;`. Benches,
+//! `vendor/`, the CLI, and this crate are out of scope: panics there
+//! abort one process, not a federation. The same five crates inherit
+//! the workspace's `[workspace.lints.clippy]` panic lints, so clippy and
+//! this linter cover the same code.
 
-use crate::rules::{analyze_source, cfg_test_mod_decls, Finding, ALL_RULES};
-use std::collections::BTreeMap;
+use crate::callgraph::SourceFile;
+use crate::rules::cfg_test_mod_decls;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Crates whose `src/` trees `subfed-lint check` walks.
-pub const TARGET_CRATES: [&str; 4] = ["tensor", "nn", "pruning", "core"];
-
-/// Crates whose `src/` trees `subfed-lint analyze` walks: the `check`
-/// set plus `metrics`, whose sinks are the workspace's most
-/// lock-dependent code — the concurrency rules must see them, while the
-/// hot-path rules skip them (see `crate::dataflow`).
-pub const ANALYZE_CRATES: [&str; 5] = ["tensor", "nn", "pruning", "core", "metrics"];
-
-/// The outcome of one full workspace scan.
-#[derive(Debug, Default)]
-pub struct Report {
-    /// Every finding, suppressed ones included.
-    pub findings: Vec<Finding>,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-}
-
-impl Report {
-    /// Findings not silenced by an allow comment.
-    pub fn unsuppressed(&self) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| !f.suppressed).collect()
-    }
-
-    /// `(total, suppressed)` counts per rule id, in catalog order.
-    pub fn per_rule_counts(&self) -> Vec<(&'static str, usize, usize)> {
-        ALL_RULES
-            .iter()
-            .map(|&rule| {
-                let total = self.findings.iter().filter(|f| f.rule == rule).count();
-                let sup = self.findings.iter().filter(|f| f.rule == rule && f.suppressed).count();
-                (rule, total, sup)
-            })
-            .collect()
-    }
-
-    /// The summary table printed after the findings.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        s.push_str(&format!("scanned {} files\n", self.files_scanned));
-        for (rule, total, sup) in self.per_rule_counts() {
-            s.push_str(&format!("  {rule:<18} {:>3} finding(s), {sup} allowed\n", total));
-        }
-        let live = self.unsuppressed().len();
-        if live == 0 {
-            s.push_str("clean: no unsuppressed findings\n");
-        } else {
-            s.push_str(&format!("{live} unsuppressed finding(s)\n"));
-        }
-        s
-    }
-}
+/// Crates whose `src/` trees are scanned. `metrics` is among them for
+/// its sinks, the workspace's most lock-dependent code; the hot-path
+/// rules skip it (see `crate::dataflow`).
+pub const CRATES: [&str; 5] = ["tensor", "nn", "pruning", "core", "metrics"];
 
 /// Locates the workspace root: walks up from `start` until a directory
 /// holding both `Cargo.toml` and `crates/` appears.
@@ -102,78 +56,52 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Collects the `(label, source)` pairs a lint command scans: the given
-/// crates' library `.rs` files, minus modules declared
+/// Reads and parses the [`CRATES`]' library `.rs` files under `root`,
+/// each once, minus the files of modules declared
 /// `#[cfg(test)] mod name;`. Labels are workspace-relative with `/`
 /// separators; the list is sorted by label within each crate.
 ///
 /// # Errors
 ///
 /// Returns a message when a source tree cannot be read.
-pub fn crate_sources(root: &Path, crates: &[&str]) -> Result<Vec<(String, String)>, String> {
+pub fn parse_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
-    for krate in crates {
+    for krate in CRATES {
         let src = root.join("crates").join(krate).join("src");
         if !src.is_dir() {
             return Err(format!("missing crate source tree {}", src.display()));
         }
-        let mut files = Vec::new();
-        rust_files(&src, &mut files)?;
+        let mut paths = Vec::new();
+        rust_files(&src, &mut paths)?;
 
-        // First pass: collect `#[cfg(test)] mod x;` declarations so the
-        // backing files are skipped wholesale.
-        let mut sources: BTreeMap<PathBuf, String> = BTreeMap::new();
+        let mut parsed = Vec::new();
         let mut test_files: Vec<PathBuf> = Vec::new();
-        for f in &files {
-            let text = fs::read_to_string(f).map_err(|e| format!("read {}: {e}", f.display()))?;
-            for m in cfg_test_mod_decls(&text) {
-                let dir = f.parent().unwrap_or(&src);
+        for path in paths {
+            let text =
+                fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            let label =
+                path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+            let file = SourceFile::parse(&label, &text);
+            // A `#[cfg(test)] mod x;` declaration makes its backing file
+            // test code wholesale.
+            for m in cfg_test_mod_decls(&file.lexed.tokens) {
+                let dir = path.parent().unwrap_or(&src);
                 test_files.push(dir.join(format!("{m}.rs")));
                 test_files.push(dir.join(&m).join("mod.rs"));
             }
-            sources.insert(f.clone(), text);
+            parsed.push((path, file));
         }
-
-        for (path, text) in sources {
-            if test_files.contains(&path) {
-                continue;
-            }
-            let label =
-                path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-            out.push((label, text));
-        }
+        out.extend(
+            parsed.into_iter().filter(|(path, _)| !test_files.contains(path)).map(|(_, f)| f),
+        );
     }
     Ok(out)
-}
-
-/// The `check` scan set: [`TARGET_CRATES`]' library sources.
-///
-/// # Errors
-///
-/// Returns a message when a source tree cannot be read.
-pub(crate) fn library_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
-    crate_sources(root, &TARGET_CRATES)
-}
-
-/// Runs every rule over the target crates' library sources under `root`.
-///
-/// # Errors
-///
-/// Returns a message when a source tree cannot be read.
-#[must_use = "the report carries the findings and the exit status"]
-pub fn check_workspace(root: &Path) -> Result<Report, String> {
-    let mut report = Report::default();
-    for (label, text) in library_sources(root)? {
-        report.findings.extend(analyze_source(&label, &text));
-        report.files_scanned += 1;
-    }
-    report.findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_workspace;
 
     #[test]
     fn finds_workspace_root_from_nested_dir() {
@@ -186,17 +114,21 @@ mod tests {
     fn workspace_scan_covers_all_target_crates() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).expect("workspace root");
-        let report = check_workspace(&root).expect("scan");
-        assert!(report.files_scanned >= 30, "only {} files", report.files_scanned);
+        let files = parse_workspace(&root).expect("scan");
+        assert!(files.len() >= 30, "only {} files", files.len());
         // tests_support.rs is declared `#[cfg(test)] mod` by subfed-core
         // and must not be scanned.
-        assert!(report.findings.iter().all(|f| !f.file.contains("tests_support")));
+        assert!(files.iter().all(|f| !f.label.contains("tests_support")));
+        for krate in CRATES {
+            let prefix = format!("crates/{krate}/src/");
+            assert!(files.iter().any(|f| f.label.starts_with(&prefix)), "{krate} not scanned");
+        }
     }
 
     #[test]
     fn workspace_is_clean() {
         // The acceptance gate of the lint itself: zero unsuppressed
-        // findings in the four library crates.
+        // findings in the scanned crates.
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).expect("workspace root");
         let report = check_workspace(&root).expect("scan");
@@ -206,5 +138,46 @@ mod tests {
             "unsuppressed findings:\n{}",
             live.iter().map(|f| f.render()).collect::<Vec<_>>().join("\n")
         );
+    }
+
+    /// The lines of the TOML table headed `[name]`, up to the next
+    /// header.
+    fn toml_table<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+        let header = format!("[{name}]");
+        text.lines()
+            .skip_while(|l| l.trim() != header)
+            .skip(1)
+            .take_while(|l| !l.trim_start().starts_with('['))
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect()
+    }
+
+    #[test]
+    fn scanned_crates_inherit_the_workspace_panic_lints() {
+        // Clippy enforces the panic lints (`unwrap_used`, `expect_used`,
+        // `panic`, `todo`, `unimplemented`) that no rule here repeats, so
+        // its scope must stay the scan's: every lint is denied at the
+        // workspace root and every scanned crate inherits the table.
+        let here = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(here).expect("workspace root");
+        let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+        let lints = toml_table(&manifest, "workspace.lints.clippy");
+        for lint in ["unwrap_used", "expect_used", "panic", "todo", "unimplemented"] {
+            assert!(
+                lints.iter().any(|l| l.replace(' ', "") == format!("{lint}=\"deny\"")),
+                "[workspace.lints.clippy] does not deny `{lint}`: {lints:?}"
+            );
+        }
+        for krate in CRATES {
+            let path = root.join("crates").join(krate).join("Cargo.toml");
+            let manifest = fs::read_to_string(&path).expect("crate Cargo.toml");
+            let table = toml_table(&manifest, "lints");
+            assert!(
+                table.iter().any(|l| l.replace(' ', "") == "workspace=true"),
+                "{} does not inherit the workspace lints: {table:?}",
+                path.display()
+            );
+        }
     }
 }

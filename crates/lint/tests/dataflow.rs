@@ -1,13 +1,14 @@
-//! Acceptance tests for `subfed-lint analyze` over the seeded-violation
-//! fixture corpus in `tests/fixtures/`. Each dataflow rule must catch
-//! its seeded hazard **by name**, reachability must extend across call
-//! edges, and the suppression machinery (allows, cold markers) must
-//! silence exactly what it claims to — with zero stale directives.
+//! Acceptance tests for the dataflow rules of `subfed-lint check` over
+//! the seeded-violation fixture corpus in `tests/fixtures/`. Each
+//! dataflow rule must catch its seeded hazard **by name**, reachability
+//! must extend across call edges, and the suppression machinery (allows,
+//! cold markers) must silence exactly what it claims to — with zero
+//! stale directives.
 
-use subfed_lint::{analyze_sources, Finding, ANALYZE_RULES};
+use subfed_lint::{check_sources, Finding, ALL_RULES};
 
 fn run(label: &str, source: &str) -> Vec<Finding> {
-    analyze_sources(&[(label.to_string(), source.to_string())])
+    check_sources(&[(label.to_string(), source.to_string())])
 }
 
 fn live(fs: &[Finding]) -> Vec<&Finding> {
@@ -69,13 +70,21 @@ fn suppressed_fixture_is_fully_clean_with_no_stale_directives() {
 }
 
 #[test]
-fn corpus_rules_match_the_analyze_catalog() {
-    // Every rule `analyze` owns has a fixture that triggers it.
+fn corpus_covers_every_call_graph_rule() {
+    // Every call-graph rule has a fixture that triggers it; the token
+    // and scope rules and the stale audit have unit tests instead.
+    let unit_tested = [
+        "float-eq",
+        "unchecked-index",
+        "must-use-result",
+        "mask-mutation-after-upload",
+        "tracer-threading",
+        "stale-allow",
+    ];
     let corpus = [
         ("hot_path_alloc.rs", include_str!("fixtures/hot_path_alloc.rs")),
         ("scratch_before_read.rs", include_str!("fixtures/scratch_before_read.rs")),
         ("pattern_rebuild_in_loop.rs", include_str!("fixtures/pattern_rebuild_in_loop.rs")),
-        ("raw_lock_unwrap.rs", include_str!("fixtures/raw_lock_unwrap.rs")),
         ("lock_order_cycle.rs", include_str!("fixtures/lock_order_cycle.rs")),
         ("alloc_under_lock.rs", include_str!("fixtures/alloc_under_lock.rs")),
         ("guard_across_spawn.rs", include_str!("fixtures/guard_across_spawn.rs")),
@@ -87,7 +96,7 @@ fn corpus_rules_match_the_analyze_catalog() {
         ("arith_overflow.rs", include_str!("fixtures/arith_overflow.rs")),
         ("error_swallow.rs", include_str!("fixtures/error_swallow.rs")),
     ];
-    for rule in ANALYZE_RULES {
+    for rule in ALL_RULES.into_iter().filter(|r| !unit_tested.contains(r)) {
         assert!(
             corpus.iter().flat_map(|(l, s)| run(l, s)).any(|f| f.rule == rule && !f.suppressed),
             "no fixture triggers `{rule}`"
@@ -106,7 +115,7 @@ fn fixtures_analyzed_together_keep_per_file_attribution() {
     .into_iter()
     .map(|(l, s)| (l.to_string(), s.to_string()))
     .collect();
-    let fs = analyze_sources(&inputs);
+    let fs = check_sources(&inputs);
     let live = live(&fs);
     assert_eq!(live.len(), 7, "{live:#?}");
     // Sorted by (file, line, rule) — stable output for diffing in CI.

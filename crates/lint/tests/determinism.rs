@@ -1,15 +1,15 @@
 //! Acceptance tests for the determinism taint rules of `subfed-lint
-//! analyze` over the seeded fixtures in `tests/fixtures/`. Each fixture
+//! check` over the seeded fixtures in `tests/fixtures/`. Each fixture
 //! must be rejected with its **named** rule and a witness that points at
 //! the offending function (and, for the fold rule, the full chain: lock
 //! identity, spawning entry, and the concrete accumulation site) — while
 //! the disciplined twins in the same files stay unblamed.
 
-use subfed_lint::analyze_sources;
+use subfed_lint::check_sources;
 use subfed_lint::Finding;
 
 fn run(label: &str, source: &str) -> Vec<Finding> {
-    analyze_sources(&[(label.to_string(), source.to_string())])
+    check_sources(&[(label.to_string(), source.to_string())])
 }
 
 fn live(fs: &[Finding]) -> Vec<&Finding> {
@@ -114,7 +114,7 @@ fn determinism_fixtures_analyzed_together_keep_per_file_attribution() {
     .into_iter()
     .map(|(l, s)| (l.to_string(), s.to_string()))
     .collect();
-    let fs = analyze_sources(&inputs);
+    let fs = check_sources(&inputs);
     let live = live(&fs);
     assert_eq!(live.len(), 8, "{live:#?}");
     // Sorted by (file, line, rule) — stable output for diffing in CI.

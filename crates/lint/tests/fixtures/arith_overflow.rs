@@ -11,6 +11,7 @@ pub struct StreamingAccumulator {
 
 impl StreamingAccumulator {
     /// Built-in total entry by qualified name.
+    #[must_use = "a dropped Result hides the rejected update"]
     pub fn fold(&mut self, kept: usize, off: usize) -> Result<(), String> {
         let n_bytes = body_len(kept)?;
         let end = advance(off, n_bytes)?;

@@ -1,6 +1,6 @@
 //! The escape hatches, exercised end to end: every hazard in this file
 //! is either allowed in place or moved behind a `// lint: cold` marker,
-//! so `analyze` must report zero unsuppressed findings — and zero stale
+//! so `check` must report zero unsuppressed findings — and zero stale
 //! directives.
 
 pub fn forward_ws(x: &[f32], ws: &mut Workspace) -> Vec<f32> {

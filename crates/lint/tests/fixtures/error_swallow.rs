@@ -9,6 +9,7 @@
 pub struct FrameError;
 
 /// The producer: a `Result` whose error type the rule keys on.
+#[must_use = "the frame verdict is the whole point"]
 pub fn validate_frame(buf: &[u8]) -> Result<usize, FrameError> {
     if buf.is_empty() {
         return Err(FrameError);
@@ -27,6 +28,7 @@ pub fn ingest_lossy(buf: &[u8]) -> Option<usize> {
 }
 
 /// Clean twin: the verdict is propagated to the caller.
+#[must_use = "the frame verdict is the whole point"]
 pub fn ingest_checked(buf: &[u8]) -> Result<usize, FrameError> {
     validate_frame(buf)
 }

@@ -9,6 +9,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 /// Built-in total entry: the wire decoder fed raw client bytes.
+#[must_use = "a dropped Result hides the corrupt frame"]
 pub fn decode_update(buf: &[u8]) -> Result<Vec<f32>, String> {
     debug_assert!(buf.len() < 1 << 30, "exempt: compiled out of release");
     let n = read_len(buf);

@@ -1,9 +1,9 @@
 //! Seeded violation: bare `.unwrap()`/`.expect(…)` on lock results —
-//! the poison bombs `raw-lock-unwrap` exists to catch. One panicking
-//! worker poisons the mutex; every later `.unwrap()` then takes the
-//! whole process down instead of recovering the still-valid state.
-//! The disciplined twin routes the result through a `lock_`-prefixed
-//! poison-tolerant helper and stays clean.
+//! poison bombs that clippy's denied `unwrap_used`/`expect_used` catch
+//! (CI checks lines 18, 26 and 32). One panicking worker poisons the
+//! mutex; every later `.unwrap()` then takes the whole process down
+//! instead of recovering the still-valid state. The disciplined twin
+//! routes the result through a poison-tolerant helper and stays clean.
 
 use std::sync::{Mutex, MutexGuard, RwLock};
 

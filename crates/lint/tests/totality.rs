@@ -7,12 +7,12 @@
 //! `CERTIFIED.json` byte for byte.
 
 use subfed_lint::{
-    analyze_sources, certify_workspace, find_workspace_root, render_certificates_json, Finding,
+    certify_workspace, check_sources, find_workspace_root, render_certificates_json, Finding,
     TOTAL_ENTRIES,
 };
 
 fn run(label: &str, source: &str) -> Vec<Finding> {
-    analyze_sources(&[(label.to_string(), source.to_string())])
+    check_sources(&[(label.to_string(), source.to_string())])
 }
 
 fn live(fs: &[Finding]) -> Vec<&Finding> {

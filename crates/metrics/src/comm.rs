@@ -35,7 +35,7 @@ pub fn pack_mask(mask: &[f32]) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(mask.len().div_ceil(8));
     let mut byte = 0u8;
     for (i, &m) in mask.iter().enumerate() {
-        if m != 0.0 {
+        if subfed_nn::is_kept(m) {
             byte |= 1 << (i % 8);
         }
         if i % 8 == 7 {

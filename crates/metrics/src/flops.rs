@@ -59,6 +59,10 @@ pub fn masked_conv_flops(spec: &ModelSpec, channels: &ChannelMask) -> u64 {
 /// fed by pruned final-conv channels.
 pub fn masked_fc_flops(spec: &ModelSpec, channels: &ChannelMask) -> u64 {
     let fcs = spec.fc_shapes();
+    #[expect(
+        clippy::expect_used,
+        reason = "a channel mask has one block per conv layer, and every spec has conv layers"
+    )]
     let last_keep = channels.keep().last().expect("mask has blocks");
     let kept = last_keep.iter().filter(|&&k| k).count();
     let spatial = spec.final_spatial();

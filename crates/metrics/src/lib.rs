@@ -12,8 +12,8 @@
 //!   table/figure bench harnesses;
 //! * [`sync`] — the workspace's poison-consistent lock helpers
 //!   ([`sync::lock_unpoisoned`]); lock results never meet a bare
-//!   `.unwrap()` (enforced by the `raw-lock-unwrap` rule of
-//!   `subfed-lint analyze`);
+//!   `.unwrap()` (enforced by clippy's denied `unwrap_used` and
+//!   `expect_used`);
 //! * [`trace`] — round-level structured telemetry: typed trace events,
 //!   span timers, JSONL/in-memory sinks, and end-of-run phase summaries
 //!   (schema documented in `docs/OBSERVABILITY.md`).

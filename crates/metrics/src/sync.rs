@@ -9,9 +9,10 @@
 //! join that observes it), and bare `.lock().unwrap()` would only convert
 //! one panic into a second, less informative one on an innocent thread.
 //!
-//! The workspace-wide rule — enforced statically by the
-//! `raw-lock-unwrap` rule of `subfed-lint analyze` — is that lock results
-//! never meet a bare `.unwrap()`/`.expect(…)`: they go through these
+//! The workspace-wide rule — enforced statically by clippy's
+//! `unwrap_used`/`expect_used`, denied in every library crate that
+//! `subfed-lint check` scans — is that lock results never meet a bare
+//! `.unwrap()`/`.expect(…)`: they go through these
 //! helpers (or an explicit `match` on [`PoisonError`]), so the poisoning
 //! policy is written down in exactly one place.
 

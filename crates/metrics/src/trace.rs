@@ -433,6 +433,7 @@ impl TraceEvent {
     ///
     /// Returns a description of the malformation: invalid JSON, an unknown
     /// `ev` tag, or a missing/mistyped field.
+    #[must_use = "a dropped Result hides the malformed trace line it reports"]
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
         Self::from_value(&json::parse(line)?)
     }
@@ -617,6 +618,7 @@ impl TraceLine {
     ///
     /// Returns a description of the malformation: invalid JSON, an unknown
     /// `ev` tag, or a missing/mistyped field.
+    #[must_use = "a dropped Result hides the malformed trace line it reports"]
     pub fn parse(line: &str) -> Result<TraceLine, String> {
         let obj = json::parse(line)?;
         let seq = match obj.field("seq") {
@@ -843,6 +845,7 @@ impl JsonlSink {
     /// # Errors
     ///
     /// Returns the underlying error when the file cannot be created.
+    #[must_use = "the sink is the only handle on the trace file"]
     pub fn create(path: &str) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
         Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
@@ -1127,6 +1130,8 @@ pub fn fmt_us(us: u64) -> String {
 /// emits: flat objects of numbers, strings, booleans, and arrays of
 /// numbers.
 mod json {
+    use std::num::FpCategory;
+
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub(super) enum Value {
@@ -1150,17 +1155,22 @@ mod json {
             }
         }
 
+        #[must_use = "a dropped Result hides the mistyped field it reports"]
         pub(super) fn as_usize(&self, key: &str) -> Result<usize, String> {
             match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
+                Value::Num(n) if *n >= 0.0 && n.fract().classify() == FpCategory::Zero => {
+                    Ok(*n as usize)
+                }
                 _ => Err(format!("field `{key}` is not a non-negative integer")),
             }
         }
 
+        #[must_use = "a dropped Result hides the mistyped field it reports"]
         pub(super) fn as_u64(&self, key: &str) -> Result<u64, String> {
             self.as_usize(key).map(|v| v as u64)
         }
 
+        #[must_use = "a dropped Result hides the mistyped field it reports"]
         pub(super) fn as_f32(&self, key: &str) -> Result<f32, String> {
             match self {
                 Value::Num(n) => Ok(*n as f32),
@@ -1168,6 +1178,7 @@ mod json {
             }
         }
 
+        #[must_use = "a dropped Result hides the mistyped field it reports"]
         pub(super) fn as_bool(&self, key: &str) -> Result<bool, String> {
             match self {
                 Value::Bool(b) => Ok(*b),
@@ -1175,6 +1186,7 @@ mod json {
             }
         }
 
+        #[must_use = "a dropped Result hides the mistyped field it reports"]
         pub(super) fn as_str(&self, key: &str) -> Result<String, String> {
             match self {
                 Value::Str(s) => Ok(s.clone()),
@@ -1182,6 +1194,7 @@ mod json {
             }
         }
 
+        #[must_use = "a dropped Result hides the mistyped field it reports"]
         pub(super) fn as_usize_array(&self, key: &str) -> Result<Vec<usize>, String> {
             match self {
                 Value::Arr(items) => items.iter().map(|v| v.as_usize(key)).collect(),
@@ -1190,6 +1203,7 @@ mod json {
         }
     }
 
+    #[must_use = "a dropped Result hides the malformed JSON it reports"]
     pub(super) fn parse(input: &str) -> Result<Value, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
@@ -1317,7 +1331,8 @@ mod json {
                 break;
             }
         }
-        let s = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number");
+        let s = std::str::from_utf8(&bytes[start..*pos])
+            .map_err(|_| format!("invalid number at byte {start}"))?;
         s.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number `{s}` at byte {start}"))

@@ -111,8 +111,10 @@ impl Clone for Box<dyn Layer> {
 pub(crate) fn take_cache<T>(cache: &mut Option<T>, layer: &str) -> T {
     match cache.take() {
         Some(c) => c,
-        // Contract violation at the call site, not a recoverable error.
-        // lint: allow(no-unwrap)
+        #[expect(
+            clippy::panic,
+            reason = "a contract violation at the call site, not a recoverable error"
+        )]
         None => panic!("{layer} backward without forward"),
     }
 }

@@ -186,10 +186,12 @@ impl Layer for Linear {
                 // lint: allow(hot-path-alloc) — shape metadata, not tensor data
                 Tensor::from_parts(vec![n, self.in_features], dx)
             }
+            #[expect(
+                clippy::panic,
+                reason = "the pattern was cleared between forward and backward: a contract \
+                          violation at the call site, like a missing cache"
+            )]
             (LinCache::Sparse { .. }, None) => {
-                // The pattern was cleared between forward and backward — a
-                // contract violation at the call site, like a missing cache.
-                // lint: allow(no-unwrap)
                 panic!("linear sparse cache without installed pattern")
             }
         }

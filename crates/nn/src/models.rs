@@ -168,8 +168,10 @@ impl ModelSpec {
     /// Shapes of all fully-connected layers, in order.
     pub fn fc_shapes(&self) -> Vec<FcShape> {
         let convs = self.conv_shapes();
-        // Every ModelSpec variant returns a non-empty conv list by construction.
-        // lint: allow(no-unwrap)
+        #[expect(
+            clippy::expect_used,
+            reason = "every ModelSpec variant returns a non-empty conv list by construction"
+        )]
         let last = convs.last().expect("specs always have conv layers");
         let spatial = pool_out(last.out_h) * pool_out(last.out_w);
         let flat = last.cout * spatial;
@@ -195,8 +197,10 @@ impl ModelSpec {
     /// contributes to the first FC layer.
     pub fn final_spatial(&self) -> usize {
         let convs = self.conv_shapes();
-        // Every ModelSpec variant returns a non-empty conv list by construction.
-        // lint: allow(no-unwrap)
+        #[expect(
+            clippy::expect_used,
+            reason = "every ModelSpec variant returns a non-empty conv list by construction"
+        )]
         let last = convs.last().expect("specs always have conv layers");
         pool_out(last.out_h) * pool_out(last.out_w)
     }
@@ -414,6 +418,11 @@ pub fn channel_graph_flat(layout: &[ParamMeta]) -> ChannelGraph {
         }
         let out_channels = p.shape[0];
         // Find the next weight that consumes these channels.
+        #[expect(
+            clippy::expect_used,
+            reason = "the paper's architectures never end in a conv→BN block, so a missing \
+                      consumer is a malformed model"
+        )]
         let downstream = layout
             .get(i + 4..)
             .unwrap_or(&[])
@@ -432,9 +441,6 @@ pub fn channel_graph_flat(layout: &[ParamMeta]) -> ChannelGraph {
                 }
                 _ => None,
             })
-            // Documented panic: the paper's architectures never end in a
-            // conv→BN block, so a missing consumer is a malformed model.
-            // lint: allow(no-unwrap)
             .expect("conv block must have a downstream consumer");
         blocks.push(ConvBlock {
             conv_weight: i,

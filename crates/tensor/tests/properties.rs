@@ -13,6 +13,10 @@ use subfed_tensor::sparse::{masked_dot_nt, spmm, spmm_t, RectPattern, RowPattern
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test strategy helper outside any #[test] function; the data length matches"
+)]
 fn tensor2(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     prop::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |data| Tensor::from_vec(vec![rows, cols], data).unwrap())

@@ -55,7 +55,7 @@ fn main() {
 
     // Phase 2: a brand-new process resumes to round 10.
     let mut second = SubFedAvgUn::with_controller(federation(10), controller());
-    second.restore(&restored);
+    second.restore(&restored).expect("the checkpoint comes from this federation");
     println!("resuming rounds 6..=10 ...");
     let resumed = second.resume();
 
