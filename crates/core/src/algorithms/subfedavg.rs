@@ -24,10 +24,13 @@
 //! state lives ([`ClientStore`]: [`Resident`] or [`Registry`]).
 //! [`SubFedAvgUn`], [`SubFedAvgHy`] and [`ScaledSubFedAvg`] name the three
 //! combinations in use; `docs/SCALING.md` walks through the registry one.
+//! Every combination restarts through one [`SubFedAvg::checkpoint`] /
+//! [`SubFedAvg::restore`] pair: the store and the track each add their
+//! part of the [`Checkpoint`] image.
 
 use super::common::{apply_flat_mask, is_eval_round, kept_count, record_round, train_step};
 use crate::aggregate::unflatten_mask;
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{check, f32s, put_f32s, Checkpoint, CheckpointError, Reader};
 use crate::registry::ClientRegistry;
 use crate::stream_agg::OrderedAccumulator;
 use crate::{
@@ -37,9 +40,10 @@ use crate::{
 use std::borrow::Cow;
 use std::sync::Arc;
 use subfed_data::ClientData;
-use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask};
+use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask, unpack_mask};
 use subfed_metrics::trace::{model_hash, Span, TraceEvent};
-use subfed_nn::{ModelMask, ParamMeta, Sequential};
+use subfed_nn::models::channel_graph_flat;
+use subfed_nn::{is_kept, ModelMask, ParamMeta, Sequential};
 use subfed_pruning::{
     ChannelMask, GateDecision, HybridController, HybridState, UnstructuredController,
 };
@@ -83,6 +87,8 @@ pub trait PruneTrack: Copy + Sync {
     /// A client's pruning state: its parameter mask, plus whatever the
     /// track derives it from.
     type State: Clone + Send + Sync + std::fmt::Debug;
+    /// Tags this track's states in a [`Checkpoint`].
+    const KIND: u8;
 
     /// Display name used in tables.
     fn name(&self) -> String;
@@ -104,11 +110,30 @@ pub trait PruneTrack: Copy + Sync {
     /// Pruned fraction of the weights in the track's scope and of the
     /// channels (0 for unstructured pruning), as `History` reports them.
     fn pruned(&self, state: &Self::State) -> (f32, f32);
+    /// Channel flags in one state over `layout` (0 for unstructured
+    /// pruning).
+    fn channels(layout: &[ParamMeta]) -> usize;
+    /// Appends `state`'s bit-packed image: its channel flags, then its
+    /// stored mask, `mask_bytes` each.
+    fn save_state(state: &Self::State, out: &mut Vec<u8>);
+    /// The state a [`PruneTrack::save_state`] image over `layout` holds.
+    fn load_state(layout: &[ParamMeta], image: &[u8]) -> Self::State;
+}
+
+/// Total parameter count of `layout`.
+fn num_params(layout: &[ParamMeta]) -> usize {
+    layout.iter().map(|m| m.len).sum()
+}
+
+/// The mask a bit-packed image over `layout` holds.
+fn unpack_model_mask(layout: &[ParamMeta], image: &[u8]) -> ModelMask {
+    unflatten_mask(layout, &unpack_mask(image, num_params(layout)))
 }
 
 /// Algorithm 1: magnitude pruning of the remaining weights.
 impl PruneTrack for UnstructuredController {
     type State = ModelMask;
+    const KIND: u8 = 1;
 
     fn name(&self) -> String {
         format!("Sub-FedAvg (Un) {:.0}%", self.target * 100.0)
@@ -133,12 +158,22 @@ impl PruneTrack for UnstructuredController {
     fn pruned(&self, mask: &ModelMask) -> (f32, f32) {
         (mask.pruned_fraction(|k| self.scope.includes(k)), 0.0)
     }
+    fn channels(_: &[ParamMeta]) -> usize {
+        0
+    }
+    fn save_state(mask: &ModelMask, out: &mut Vec<u8>) {
+        out.extend_from_slice(&pack_mask(&flatten_mask(mask)));
+    }
+    fn load_state(layout: &[ParamMeta], image: &[u8]) -> ModelMask {
+        unpack_model_mask(layout, image)
+    }
 }
 
 /// Algorithm 2: channel pruning of the conv blocks by BatchNorm |γ| plus
 /// magnitude pruning of the FC weights, each track gated independently.
 impl PruneTrack for HybridController {
     type State = HybridState;
+    const KIND: u8 = 2;
 
     fn name(&self) -> String {
         let (s, u) = (self.structured_target * 100.0, self.unstructured.target * 100.0);
@@ -165,6 +200,25 @@ impl PruneTrack for HybridController {
     fn pruned(&self, state: &HybridState) -> (f32, f32) {
         let weights = state.mask().pruned_fraction(|k| k.is_prunable_weight());
         (weights, state.channels().pruned_fraction())
+    }
+    fn channels(layout: &[ParamMeta]) -> usize {
+        channel_graph_flat(layout).blocks.iter().map(|b| b.out_channels).sum()
+    }
+    /// The channel flags and the FC base mask; [`HybridState::new`]
+    /// rebuilds the parameter mask from the two.
+    fn save_state(state: &HybridState, out: &mut Vec<u8>) {
+        let flags = state.channels().keep().iter().flatten().map(|&k| f32::from(u8::from(k)));
+        out.extend_from_slice(&pack_mask(&flags.collect::<Vec<_>>()));
+        out.extend_from_slice(&pack_mask(&flatten_mask(state.unstructured())));
+    }
+    fn load_state(layout: &[ParamMeta], image: &[u8]) -> HybridState {
+        let blocks = channel_graph_flat(layout).blocks;
+        let channels = blocks.iter().map(|b| b.out_channels).sum();
+        let split = image.split_at_checked(mask_bytes(channels) as usize);
+        let (flags, base) = split.unwrap_or((image, &[]));
+        let mut flags = unpack_mask(flags, channels).into_iter().map(is_kept);
+        let keep = blocks.iter().map(|b| flags.by_ref().take(b.out_channels).collect()).collect();
+        HybridState::new(layout, ChannelMask::from_keep(keep), unpack_model_mask(layout, base))
     }
 }
 
@@ -194,9 +248,11 @@ pub struct RoundClose {
 
 /// Where per-client state lives between rounds, and how a round is
 /// evaluated and recorded.
-pub trait ClientStore<T: PruneTrack>: Sync {
+pub trait ClientStore<T: PruneTrack>: Sync + Sized {
     /// What one client's worker hands the serial commit.
     type Kept: Send;
+    /// Tags this store's image in a [`Checkpoint`].
+    const KIND: u8;
 
     /// Readies the store for a round (and resets every client under the
     /// `fresh_masks` ablation).
@@ -209,6 +265,11 @@ pub trait ClientStore<T: PruneTrack>: Sync {
     fn commit(&mut self, i: usize, kept: Self::Kept);
     /// Evaluates (when due), emits `round_end` and records the round.
     fn record(&mut self, fed: &Federation, track: &T, close: RoundClose);
+    /// Appends every client's state to a checkpoint's client image.
+    fn save(&self, fed: &Federation, out: &mut Vec<u8>);
+    /// The store a [`ClientStore::save`] image holds, checked against
+    /// `fed` in full before it is built. Round records start empty.
+    fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError>;
 }
 
 /// Every client's pruning state and personalized model, resident, with
@@ -225,6 +286,7 @@ pub struct Resident<T: PruneTrack> {
 
 impl<T: PruneTrack> ClientStore<T> for Resident<T> {
     type Kept = (Option<T::State>, Vec<f32>);
+    const KIND: u8 = 1;
 
     fn begin_round(&mut self, fed: &Federation, track: &T, global: &[f32], fresh_masks: bool) {
         if self.states.is_empty() || fresh_masks {
@@ -256,6 +318,41 @@ impl<T: PruneTrack> ClientStore<T> for Resident<T> {
         let flats = &self.local_flats;
         record_round(&mut self.history, fed, round, flats, cum_bytes, model_hash, pruned, span);
     }
+
+    fn save(&self, fed: &Federation, out: &mut Vec<u8>) {
+        let channels = T::channels(fed.layout());
+        out.reserve_exact(16 + self.states.len() * record_lens(fed.layout(), channels).1);
+        out.extend_from_slice(&(self.states.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(channels as u64).to_le_bytes());
+        for (state, flat) in self.states.iter().zip(&self.local_flats) {
+            T::save_state(state, out);
+            put_f32s(out, flat);
+        }
+    }
+
+    fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError> {
+        let (layout, mut image) = (fed.layout(), Reader(image));
+        check("client count", image.count("client count")?, fed.num_clients())?;
+        let channels = T::channels(layout);
+        check("channel count", image.count("channel count")?, channels)?;
+        let (state_len, record_len) = record_lens(layout, channels);
+        check("client image length", image.0.len(), fed.num_clients() * record_len)?;
+        let (states, local_flats) = (image.0.chunks_exact(record_len))
+            .map(|record| {
+                let (state, flat) = record.split_at(state_len);
+                (T::load_state(layout, state), f32s(flat))
+            })
+            .unzip();
+        Ok(Self { states, local_flats, history: History::new() })
+    }
+}
+
+/// Bytes of one client's state image and of its whole resident record
+/// (the state, then the last trained model) over `layout`.
+fn record_lens(layout: &[ParamMeta], channels: usize) -> (usize, usize) {
+    let n = num_params(layout);
+    let state_len = (mask_bytes(channels) + mask_bytes(n)) as usize;
+    (state_len, state_len + 4 * n)
 }
 
 /// Registry-scale client state: only masks, packed in a [`ClientRegistry`]
@@ -277,6 +374,7 @@ impl ClientStore<UnstructuredController> for Registry {
     /// (evaluation rounds only) test accuracy: O(packed mask), never
     /// O(model), so the cohort's dense vectors die with their workers.
     type Kept = (Option<(Vec<u8>, usize)>, (f32, Option<f32>));
+    const KIND: u8 = 2;
 
     fn begin_round(&mut self, _: &Federation, _: &UnstructuredController, _: &[f32], fresh: bool) {
         // Options are only settable on `SubFedAvgUn`.
@@ -333,6 +431,17 @@ impl ClientStore<UnstructuredController> for Registry {
             agg_memory_bytes,
         });
     }
+
+    fn save(&self, _: &Federation, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.registry.save());
+    }
+
+    fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError> {
+        let registry = ClientRegistry::load(image).map_err(CheckpointError::Registry)?;
+        check("registered population", registry.registered(), fed.num_clients())?;
+        check("mask length", registry.mask_len(), num_params(fed.layout()))?;
+        Ok(Self { registry, records: Vec::new(), cohort: Vec::new() })
+    }
 }
 
 /// One round of the scaled run, as reported to the caller.
@@ -361,7 +470,7 @@ pub struct ScaledRoundRecord {
 pub struct ScaledSummary {
     /// Registered population size.
     pub registered: usize,
-    /// Rounds executed.
+    /// Rounds executed by this driver (since its restore, if any).
     pub rounds: usize,
     /// Total communication bytes.
     pub cum_bytes: u64,
@@ -578,6 +687,54 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
         self.store.record(fed, &track, close);
     }
 
+    /// Snapshots everything the server carries into the next round: the
+    /// round, θ_g, the byte ledger and every client's state (for resident
+    /// stores also each client's last trained model). See [`Checkpoint`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a resident driver before its first round, which has no
+    /// θ_g yet.
+    pub fn checkpoint(&self) -> Checkpoint {
+        // Documented panic: checkpointing an un-run federation is a driver
+        // bug, not a recoverable condition.
+        assert!(!self.global.is_empty(), "checkpoint before any round");
+        let mut clients = vec![S::KIND, T::KIND];
+        self.store.save(&self.fed, &mut clients);
+        let round = (self.next_round - 1) as u32;
+        Checkpoint { round, cum_bytes: self.cum_bytes, global: self.global.clone(), clients }
+    }
+
+    /// Continues from a [`SubFedAvg::checkpoint`] of the same federation:
+    /// the next round is `checkpoint.round + 1`, and it and every later
+    /// round run exactly as in the uninterrupted run — same θ_g, byte
+    /// ledger, client states and models, and so the same trace events.
+    /// Round records (the resident [`History`], the registry's
+    /// [`ScaledRoundRecord`]s) restart at the restore.
+    ///
+    /// # Errors
+    ///
+    /// A checkpoint is untrusted input, and it may come from another
+    /// federation or driver. Returns a [`CheckpointError`] when its model
+    /// size, store or track kind, client count, registered population,
+    /// mask length or channel count differs from this driver's, or when
+    /// its client image is truncated or corrupt. Everything is checked
+    /// before the driver changes, so a rejected restore leaves it as it
+    /// was.
+    #[must_use = "a dropped Result hides a checkpoint that was not restored"]
+    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+        check("model size", ckpt.global.len(), num_params(self.fed.layout()))?;
+        let mut image = Reader(&ckpt.clients);
+        let [store, track] = image.array("client image tags")?;
+        check("store kind", store.into(), S::KIND.into())?;
+        check("track kind", track.into(), T::KIND.into())?;
+        self.store = S::load(&self.fed, image.0)?;
+        self.next_round = ckpt.round as usize + 1;
+        self.global = ckpt.global.clone();
+        self.cum_bytes = ckpt.cum_bytes;
+        Ok(())
+    }
+
     /// Steps the remaining rounds up to the configured horizon.
     fn finish_rounds(&mut self) {
         while self.next_round <= self.fed.config().rounds {
@@ -596,7 +753,7 @@ impl<T: PruneTrack> SubFedAvg<Resident<T>, T> {
 
     /// Continues a restored (or partially run) state up to the configured
     /// round horizon, returning the history accumulated *since* the
-    /// restore point.
+    /// restore point (from round 1 when nothing was restored).
     pub fn resume(&mut self) -> History {
         self.finish_rounds();
         self.store.history.clone()
@@ -635,68 +792,6 @@ impl SubFedAvgUn {
     pub fn final_masks(&self) -> &[ModelMask] {
         &self.store.states
     }
-
-    /// Snapshots the server-persistent state (round counter, global
-    /// parameters, client masks) for later [`SubFedAvgUn::restore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no round has been executed yet.
-    pub fn checkpoint(&self) -> Checkpoint {
-        // Documented panic: checkpointing an un-run federation is a driver
-        // bug, not a recoverable condition.
-        assert!(!self.global.is_empty(), "checkpoint before any round");
-        Checkpoint {
-            round: (self.next_round - 1) as u32,
-            global: self.global.clone(),
-            client_masks: self.store.states.iter().map(flatten_mask).collect(),
-        }
-    }
-
-    /// Restores a checkpointed state: training resumes at
-    /// `checkpoint.round + 1`. Per-client evaluation models are re-seeded
-    /// as `θ_g ⊙ m_k` (the download every client would perform), and the
-    /// history restarts — only the *training* trajectory is guaranteed to
-    /// continue exactly (verified by the resume test).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Mismatch`] and leaves the driver as it
-    /// was when the checkpoint's model size, client count or a client
-    /// mask length differs from the federation's: a checkpoint file is
-    /// untrusted input, and it may come from another federation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a mask entry is not 0 or 1 (never the case for a
-    /// [`Checkpoint::decode`]d checkpoint, whose masks are bit-packed).
-    #[must_use = "a dropped Result hides a checkpoint that was not restored"]
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        let layout = self.fed.layout();
-        let num_params: usize = layout.iter().map(|m| m.len).sum();
-        let check = |what, got, want| {
-            if got == want {
-                Ok(())
-            } else {
-                Err(CheckpointError::Mismatch { what, got, want })
-            }
-        };
-        check("model size", ckpt.global.len(), num_params)?;
-        check("client count", ckpt.client_masks.len(), self.fed.num_clients())?;
-        for flat in &ckpt.client_masks {
-            check("client mask length", flat.len(), num_params)?;
-        }
-        let masked_global = |flat: &Vec<f32>| apply_flat_mask(ckpt.global.clone(), flat);
-        self.store = Resident {
-            states: ckpt.client_masks.iter().map(|flat| unflatten_mask(layout, flat)).collect(),
-            local_flats: ckpt.client_masks.iter().map(masked_global).collect(),
-            history: History::new(),
-        };
-        self.next_round = ckpt.round as usize + 1;
-        self.global = ckpt.global.clone();
-        self.cum_bytes = 0;
-        Ok(())
-    }
 }
 
 impl SubFedAvgHy {
@@ -726,42 +821,12 @@ impl ScaledSubFedAvg {
         Self::from_parts(fed, controller, global, store)
     }
 
-    /// Resumes from a cold-loaded registry (masks and participation
-    /// counters carry over; the global restarts from θ₀ unless the caller
-    /// also restores it via [`ScaledSubFedAvg::set_global`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry's population or model size disagrees with
-    /// the federation.
-    pub fn with_registry(
-        fed: Federation,
-        controller: UnstructuredController,
-        registry: ClientRegistry,
-    ) -> Self {
-        assert_eq!(registry.registered(), fed.num_clients(), "registry population mismatch");
-        let mut driver = Self::new(fed, controller);
-        assert_eq!(registry.mask_len(), driver.global.len(), "registry model size mismatch");
-        driver.store.registry = registry;
-        driver
-    }
-
-    /// Overwrites the server's global parameters (cold-start restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch.
-    pub fn set_global(&mut self, global: Vec<f32>) {
-        assert_eq!(global.len(), self.global.len(), "global length mismatch");
-        self.global = global;
-    }
-
     /// The server-side client registry.
     pub fn registry(&self) -> &ClientRegistry {
         &self.store.registry
     }
 
-    /// Per-round records so far.
+    /// Per-round records so far (since the restore, if any).
     pub fn records(&self) -> &[ScaledRoundRecord] {
         &self.store.records
     }
@@ -790,8 +855,7 @@ mod tests {
 
     mod un {
         use super::*;
-        use crate::tests_support::{tiny_federation, tiny_federation_of};
-        use subfed_nn::models::ModelSpec;
+        use crate::tests_support::tiny_federation;
 
         fn test_controller(target: f32) -> UnstructuredController {
             let mut controller = UnstructuredController::paper_defaults(target);
@@ -898,61 +962,6 @@ mod tests {
             let h = robust.run();
             assert_eq!(h.records.len(), 4);
             assert!(h.final_avg_acc() > 0.3);
-        }
-
-        #[test]
-        fn checkpoint_resume_reproduces_straight_run() {
-            // Straight: 6 rounds. Split: 3 rounds -> checkpoint -> restore ->
-            // 3 more. The server-persistent state (global + masks) must agree
-            // exactly.
-            let controller = test_controller(0.5);
-            let mut straight = SubFedAvgUn::with_controller(tiny_federation(6, 4), controller);
-            let _ = straight.run();
-            let straight_ckpt = straight.checkpoint();
-
-            let mut first = SubFedAvgUn::with_controller(tiny_federation(3, 4), controller);
-            let _ = first.run();
-            let mid = first.checkpoint();
-            assert_eq!(mid.round, 3);
-
-            let mut second = SubFedAvgUn::with_controller(tiny_federation(6, 4), controller);
-            second.restore(&mid).expect("same federation");
-            let resumed_history = second.resume();
-            let final_ckpt = second.checkpoint();
-
-            assert_eq!(final_ckpt.round, 6);
-            assert_eq!(final_ckpt.global, straight_ckpt.global, "global diverged after resume");
-            assert_eq!(final_ckpt.client_masks, straight_ckpt.client_masks);
-            // The resumed history covers rounds 4..=6 only.
-            assert_eq!(resumed_history.records.len(), 3);
-            assert_eq!(resumed_history.records[0].round, 4);
-        }
-
-        #[test]
-        fn restore_rejects_a_checkpoint_of_another_federation() {
-            let lenet = tiny_federation_of(ModelSpec::lenet5(1, 16, 16, 4), 2, 4);
-            let mut algo = SubFedAvgUn::with_controller(lenet, test_controller(0.5));
-            let _ = algo.run();
-            let before = algo.checkpoint();
-
-            // A CNN-5 checkpoint has another model size.
-            let cnn5 = run_with_target(0.5, 2).0.checkpoint();
-            match algo.restore(&cnn5) {
-                Err(CheckpointError::Mismatch { what: "model size", got, want }) => {
-                    assert_eq!((got, want), (cnn5.global.len(), before.global.len()));
-                }
-                other => panic!("CNN-5 checkpoint restored into LeNet-5: {other:?}"),
-            }
-            assert_eq!(algo.checkpoint(), before, "a rejected restore touched the driver");
-
-            // One client too many.
-            let mut crowded = before.clone();
-            crowded.client_masks.push(before.client_masks[0].clone());
-            match algo.restore(&crowded) {
-                Err(CheckpointError::Mismatch { what: "client count", got: 5, want: 4 }) => {}
-                other => panic!("5-client checkpoint restored into 4 clients: {other:?}"),
-            }
-            assert_eq!(algo.checkpoint(), before, "a rejected restore touched the driver");
         }
 
         #[test]
@@ -1161,16 +1170,14 @@ mod tests {
         fn registry_survives_cold_reload() {
             let mut driver = scaled_driver(80, 0.1, 1);
             driver.step_round();
-            let image = driver.registry().save();
-            let restored = ClientRegistry::load(&image).expect("reload");
-            let fed2 = scaled_driver(80, 0.1, 1).fed;
-            let resumed = ScaledSubFedAvg::with_registry(
-                fed2,
-                UnstructuredController::paper_defaults(0.5),
-                restored,
-            );
+            let image = Checkpoint::decode(&driver.checkpoint().encode()).expect("decodes");
+            let mut resumed = scaled_driver(80, 0.1, 1);
+            resumed.restore(&image).expect("same federation");
+            assert_eq!(resumed.checkpoint(), driver.checkpoint());
             for id in 0..80 {
                 assert_eq!(resumed.registry().kept(id), driver.registry().kept(id));
+                let rounds = driver.registry().rounds_participated(id);
+                assert_eq!(resumed.registry().rounds_participated(id), rounds);
             }
         }
     }

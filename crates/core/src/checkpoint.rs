@@ -1,34 +1,72 @@
-//! Federation checkpointing: serialise the server's global parameters and
-//! every client's persistent mask so a long-running federation can stop
-//! and resume — the state a production Sub-FedAvg server would have to
-//! persist (everything else is reconstructed deterministically from the
-//! config seed).
+//! Federation checkpointing: everything a Sub-FedAvg server carries from
+//! one round to the next, as one byte image, so a stopped federation can
+//! continue in a fresh process exactly as if it had never stopped.
+//! [`SubFedAvg::checkpoint`](crate::algorithms::SubFedAvg::checkpoint)
+//! takes it and [`SubFedAvg::restore`](crate::algorithms::SubFedAvg::restore)
+//! continues from it; data, cohorts and seeds are rebuilt from the
+//! federation's config.
+//!
+//! # Layout
+//!
+//! Integers are little-endian.
+//!
+//! | bytes | field |
+//! |---|---|
+//! | 4 | magic `SBC2` |
+//! | 4 | `round`: rounds completed |
+//! | 8 | `cum_bytes`: the byte ledger after `round` |
+//! | 8 | `n`: length of θ_g |
+//! | 4·n | θ_g, as `f32` |
+//! | rest | the client image |
+//!
+//! The client image opens with two tags, the store kind (1 resident,
+//! 2 registry) and the pruning track (1 Un, 2 Hy), so an image of another
+//! kind is refused, not misread. The store's own part follows:
+//!
+//! * **Resident** (`SubFedAvgUn`, `SubFedAvgHy`): the client count and the
+//!   channel flags of one state (0 for Un), each a `u64`, then one record
+//!   per client. A record is the client's state, bit-packed as the wire
+//!   packs a mask — its channel flags, then its mask (for Hy the FC base
+//!   mask, from which the parameter mask is rebuilt) — followed by its
+//!   last trained model as `4·n` bytes of `f32`. The restoring driver
+//!   derives the record size from its own model layout, so the records
+//!   decode with one exact-length check.
+//! * **Registry** (`ScaledSubFedAvg`): the
+//!   [`ClientRegistry::save`](crate::ClientRegistry::save) image, read back
+//!   through the certified
+//!   [`ClientRegistry::load`](crate::ClientRegistry::load).
 
-use bytes::{Buf, BufMut, BytesMut};
+use crate::registry::RegistryError;
 
-/// A restorable snapshot of a Sub-FedAvg federation.
+/// A restorable snapshot of a Sub-FedAvg federation (module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    /// Round the snapshot was taken after (1-based; 0 = before training).
+    /// Rounds completed; the restored driver runs `round + 1` next.
     pub round: u32,
-    /// The server's dense global parameters.
+    /// Cumulative communication bytes after `round`.
+    pub cum_bytes: u64,
+    /// The server's dense global parameters θ_g.
     pub global: Vec<f32>,
-    /// Each client's flat 0/1 mask (empty for mask-free algorithms).
-    pub client_masks: Vec<Vec<f32>>,
+    /// Every client's state: the tagged client image.
+    pub clients: Vec<u8>,
 }
 
-const MAGIC: u32 = 0x5342_4643; // "SBFC"
+const MAGIC: u32 = u32::from_le_bytes(*b"SBC2");
 
 /// What went wrong restoring or persisting a checkpoint.
 ///
-/// Checkpoint images live on disk across process restarts, so
-/// [`Checkpoint::decode`] treats them as untrusted input: every structural
-/// problem maps to a variant here and none to a panic.
+/// Checkpoint images live on disk across process restarts, so decoding
+/// and restoring treat them as untrusted input: every problem maps to a
+/// variant here and none to a panic.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Shorter than the fixed 16-byte header.
-    TruncatedHeader {
-        /// Bytes actually present.
+    /// The image ends inside a section.
+    Truncated {
+        /// The section being read.
+        what: &'static str,
+        /// Bytes the section needs.
+        needed: usize,
+        /// Bytes remaining.
         got: usize,
     },
     /// Leading tag is not the checkpoint magic.
@@ -36,32 +74,22 @@ pub enum CheckpointError {
         /// Tag actually found.
         got: u32,
     },
-    /// Global parameter section is cut short.
-    TruncatedGlobal {
-        /// Bytes the header's parameter count requires.
-        needed: usize,
-        /// Bytes remaining.
-        got: usize,
-    },
-    /// Packed client-mask section is cut short.
-    TruncatedMask {
-        /// Bytes the header's client count requires.
-        needed: usize,
-        /// Bytes remaining.
-        got: usize,
-    },
     /// Header-declared lengths overflow the platform's address range.
     LengthOverflow,
-    /// A well-formed checkpoint of another federation: its model size,
-    /// client count or a client mask length differs from the driver's.
+    /// A checkpoint of another federation or driver: its `what` (model
+    /// size, store or track kind, client count, registered population,
+    /// mask length, channel count or client image length) differs from
+    /// the restoring driver's.
     Mismatch {
-        /// What differs (`"model size"`, `"client count"`, `"client mask length"`).
+        /// What differs.
         what: &'static str,
         /// The checkpoint's value.
         got: usize,
-        /// The federation's value.
+        /// The driver's value.
         want: usize,
     },
+    /// The registry image inside the checkpoint is corrupt.
+    Registry(RegistryError),
     /// The checkpoint file could not be read or written.
     Io(std::io::Error),
 }
@@ -69,22 +97,17 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::TruncatedHeader { got } => {
-                write!(f, "truncated checkpoint header ({got} of 16 bytes)")
+            Self::Truncated { what, needed, got } => {
+                write!(f, "truncated checkpoint {what} (need {needed} bytes, got {got})")
             }
             Self::BadMagic { got } => write!(f, "bad checkpoint magic {got:#010x}"),
-            Self::TruncatedGlobal { needed, got } => {
-                write!(f, "truncated global parameters (need {needed} bytes, got {got})")
-            }
-            Self::TruncatedMask { needed, got } => {
-                write!(f, "truncated client mask (need {needed} bytes, got {got})")
-            }
             Self::LengthOverflow => {
                 write!(f, "header-declared lengths overflow the platform's address range")
             }
             Self::Mismatch { what, got, want } => {
                 write!(f, "checkpoint {what} mismatch: got {got}, want {want}")
             }
+            Self::Registry(e) => write!(f, "checkpoint registry image: {e}"),
             Self::Io(e) => write!(f, "checkpoint i/o failed: {e}"),
         }
     }
@@ -93,6 +116,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            Self::Registry(e) => Some(e),
             Self::Io(e) => Some(e),
             _ => None,
         }
@@ -100,36 +124,24 @@ impl std::error::Error for CheckpointError {
 }
 
 impl Checkpoint {
-    /// Serialises the checkpoint. Masks are stored bit-packed via the wire
-    /// format's encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any mask length differs from the global parameter count.
+    /// Serialises the checkpoint (module docs).
     pub fn encode(&self) -> Vec<u8> {
-        for m in &self.client_masks {
-            assert_eq!(m.len(), self.global.len(), "mask/global length mismatch");
-        }
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(self.round);
-        buf.put_u32_le(self.global.len() as u32);
-        buf.put_u32_le(self.client_masks.len() as u32);
-        for &v in &self.global {
-            buf.put_f32_le(v);
-        }
-        for m in &self.client_masks {
-            buf.extend_from_slice(&subfed_metrics::comm::pack_mask(m));
-        }
-        buf.to_vec()
+        let mut out = Vec::with_capacity(24 + 4 * self.global.len() + self.clients.len());
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&self.round.to_le_bytes());
+        out.extend_from_slice(&self.cum_bytes.to_le_bytes());
+        out.extend_from_slice(&(self.global.len() as u64).to_le_bytes());
+        put_f32s(&mut out, &self.global);
+        out.extend_from_slice(&self.clients);
+        out
     }
 
-    /// Restores a checkpoint from bytes.
+    /// Restores a checkpoint from bytes. The client image is kept as it
+    /// is; the restoring driver checks it against its own federation.
     ///
-    /// Every length is re-derived with checked arithmetic and validated
-    /// against the bytes actually present before any allocation, so a
-    /// corrupt or adversarial image yields a [`CheckpointError`], never a
-    /// panic or an unbounded allocation.
+    /// Every length is validated against the bytes actually present
+    /// before any allocation, so a corrupt or adversarial image yields a
+    /// [`CheckpointError`], never a panic or an unbounded allocation.
     ///
     /// # Errors
     ///
@@ -137,48 +149,16 @@ impl Checkpoint {
     /// overflowing input.
     #[must_use = "a dropped Result hides the checkpoint corruption it reports"]
     pub fn decode(data: &[u8]) -> Result<Self, CheckpointError> {
-        let mut buf = data;
-        if buf.remaining() < 16 {
-            return Err(CheckpointError::TruncatedHeader { got: buf.remaining() });
-        }
-        let magic = buf.get_u32_le();
+        let mut image = Reader(data);
+        let magic = u32::from_le_bytes(image.array("header")?);
         if magic != MAGIC {
             return Err(CheckpointError::BadMagic { got: magic });
         }
-        let round = buf.get_u32_le();
-        let overflow = |_| CheckpointError::LengthOverflow;
-        let n_params = usize::try_from(buf.get_u32_le()).map_err(overflow)?;
-        let n_clients = usize::try_from(buf.get_u32_le()).map_err(overflow)?;
-        let global_bytes = n_params.checked_mul(4).ok_or(CheckpointError::LengthOverflow)?;
-        if buf.remaining() < global_bytes {
-            return Err(CheckpointError::TruncatedGlobal {
-                needed: global_bytes,
-                got: buf.remaining(),
-            });
-        }
-        let mut global = Vec::with_capacity(n_params);
-        for _ in 0..n_params {
-            global.push(buf.get_f32_le());
-        }
-        let mask_len = usize::try_from(subfed_metrics::comm::mask_bytes(n_params))
-            .map_err(|_| CheckpointError::LengthOverflow)?;
-        let need = n_clients.checked_mul(mask_len).ok_or(CheckpointError::LengthOverflow)?;
-        if buf.remaining() < need {
-            return Err(CheckpointError::TruncatedMask { needed: need, got: buf.remaining() });
-        }
-        // For a non-degenerate model the size check above already bounds
-        // `n_clients` by the image length; the `min` closes the
-        // zero-param corner where `need == 0` would otherwise let a forged
-        // header reserve an arbitrary amount up front.
-        let mut client_masks = Vec::with_capacity(n_clients.min(data.len()));
-        for _ in 0..n_clients {
-            let (raw, rest) = buf
-                .split_at_checked(mask_len)
-                .ok_or(CheckpointError::TruncatedMask { needed: mask_len, got: buf.remaining() })?;
-            client_masks.push(subfed_metrics::comm::unpack_mask(raw, n_params));
-            buf = rest;
-        }
-        Ok(Self { round, global, client_masks })
+        let round = u32::from_le_bytes(image.array("header")?);
+        let cum_bytes = u64::from_le_bytes(image.array("header")?);
+        let global_bytes = image.count("header")?.checked_mul(4);
+        let global = image.take(global_bytes.ok_or(CheckpointError::LengthOverflow)?, "global")?;
+        Ok(Self { round, cum_bytes, global: f32s(global), clients: image.0.to_vec() })
     }
 
     /// Persists the encoded checkpoint to `path`.
@@ -201,12 +181,70 @@ impl Checkpoint {
     pub fn read_from(path: &std::path::Path) -> Result<Self, CheckpointError> {
         Self::decode(&std::fs::read(path).map_err(CheckpointError::Io)?)
     }
+}
 
-    /// Size of the encoded checkpoint without building it.
-    pub fn encoded_len(num_params: usize, num_clients: usize) -> u64 {
-        16 + 4 * num_params as u64
-            + num_clients as u64 * subfed_metrics::comm::mask_bytes(num_params)
+/// A cursor over an untrusted image: every read is bounds-checked and
+/// names the section it was reading when the image ends.
+pub(crate) struct Reader<'a>(pub(crate) &'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The error for a read of `needed` bytes of `what` past the end.
+    fn short(&self, what: &'static str, needed: usize) -> CheckpointError {
+        CheckpointError::Truncated { what, needed, got: self.0.len() }
     }
+
+    /// The next `n` bytes.
+    #[must_use = "a dropped Result hides a truncated image"]
+    pub(crate) fn take(
+        &mut self,
+        n: usize,
+        what: &'static str,
+    ) -> Result<&'a [u8], CheckpointError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(|| self.short(what, n))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, as an array.
+    #[must_use = "a dropped Result hides a truncated image"]
+    pub(crate) fn array<const N: usize>(
+        &mut self,
+        what: &'static str,
+    ) -> Result<[u8; N], CheckpointError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or_else(|| self.short(what, N))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    /// The next little-endian `u64`, as a count or length.
+    #[must_use = "a dropped Result hides a truncated image"]
+    pub(crate) fn count(&mut self, what: &'static str) -> Result<usize, CheckpointError> {
+        let value = u64::from_le_bytes(self.array(what)?);
+        usize::try_from(value).map_err(|_| CheckpointError::LengthOverflow)
+    }
+}
+
+/// `Ok` when the checkpoint's `got` equals the driver's `want`.
+#[must_use = "a dropped Result hides a mismatched checkpoint"]
+pub(crate) fn check(what: &'static str, got: usize, want: usize) -> Result<(), CheckpointError> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(CheckpointError::Mismatch { what, got, want })
+    }
+}
+
+/// Appends `values` as little-endian `f32`s.
+pub(crate) fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The little-endian `f32`s of `bytes` (a trailing partial word is
+/// ignored).
+pub(crate) fn f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes.as_chunks().0.iter().map(|&w| f32::from_le_bytes(w)).collect()
 }
 
 #[cfg(test)]
@@ -215,40 +253,37 @@ mod tests {
 
     fn example() -> Checkpoint {
         let global: Vec<f32> = (0..21).map(|i| i as f32 * 0.25 - 2.0).collect();
-        let client_masks: Vec<Vec<f32>> = (0..3)
-            .map(|k| (0..21).map(|i| if (i + k) % 2 == 0 { 1.0 } else { 0.0 }).collect())
-            .collect();
-        Checkpoint { round: 17, global, client_masks }
+        let clients = (0..40u8).map(|b| b.wrapping_mul(37)).collect();
+        Checkpoint { round: 17, cum_bytes: 123_456_789_012, global, clients }
     }
 
     #[test]
     fn roundtrip() {
         let c = example();
         let buf = c.encode();
-        assert_eq!(buf.len() as u64, Checkpoint::encoded_len(21, 3));
-        let back = Checkpoint::decode(&buf).unwrap();
-        assert_eq!(back, c);
+        assert_eq!(buf.len(), 24 + 4 * 21 + 40);
+        assert_eq!(Checkpoint::decode(&buf).unwrap(), c);
     }
 
     #[test]
     fn empty_federation_roundtrip() {
-        let c = Checkpoint { round: 0, global: vec![], client_masks: vec![] };
-        let back = Checkpoint::decode(&c.encode()).unwrap();
-        assert_eq!(back, c);
+        let c = Checkpoint { round: 0, cum_bytes: 0, global: vec![], clients: vec![] };
+        assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
     }
 
     #[test]
     fn corruption_detected() {
         let err = |r: Result<Checkpoint, CheckpointError>| r.unwrap_err().to_string();
         let buf = example().encode();
-        assert!(err(Checkpoint::decode(&buf[..8])).contains("truncated checkpoint"));
-        assert!(err(Checkpoint::decode(&buf[..buf.len() - 1])).contains("truncated client mask"));
+        assert!(err(Checkpoint::decode(&buf[..8])).contains("truncated checkpoint header"));
+        assert!(err(Checkpoint::decode(&buf[..30])).contains("truncated checkpoint global"));
         let mut bad = buf.clone();
         bad[0] ^= 0x55;
         assert!(err(Checkpoint::decode(&bad)).contains("bad checkpoint magic"));
-        let mut short = buf.clone();
-        short.truncate(20);
-        assert!(err(Checkpoint::decode(&short)).contains("truncated global"));
+        // A parameter count whose byte length overflows.
+        let mut huge = buf.clone();
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(Checkpoint::decode(&huge), Err(CheckpointError::LengthOverflow)));
     }
 
     #[test]
@@ -266,36 +301,5 @@ mod tests {
         let path = std::env::temp_dir().join("subfed_checkpoint_does_not_exist.sbfc");
         let err = Checkpoint::read_from(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Io(_)), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_mask_rejected() {
-        let mut c = example();
-        c.client_masks[0].pop();
-        let _ = c.encode();
-    }
-
-    #[test]
-    fn resume_reproduces_training_state() {
-        // Save a mid-run state, restore it, and verify the restored global
-        // and masks drive the same evaluation results.
-        use crate::tests_support::tiny_federation;
-        use crate::{flatten_mask, FederatedAlgorithm};
-        use subfed_pruning::UnstructuredController;
-
-        let fed = tiny_federation(3, 4);
-        let mut controller = UnstructuredController::paper_defaults(0.5);
-        controller.acc_threshold = 0.0;
-        controller.rate = 0.2;
-        let mut algo = crate::algorithms::SubFedAvgUn::with_controller(fed.clone(), controller);
-        let _ = algo.run();
-        let masks: Vec<Vec<f32>> = algo.final_masks().iter().map(flatten_mask).collect();
-        let global = fed.init_global(); // any dense vector of the right size
-        let ckpt = Checkpoint { round: 3, global: global.clone(), client_masks: masks.clone() };
-        let restored = Checkpoint::decode(&ckpt.encode()).unwrap();
-        assert_eq!(restored.global, global);
-        assert_eq!(restored.client_masks, masks);
-        assert_eq!(restored.round, 3);
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! - **decode** — a wire-decoded update must have the expected length and
 //!   a strictly binary mask (`wire.rs` boundary),
-//! - **gate** — the pruning decision's inputs must live in their domains:
-//!   finite validation accuracy, Hamming Δ in `[0, 1]`
-//!   (`controller.rs` boundary),
+//! - **gate** — the mask distance Δ must live in `[0, 1]`
+//!   (`controller.rs` boundary; a non-finite validation accuracy holds the
+//!   gate by design, so it is not a violation),
 //! - **aggregate** — intersection averaging over a non-empty cohort must
 //!   cover at least one position, otherwise the round is a silent no-op
 //!   (`aggregate.rs` boundary).
@@ -52,11 +52,6 @@ pub enum InvariantViolation {
         /// The measured distance.
         value: f32,
     },
-    /// A validation accuracy is non-finite (diverged local training).
-    NonFiniteAccuracy {
-        /// The measured accuracy.
-        value: f32,
-    },
     /// Intersection averaging over a non-empty cohort covered no position
     /// at all: every denominator is zero and the aggregate degenerates to
     /// the previous global.
@@ -80,9 +75,6 @@ impl fmt::Display for InvariantViolation {
             }
             InvariantViolation::HammingOutOfDomain { value } => {
                 write!(f, "hamming distance {value} outside [0, 1]")
-            }
-            InvariantViolation::NonFiniteAccuracy { value } => {
-                write!(f, "non-finite validation accuracy: {value}")
             }
             InvariantViolation::NoCoverage { positions } => {
                 write!(f, "aggregation covered none of {positions} positions")
@@ -140,20 +132,6 @@ pub fn check_hamming_domain(value: f32) -> Result<(), InvariantViolation> {
         Ok(())
     } else {
         Err(InvariantViolation::HammingOutOfDomain { value })
-    }
-}
-
-/// Checks that a validation accuracy is finite.
-///
-/// # Errors
-///
-/// [`InvariantViolation::NonFiniteAccuracy`].
-#[must_use = "a dropped Result hides the violation it reports"]
-pub fn check_accuracy_finite(value: f32) -> Result<(), InvariantViolation> {
-    if value.is_finite() {
-        Ok(())
-    } else {
-        Err(InvariantViolation::NonFiniteAccuracy { value })
     }
 }
 
@@ -284,17 +262,6 @@ mod tests {
         assert_eq!(check_hamming_domain(1.0), Ok(()));
         for bad in [-0.001f32, 1.001, f32::NAN, f32::INFINITY] {
             assert!(check_hamming_domain(bad).is_err(), "{bad} accepted");
-        }
-    }
-
-    #[test]
-    fn accuracy_must_be_finite() {
-        assert_eq!(check_accuracy_finite(0.73), Ok(()));
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            assert_eq!(
-                check_accuracy_finite(bad).unwrap_err().to_string(),
-                format!("non-finite validation accuracy: {bad}")
-            );
         }
     }
 

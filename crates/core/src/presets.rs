@@ -92,18 +92,21 @@ impl DatasetKind {
     }
 
     /// Generates the dataset and splits it with the chosen heterogeneity
-    /// generator.
+    /// generator. Each stand-in holds 600 training examples per 20
+    /// clients: enough for every client's two 15-example shards, and for
+    /// the Dirichlet and quantity-skew splits' 10-example minimum.
     pub fn clients_with(
         self,
         num_clients: usize,
         seed: u64,
         partition: PartitionKind,
     ) -> Vec<ClientData> {
+        let scale = num_clients.div_ceil(20);
         let synth = match self {
-            DatasetKind::Mnist => SynthVision::mnist_like(seed, 1),
-            DatasetKind::Emnist => SynthVision::emnist_like(seed, 1),
-            DatasetKind::Cifar10 => SynthVision::cifar10_like(seed, 1),
-            DatasetKind::Cifar100 => SynthVision::cifar100_like(seed, 1, 20),
+            DatasetKind::Mnist => SynthVision::mnist_like(seed, scale),
+            DatasetKind::Emnist => SynthVision::emnist_like(seed, scale),
+            DatasetKind::Cifar10 => SynthVision::cifar10_like(seed, scale),
+            DatasetKind::Cifar100 => SynthVision::cifar100_like(seed, scale, 20),
         };
         match partition {
             PartitionKind::Pathological => {

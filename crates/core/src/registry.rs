@@ -11,10 +11,13 @@
 //! `u32::MAX` slot sentinel — and cost no arena bytes at all.
 //!
 //! The whole registry serializes to a flat byte image ([`ClientRegistry::save`] /
-//! [`ClientRegistry::load`]) so a long-lived federation can be cold-loaded
-//! between processes. See `docs/SCALING.md` for the memory model.
+//! [`ClientRegistry::load`]), which travels inside a federation
+//! [`Checkpoint`](crate::checkpoint::Checkpoint) so a long-lived federation
+//! can be cold-loaded between processes. See `docs/SCALING.md` for the
+//! memory model.
 
 use subfed_metrics::comm::{mask_bytes, pack_mask, unpack_mask};
+use subfed_nn::is_kept;
 
 /// Slot sentinel: the client has never pruned, its mask is implicitly all
 /// ones and owns no arena slot.
@@ -23,7 +26,7 @@ const NO_SLOT: u32 = u32::MAX;
 /// Magic + version tag for the cold-load image format.
 const MAGIC: [u8; 8] = *b"SFREG01\0";
 
-/// What went wrong decoding or persisting a registry image.
+/// What went wrong decoding a registry image.
 ///
 /// Registry images cross process (and potentially machine) boundaries, so
 /// [`ClientRegistry::load`] treats them as adversarial: every structural
@@ -59,8 +62,6 @@ pub enum RegistryError {
     },
     /// Header-declared lengths overflow the platform's address range.
     LengthOverflow,
-    /// The image file could not be read or written.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -81,19 +82,11 @@ impl std::fmt::Display for RegistryError {
             Self::LengthOverflow => {
                 write!(f, "header-declared lengths overflow the platform's address range")
             }
-            Self::Io(e) => write!(f, "registry image i/o failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for RegistryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for RegistryError {}
 
 /// Per-client record (16 bytes; 16 MB per million clients).
 #[derive(Debug, Clone, Copy)]
@@ -179,25 +172,8 @@ impl ClientRegistry {
     /// Panics if the mask length differs from the registry's model.
     pub fn set_mask(&mut self, id: usize, mask: &[f32]) {
         assert_eq!(mask.len(), self.mask_len, "mask length mismatch");
-        let packed = pack_mask(mask);
-        debug_assert_eq!(packed.len(), self.slot_bytes);
-        let rec = &mut self.records[id];
-        if rec.mask_slot == NO_SLOT {
-            #[expect(
-                clippy::expect_used,
-                reason = "the slot count is bounded by the u32 population × masks"
-            )]
-            let slot = u32::try_from(self.arena.len() / self.slot_bytes)
-                .expect("arena slot index overflow");
-            rec.mask_slot = slot;
-            self.arena.extend_from_slice(&packed);
-        } else {
-            let start = rec.mask_slot as usize * self.slot_bytes;
-            self.arena[start..start + self.slot_bytes].copy_from_slice(&packed);
-        }
-        let kept = mask.iter().filter(|&&m| m >= 0.5).count();
-        rec.kept = kept as u32;
-        rec.pruned_fraction = 1.0 - kept as f32 / self.mask_len as f32;
+        let kept = mask.iter().filter(|&&m| is_kept(m)).count();
+        self.set_mask_packed(id, &pack_mask(mask), kept);
     }
 
     /// Stores an already-packed mask (the scaled driver packs on the
@@ -338,28 +314,6 @@ impl ClientRegistry {
         let arena = bytes.get(arena_start..).unwrap_or(&[]).to_vec();
         Ok(Self { mask_len, slot_bytes, records, arena })
     }
-
-    /// Persists the registry image to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::Io`] when the file cannot be written.
-    #[must_use = "a dropped Result hides the write failure it reports"]
-    pub fn save_to(&self, path: &std::path::Path) -> Result<(), RegistryError> {
-        std::fs::write(path, self.save()).map_err(RegistryError::Io)
-    }
-
-    /// Loads a registry image file written by [`ClientRegistry::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::Io`] when the file cannot be read,
-    /// otherwise whatever [`ClientRegistry::load`] reports about the
-    /// image's structure.
-    #[must_use = "a dropped Result hides the image corruption it reports"]
-    pub fn load_from(path: &std::path::Path) -> Result<Self, RegistryError> {
-        Self::load(&std::fs::read(path).map_err(RegistryError::Io)?)
-    }
 }
 
 /// Little-endian `u64` at `off`, or `None` past the end — the panic-free
@@ -470,27 +424,5 @@ mod tests {
         img[32 + 2 * 16] = 9;
         let err = ClientRegistry::load(&img).unwrap_err();
         assert!(matches!(err, RegistryError::BadSlot { client: 2, slot: 9, slots: 1 }), "{err}");
-    }
-
-    #[test]
-    fn save_to_load_from_roundtrip_on_disk() {
-        let mut reg = ClientRegistry::new(6, 9);
-        reg.set_mask(3, &[1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0]);
-        reg.note_participation(3);
-        let path = std::env::temp_dir().join("subfed_registry_roundtrip.sfreg");
-        reg.save_to(&path).expect("write image");
-        let back = ClientRegistry::load_from(&path).expect("read image");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back.registered(), 6);
-        assert_eq!(back.kept(3), 6);
-        assert_eq!(back.rounds_participated(3), 1);
-    }
-
-    #[test]
-    fn load_from_missing_file_is_io_error() {
-        let path = std::env::temp_dir().join("subfed_registry_does_not_exist.sfreg");
-        let err = ClientRegistry::load_from(&path).unwrap_err();
-        assert!(matches!(err, RegistryError::Io(_)), "{err}");
-        assert!(err.to_string().contains("i/o"));
     }
 }

@@ -139,25 +139,13 @@ proptest! {
     #[test]
     fn checkpoint_roundtrip_arbitrary(
         round in 0u32..10_000,
+        cum_bytes in 0u64..u64::MAX,
         global in prop::collection::vec(-100.0f32..100.0, 0..80),
-        masks in prop::collection::vec(prop::bool::ANY, 0..240),
+        clients in prop::collection::vec(0u8..=255, 0..240),
     ) {
-        let n = global.len();
-        let client_masks: Vec<Vec<f32>> = if n == 0 {
-            Vec::new()
-        } else {
-            masks
-                .chunks(n)
-                .filter(|c| c.len() == n)
-                .map(|c| c.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
-                .collect()
-        };
-        let ckpt = Checkpoint { round, global, client_masks };
+        let ckpt = Checkpoint { round, cum_bytes, global, clients };
         let buf = ckpt.encode();
-        prop_assert_eq!(
-            buf.len() as u64,
-            Checkpoint::encoded_len(ckpt.global.len(), ckpt.client_masks.len())
-        );
+        prop_assert_eq!(buf.len(), 24 + 4 * ckpt.global.len() + ckpt.clients.len());
         let back = Checkpoint::decode(&buf).unwrap();
         prop_assert_eq!(back, ckpt);
     }

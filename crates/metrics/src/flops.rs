@@ -9,8 +9,8 @@
 //! (Un)) but removes parameters.
 
 use subfed_nn::models::{ConvShape, FcShape, ModelSpec};
-use subfed_nn::ParamKind;
-use subfed_pruning::{bridge, ChannelMask, ModelMask};
+use subfed_nn::{is_kept, ParamKind};
+use subfed_pruning::{ChannelMask, ModelMask};
 
 /// FLOPs of one convolution layer (2 × MACs).
 pub fn conv_flops(shape: &ConvShape) -> u64 {
@@ -77,9 +77,10 @@ pub fn masked_fc_flops(spec: &ModelSpec, channels: &ChannelMask) -> u64 {
 /// FLOPs the *sparse compute path* actually performs for one input under
 /// a parameter [`ModelMask`]: each kept conv weight does `out_h·out_w`
 /// MACs, each kept FC weight one — exactly the work of the compressed-row
-/// kernels built by [`bridge::weight_pattern`]. Weight-only, like every
-/// count in this module (biases/BN are ignorable); a fully-dense mask
-/// reproduces [`dense_flops`].
+/// kernels ([`RowPattern`](subfed_tensor::sparse::RowPattern)), which
+/// keep the same entries. Weight-only, like every count in this module
+/// (biases/BN are ignorable); a fully-dense mask reproduces
+/// [`dense_flops`].
 ///
 /// Unlike [`masked_conv_flops`] (channel granularity, structured pruning
 /// only), this counts individual kept weights, so it also credits
@@ -95,18 +96,18 @@ pub fn effective_flops(spec: &ModelSpec, mask: &ModelMask) -> u64 {
     let (mut conv_i, mut fc_i) = (0usize, 0usize);
     let mut total = 0u64;
     for (&kind, bits) in mask.kinds().iter().zip(mask.tensors()) {
-        let Some(pat) = bridge::weight_pattern(kind, bits) else { continue };
+        let kept = || bits.data().iter().filter(|&&b| is_kept(b)).count() as u64;
         match kind {
             ParamKind::ConvWeight => {
                 assert!(conv_i < convs.len(), "mask has more conv weights than spec");
                 let shape = &convs[conv_i];
                 conv_i += 1;
-                total += 2 * pat.nnz() as u64 * (shape.out_h * shape.out_w) as u64;
+                total += 2 * kept() * (shape.out_h * shape.out_w) as u64;
             }
             ParamKind::FcWeight => {
                 assert!(fc_i < fcs.len(), "mask has more fc weights than spec");
                 fc_i += 1;
-                total += 2 * pat.nnz() as u64;
+                total += 2 * kept();
             }
             _ => {}
         }

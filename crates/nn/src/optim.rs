@@ -15,7 +15,6 @@ use subfed_tensor::Tensor;
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    clip_norm: Option<f32>,
     velocity: Vec<Tensor>,
 }
 
@@ -29,36 +28,11 @@ impl Sgd {
     pub fn new(lr: f32, momentum: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self { lr, momentum, clip_norm: None, velocity: Vec::new() }
-    }
-
-    /// Enables global gradient-norm clipping: before each step the full
-    /// gradient (over all trainable parameters, after masking and the
-    /// proximal term) is rescaled so its L2 norm does not exceed
-    /// `max_norm`. Common in FL to bound client-update magnitudes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_norm <= 0`.
-    pub fn with_clip_norm(mut self, max_norm: f32) -> Self {
-        assert!(max_norm > 0.0, "clip norm must be positive");
-        self.clip_norm = Some(max_norm);
-        self
-    }
-
-    /// The learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Sets the learning rate (for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
+        Self { lr, momentum, velocity: Vec::new() }
     }
 
     /// Applies one update step to `model` using the gradients stored by the
-    /// last backward pass.
+    /// last backward pass, one pass over each parameter.
     ///
     /// `mask`, when provided, freezes pruned coordinates; `prox`, when
     /// provided as `(anchor, μ)`, adds `μ(w − anchor)` to each trainable
@@ -86,89 +60,59 @@ impl Sgd {
         if let Some((anchor, _)) = prox {
             assert_eq!(anchor.len(), params.len(), "proximal anchor does not match model");
         }
-        // Pass 1: effective gradients (prox + mask applied).
-        let mut grads: Vec<Option<Tensor>> = Vec::with_capacity(params.len());
-        for (i, p) in params.iter().enumerate() {
+        let (lr, momentum) = (self.lr, self.momentum);
+        for ((i, p), v) in params.iter_mut().enumerate().zip(&mut self.velocity) {
             if !p.kind.is_trainable() {
-                grads.push(None);
                 continue;
             }
-            // lint: allow(hot-path-alloc) — owned grad copy so decay and masking never alias the param
-            let mut grad = p.grad.clone();
-            if let Some((anchor, mu)) = prox {
-                // FedProx: ∇ += μ (w − w_global)
-                for ((g, &w), &a) in
-                    grad.data_mut().iter_mut().zip(p.value.data()).zip(anchor[i].data())
-                {
-                    *g += mu * (w - a);
+            let w = p.value.data_mut();
+            let n = w.len();
+            let (g, v) = (&p.grad.data()[..n], v.data_mut());
+            let keep = mask.map(|m| m.tensors()[i].data());
+            match prox {
+                // FedProx: ∇ += μ (w − w_global).
+                Some((anchor, mu)) => {
+                    let anchor = &anchor[i].data()[..n];
+                    update(w, v, keep, lr, momentum, |j, w| g[j] + mu * (w - anchor[j]));
                 }
-            }
-            if let Some(m) = mask {
-                grad.mul_assign(&m.tensors()[i]);
-            }
-            grads.push(Some(grad));
-        }
-        // Optional global-norm clipping across the whole gradient.
-        if let Some(max_norm) = self.clip_norm {
-            let sq: f32 = grads.iter().flatten().map(Tensor::sq_norm).sum();
-            let norm = sq.sqrt();
-            if norm > max_norm {
-                let scale = max_norm / norm;
-                for g in grads.iter_mut().flatten() {
-                    g.scale_assign(scale);
-                }
+                None => update(w, v, keep, lr, momentum, |j, _| g[j]),
             }
         }
-        // Pass 2: momentum + update.
-        for ((i, p), grad) in params.iter_mut().enumerate().zip(grads) {
-            let Some(grad) = grad else { continue };
-            let v = &mut self.velocity[i];
-            v.scale_assign(self.momentum);
-            v.add_assign(&grad);
-            p.value.axpy(-self.lr, v);
-            if let Some(m) = mask {
+    }
+}
+
+/// One parameter's update, element by element: the gradient `grad(j, w)`
+/// (masked when `keep` is given, so a pruned coordinate gets none), then
+/// `v ← momentum·v + ∇` and `w ← w − lr·v`, then the re-mask. The slices
+/// share one length, and each case is its own loop, so every loop
+/// vectorizes.
+#[inline(always)]
+fn update(
+    w: &mut [f32],
+    v: &mut [f32],
+    keep: Option<&[f32]>,
+    lr: f32,
+    momentum: f32,
+    grad: impl Fn(usize, f32) -> f32,
+) {
+    let v = &mut v[..w.len()];
+    match keep.map(|keep| &keep[..w.len()]) {
+        Some(keep) => {
+            for j in 0..w.len() {
+                v[j] = v[j] * momentum + grad(j, w[j]) * keep[j];
+                w[j] += -lr * v[j];
                 // Keep pruned coordinates exactly zero (guards against
                 // momentum drift and non-zero initial values).
-                p.value.mul_assign(&m.tensors()[i]);
-                v.mul_assign(&m.tensors()[i]);
+                w[j] *= keep[j];
+                v[j] *= keep[j];
             }
         }
-    }
-}
-
-/// Multiplicative step learning-rate decay: `lr(round) = lr₀ · γ^⌊round/step⌋`.
-///
-/// FL works (including the Sub-FedAvg authors' follow-ups) commonly decay
-/// the client learning rate across communication rounds; this schedule is
-/// exposed for the extension experiments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepLr {
-    base_lr: f32,
-    gamma: f32,
-    step: usize,
-}
-
-impl StepLr {
-    /// Creates a schedule decaying by `gamma` every `step` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `base_lr > 0`, `0 < gamma <= 1`, and `step > 0`.
-    pub fn new(base_lr: f32, gamma: f32, step: usize) -> Self {
-        assert!(base_lr > 0.0, "base learning rate must be positive");
-        assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-        assert!(step > 0, "step must be positive");
-        Self { base_lr, gamma, step }
-    }
-
-    /// The learning rate for a 1-based round index.
-    pub fn lr_at(&self, round: usize) -> f32 {
-        self.base_lr * self.gamma.powi((round / self.step) as i32)
-    }
-
-    /// Applies the schedule to an optimizer for the given round.
-    pub fn apply(&self, opt: &mut Sgd, round: usize) {
-        opt.set_lr(self.lr_at(round));
+        None => {
+            for j in 0..w.len() {
+                v[j] = v[j] * momentum + grad(j, w[j]);
+                w[j] += -lr * v[j];
+            }
+        }
     }
 }
 
@@ -288,66 +232,51 @@ mod tests {
     }
 
     #[test]
-    fn clipping_bounds_the_update() {
-        let mut rng = SeededRng::new(6);
-        let mut m = Sequential::new();
-        m.push(Box::new(Linear::new(3, 2, &mut rng)));
-        // Install huge gradients.
-        for p in m.params_mut() {
-            p.grad = Tensor::full(p.value.shape(), 100.0);
+    fn one_pass_step_matches_the_tensor_op_sequence() {
+        // The reference is the step as whole-tensor operations: the
+        // effective gradient (proximal term, then mask), then momentum
+        // scale, add, axpy and re-mask. Every element must agree bit for
+        // bit over several steps, with both hooks on.
+        let mut rng = SeededRng::new(9);
+        let mut m = model_with_grads(&mut rng);
+        let mut mask = ModelMask::ones_for(&m);
+        for (k, v) in mask.tensors_mut()[0].data_mut().iter_mut().enumerate() {
+            *v = if k % 3 == 0 { 0.0 } else { 1.0 };
         }
-        let before = m.flatten();
-        let mut opt = Sgd::new(1.0, 0.0).with_clip_norm(1.0);
-        opt.step(&mut m, None, None);
-        let after = m.flatten();
-        let step_norm: f32 =
-            before.iter().zip(after.iter()).map(|(b, a)| (a - b) * (a - b)).sum::<f32>().sqrt();
-        // lr 1.0, clip 1.0 -> the displacement norm is exactly the clip.
-        assert!((step_norm - 1.0).abs() < 1e-4, "step norm {step_norm}");
-    }
-
-    #[test]
-    fn clipping_is_inactive_below_threshold() {
-        let mut rng = SeededRng::new(7);
-        let make = |rng: &mut SeededRng| {
-            let mut m = Sequential::new();
-            m.push(Box::new(Linear::new(3, 2, rng)));
-            for p in m.params_mut() {
-                p.grad = Tensor::full(p.value.shape(), 0.01);
+        mask.apply(&mut m);
+        let anchor = m.param_values();
+        let (lr, momentum, mu) = (0.05, 0.5, 0.3);
+        let mut reference = m.clone();
+        let mut velocity: Vec<Tensor> =
+            m.params().iter().map(|p| Tensor::zeros(p.value.shape())).collect();
+        let mut opt = Sgd::new(lr, momentum);
+        for _ in 0..4 {
+            let x = subfed_tensor::init::uniform(&[4, 3], -1.0, 1.0, &mut rng);
+            for model in [&mut m, &mut reference] {
+                let y = model.forward(&x, Mode::Train);
+                model.backward_ws(&y, &mut Workspace::new());
             }
-            m
-        };
-        let mut m1 = make(&mut rng);
-        let mut m2 = m1.clone();
-        let mut plain = Sgd::new(0.1, 0.0);
-        plain.step(&mut m1, None, None);
-        let mut clipped = Sgd::new(0.1, 0.0).with_clip_norm(1e6);
-        clipped.step(&mut m2, None, None);
-        assert_eq!(m1.flatten(), m2.flatten());
-    }
-
-    #[test]
-    #[should_panic(expected = "clip norm must be positive")]
-    fn zero_clip_rejected() {
-        let _ = Sgd::new(0.1, 0.0).with_clip_norm(0.0);
-    }
-
-    #[test]
-    fn step_lr_decays_geometrically() {
-        let s = StepLr::new(0.1, 0.5, 10);
-        assert_eq!(s.lr_at(0), 0.1);
-        assert_eq!(s.lr_at(9), 0.1);
-        assert!((s.lr_at(10) - 0.05).abs() < 1e-8);
-        assert!((s.lr_at(25) - 0.025).abs() < 1e-8);
-        let mut opt = Sgd::new(0.1, 0.0);
-        s.apply(&mut opt, 20);
-        assert!((opt.lr() - 0.025).abs() < 1e-8);
-    }
-
-    #[test]
-    #[should_panic(expected = "gamma must be in")]
-    fn step_lr_rejects_bad_gamma() {
-        let _ = StepLr::new(0.1, 0.0, 5);
+            opt.step(&mut m, Some(&mask), Some((&anchor, mu)));
+            for (i, p) in reference.params_mut().into_iter().enumerate() {
+                let mut grad = p.grad.clone();
+                for ((g, &w), &a) in
+                    grad.data_mut().iter_mut().zip(p.value.data()).zip(anchor[i].data())
+                {
+                    *g += mu * (w - a);
+                }
+                grad.mul_assign(&mask.tensors()[i]);
+                let v = &mut velocity[i];
+                v.scale_assign(momentum);
+                v.add_assign(&grad);
+                p.value.axpy(-lr, v);
+                p.value.mul_assign(&mask.tensors()[i]);
+                v.mul_assign(&mask.tensors()[i]);
+            }
+            let bits = |model: &Sequential| -> Vec<u32> {
+                model.flatten().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&m), bits(&reference));
+        }
     }
 
     #[test]

@@ -200,52 +200,6 @@ impl Sequential {
     pub fn param_values(&self) -> Vec<Tensor> {
         self.params().iter().map(|p| p.value.clone()).collect()
     }
-
-    /// Snapshots parameters as a named state dict (PyTorch-style), using
-    /// the same names as [`Sequential::metas`].
-    pub fn state_dict(&self) -> Vec<(String, Tensor)> {
-        self.metas()
-            .into_iter()
-            .zip(self.params())
-            .map(|(meta, p)| (meta.name, p.value.clone()))
-            .collect()
-    }
-
-    /// Restores parameters from a named state dict, validating every name
-    /// and shape — the safe way to exchange weights between separately
-    /// constructed models.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first mismatch: wrong entry count,
-    /// unexpected name, or wrong shape.
-    #[must_use = "a dropped Result hides the name/shape mismatch it reports"]
-    pub fn load_state_dict(&mut self, state: &[(String, Tensor)]) -> Result<(), String> {
-        let metas = self.metas();
-        if state.len() != metas.len() {
-            return Err(format!(
-                "state dict has {} entries, model expects {}",
-                state.len(),
-                metas.len()
-            ));
-        }
-        for (meta, (name, tensor)) in metas.iter().zip(state) {
-            if &meta.name != name {
-                return Err(format!("expected parameter `{}`, got `{name}`", meta.name));
-            }
-            if meta.shape != tensor.shape() {
-                return Err(format!(
-                    "parameter `{name}`: expected shape {:?}, got {:?}",
-                    meta.shape,
-                    tensor.shape()
-                ));
-            }
-        }
-        for (p, (_, tensor)) in self.params_mut().into_iter().zip(state) {
-            p.value = tensor.clone();
-        }
-        Ok(())
-    }
 }
 
 impl Default for Sequential {
@@ -355,30 +309,6 @@ mod tests {
         let mut rng = SeededRng::new(6);
         let mut m = mlp(&mut rng);
         m.load_flat(&[0.0; 3]);
-    }
-
-    #[test]
-    fn state_dict_roundtrip_and_validation() {
-        let mut rng = SeededRng::new(8);
-        let m = mlp(&mut rng);
-        let state = m.state_dict();
-        assert_eq!(state.len(), 4);
-        assert!(state[0].0.contains("linear"));
-        // Load into a differently initialised clone of the architecture.
-        let mut other = mlp(&mut rng);
-        assert_ne!(other.flatten(), m.flatten());
-        other.load_state_dict(&state).unwrap();
-        assert_eq!(other.flatten(), m.flatten());
-        // Wrong count.
-        assert!(other.load_state_dict(&state[..2]).unwrap_err().contains("entries"));
-        // Wrong name.
-        let mut renamed = state.clone();
-        renamed[0].0 = "bogus".into();
-        assert!(other.load_state_dict(&renamed).unwrap_err().contains("expected parameter"));
-        // Wrong shape.
-        let mut reshaped = state.clone();
-        reshaped[1].1 = Tensor::zeros(&[7]);
-        assert!(other.load_state_dict(&reshaped).unwrap_err().contains("expected shape"));
     }
 
     #[test]

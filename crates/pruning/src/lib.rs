@@ -26,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bridge;
 pub mod controller;
 pub mod structured;
 pub mod unstructured;

@@ -1,7 +1,8 @@
 //! Checkpointing a long federation: pause Sub-FedAvg mid-run, serialise
-//! the server's state (round counter, global parameters, every client's
-//! mask) to bytes, restore it, and continue — the resumed run reproduces
-//! the uninterrupted run's training state exactly.
+//! the server's state (round, global parameters, byte ledger, every
+//! client's mask and model) to bytes, restore it in a fresh driver, and
+//! continue. The resumed run must end on exactly the uninterrupted run's
+//! checkpoint; the example exits 1 if it does not.
 //!
 //! ```sh
 //! cargo run --release --example checkpoint_resume
@@ -36,17 +37,19 @@ fn controller() -> UnstructuredController {
 
 fn main() {
     // Phase 1: run the first half and checkpoint.
-    let mut first = SubFedAvgUn::with_controller(federation(5), controller());
+    let mut first = SubFedAvgUn::with_controller(federation(10), controller());
     println!("running rounds 1..=5 ...");
-    let _ = first.run();
+    for _ in 0..5 {
+        first.step_round();
+    }
     let ckpt = first.checkpoint();
     let bytes = ckpt.encode();
     println!(
-        "checkpoint at round {}: {} ({} params, {} client masks)",
+        "checkpoint at round {}: {} ({} params, {} bytes sent so far)",
         ckpt.round,
         human_bytes(bytes.len() as u64),
         ckpt.global.len(),
-        ckpt.client_masks.len(),
+        ckpt.cum_bytes,
     );
 
     // The bytes could now go to disk / object storage; decode restores
@@ -63,15 +66,22 @@ fn main() {
     let mut straight = SubFedAvgUn::with_controller(federation(10), controller());
     let _ = straight.run();
 
-    let same_global = second.checkpoint().global == straight.checkpoint().global;
-    let same_masks = second.checkpoint().client_masks == straight.checkpoint().client_masks;
-    println!(
-        "resumed == uninterrupted? global: {same_global}, masks: {same_masks} \
-         (both must be true)"
-    );
+    let (a, b) = (second.checkpoint(), straight.checkpoint());
+    let same = [
+        ("round", a.round == b.round),
+        ("global", a.global == b.global),
+        ("bytes", a.cum_bytes == b.cum_bytes),
+        ("clients", a.clients == b.clients),
+    ];
+    let report: Vec<String> = same.iter().map(|(what, eq)| format!("{what}: {eq}")).collect();
+    println!("resumed == uninterrupted? {} (all must be true)", report.join(", "));
     println!(
         "final (resumed): accuracy {:.1}%, sparsity {:.0}%",
         100.0 * resumed.final_avg_acc(),
         100.0 * resumed.final_pruned_params(),
     );
+    if same.iter().any(|(_, eq)| !eq) {
+        eprintln!("error: the resumed run diverged from the uninterrupted one");
+        std::process::exit(1);
+    }
 }
