@@ -43,6 +43,25 @@ impl AlgoKind {
     }
 }
 
+/// The largest `--clients`. The path it selects synthesizes every client's
+/// data up front (some 35 examples each), and Sub-FedAvg holds every
+/// client's model, so a larger population goes through `run --num-clients`.
+pub const MAX_CLIENTS: usize = 1000;
+
+/// Checks a `--clients` value for the materialized path.
+fn check_clients(clients: usize) -> Result<(), String> {
+    if clients == 0 {
+        Err("federation needs at least one client".to_string())
+    } else if clients > MAX_CLIENTS {
+        Err(format!(
+            "--clients must be at most {MAX_CLIENTS}, got {clients}; register a larger \
+             population with `subfed run --num-clients N`"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 /// A fully parsed `subfed run` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
@@ -161,7 +180,8 @@ pub fn usage() -> String {
          \x20           provider and drives the registry + streaming Sub-FedAvg\n\
          \x20           engine; each round samples --frac (alias of\n\
          \x20           --sample-frac) of them as the cohort (docs/SCALING.md).\n\
-         \x20           sub-fedavg-un only.\n\
+         \x20           sub-fedavg-un only. --clients stops at {MAX_CLIENTS}: its\n\
+         \x20           clients' data and models are built up front.\n\
          \n\
          TRACES:     --trace PATH streams round-level JSONL telemetry\n\
          \x20           (docs/OBSERVABILITY.md); check a Sub-FedAvg trace against\n\
@@ -268,7 +288,9 @@ fn parse_run(args: &[String]) -> Result<RunSpec, String> {
     // constructors, which panic on them (with the same messages).
     spec.config.validate()?;
     let ensure = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(msg.to_string()) };
-    ensure(spec.num_clients.is_some() || spec.clients > 0, "federation needs at least one client")?;
+    if spec.num_clients.is_none() {
+        check_clients(spec.clients)?;
+    }
     ensure(
         spec.algo != AlgoKind::FedProx || spec.mu > 0.0,
         "proximal coefficient must be positive",
@@ -313,6 +335,7 @@ fn parse_info(args: &[String]) -> Result<InfoSpec, String> {
         }
         i += 2;
     }
+    check_clients(spec.clients)?;
     Ok(spec)
 }
 
@@ -501,6 +524,17 @@ mod tests {
             ("run --momentum 1", "momentum must be in [0, 1)"),
             ("run --lr -1", "lr must be positive"),
             ("run --clients 0", "federation needs at least one client"),
+            ("info --clients 0", "federation needs at least one client"),
+            (
+                "run --clients 1001",
+                "--clients must be at most 1000, got 1001; register a larger population with \
+                 `subfed run --num-clients N`",
+            ),
+            (
+                "info --clients 1000000",
+                "--clients must be at most 1000, got 1000000; register a larger population \
+                 with `subfed run --num-clients N`",
+            ),
             ("run --algo fedprox --mu 0", "proximal coefficient must be positive"),
             ("run --algo mtl --coupling -1", "coupling must be non-negative"),
             ("run --algo un --rate 1", "prune rate must be in [0, 1), got 1"),
@@ -524,5 +558,8 @@ mod tests {
         assert!(parse_args(&argv("run --algo un --structured-target 2")).is_ok());
         assert!(parse_args(&argv("run --alpha 0 --skew -1")).is_ok());
         assert!(parse_args(&argv("run --algo un --rate 0 --target 1")).is_ok());
+        // `--clients` is ignored once `--num-clients` selects the registry.
+        assert!(parse_args(&argv("run --clients 0 --num-clients 2000")).is_ok());
+        assert!(parse_args(&argv("run --clients 1000")).is_ok());
     }
 }

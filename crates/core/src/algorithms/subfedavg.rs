@@ -116,8 +116,9 @@ pub trait PruneTrack: Copy + Sync {
     /// Appends `state`'s bit-packed image: its channel flags, then its
     /// stored mask, `mask_bytes` each.
     fn save_state(state: &Self::State, out: &mut Vec<u8>);
-    /// The state a [`PruneTrack::save_state`] image over `layout` holds.
-    fn load_state(layout: &[ParamMeta], image: &[u8]) -> Self::State;
+    /// The state whose [`PruneTrack::save_state`] image over `layout` is
+    /// `flags` followed by `mask`.
+    fn load_state(layout: &[ParamMeta], flags: &[u8], mask: &[u8]) -> Self::State;
 }
 
 /// Total parameter count of `layout`.
@@ -164,8 +165,8 @@ impl PruneTrack for UnstructuredController {
     fn save_state(mask: &ModelMask, out: &mut Vec<u8>) {
         out.extend_from_slice(&pack_mask(&flatten_mask(mask)));
     }
-    fn load_state(layout: &[ParamMeta], image: &[u8]) -> ModelMask {
-        unpack_model_mask(layout, image)
+    fn load_state(layout: &[ParamMeta], _: &[u8], mask: &[u8]) -> ModelMask {
+        unpack_model_mask(layout, mask)
     }
 }
 
@@ -211,12 +212,9 @@ impl PruneTrack for HybridController {
         out.extend_from_slice(&pack_mask(&flags.collect::<Vec<_>>()));
         out.extend_from_slice(&pack_mask(&flatten_mask(state.unstructured())));
     }
-    fn load_state(layout: &[ParamMeta], image: &[u8]) -> HybridState {
+    fn load_state(layout: &[ParamMeta], flags: &[u8], base: &[u8]) -> HybridState {
+        let mut flags = unpack_mask(flags, Self::channels(layout)).into_iter().map(is_kept);
         let blocks = channel_graph_flat(layout).blocks;
-        let channels = blocks.iter().map(|b| b.out_channels).sum();
-        let split = image.split_at_checked(mask_bytes(channels) as usize);
-        let (flags, base) = split.unwrap_or((image, &[]));
-        let mut flags = unpack_mask(flags, channels).into_iter().map(is_kept);
         let keep = blocks.iter().map(|b| flags.by_ref().take(b.out_channels).collect()).collect();
         HybridState::new(layout, ChannelMask::from_keep(keep), unpack_model_mask(layout, base))
     }
@@ -320,39 +318,106 @@ impl<T: PruneTrack> ClientStore<T> for Resident<T> {
     }
 
     fn save(&self, fed: &Federation, out: &mut Vec<u8>) {
-        let channels = T::channels(fed.layout());
-        out.reserve_exact(16 + self.states.len() * record_lens(fed.layout(), channels).1);
+        let (flags_len, mask_len, n) = state_lens::<T>(fed.layout());
+        let kept: Vec<_> = (self.states.iter().zip(&self.local_flats))
+            .map(|(state, flat)| sparse_kept(T::mask(state), flat))
+            .collect();
+        // A tag byte, then the kept values and pruned signs, or all of it.
+        let model_len =
+            |k: Option<usize>| 1 + k.map_or(4 * n, |k| 4 * k + mask_bytes(n - k) as usize);
+        let models = kept.iter().copied().map(model_len).sum::<usize>();
+        out.reserve_exact(8 + self.states.len() * (flags_len + mask_len) + models);
         out.extend_from_slice(&(self.states.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(channels as u64).to_le_bytes());
-        for (state, flat) in self.states.iter().zip(&self.local_flats) {
+        for ((state, flat), kept) in self.states.iter().zip(&self.local_flats).zip(kept) {
             T::save_state(state, out);
-            put_f32s(out, flat);
+            save_model(T::mask(state), flat, kept.is_some(), out);
         }
     }
 
     fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError> {
         let (layout, mut image) = (fed.layout(), Reader(image));
         check("client count", image.count("client count")?, fed.num_clients())?;
-        let channels = T::channels(layout);
-        check("channel count", image.count("channel count")?, channels)?;
-        let (state_len, record_len) = record_lens(layout, channels);
-        check("client image length", image.0.len(), fed.num_clients() * record_len)?;
-        let (states, local_flats) = (image.0.chunks_exact(record_len))
-            .map(|record| {
-                let (state, flat) = record.split_at(state_len);
-                (T::load_state(layout, state), f32s(flat))
-            })
-            .unzip();
+        let (flags_len, mask_len, n) = state_lens::<T>(layout);
+        let (mut states, mut local_flats) = (Vec::new(), Vec::new());
+        for _ in 0..fed.num_clients() {
+            let flags = image.take(flags_len, "client state")?;
+            let state = T::load_state(layout, flags, image.take(mask_len, "client state")?);
+            local_flats.push(load_model(T::mask(&state), n, &mut image)?);
+            states.push(state);
+        }
+        check("client image length", image.0.len(), 0)?;
         Ok(Self { states, local_flats, history: History::new() })
     }
 }
 
-/// Bytes of one client's state image and of its whole resident record
-/// (the state, then the last trained model) over `layout`.
-fn record_lens(layout: &[ParamMeta], channels: usize) -> (usize, usize) {
+/// Bytes of one client's channel flags and of its mask in its state image
+/// over `layout`, and the parameter count.
+fn state_lens<T: PruneTrack>(layout: &[ParamMeta]) -> (usize, usize, usize) {
     let n = num_params(layout);
-    let state_len = (mask_bytes(channels) + mask_bytes(n)) as usize;
-    (state_len, state_len + 4 * n)
+    (mask_bytes(T::channels(layout)) as usize, mask_bytes(n) as usize, n)
+}
+
+/// `mask`'s entries in flat parameter order.
+fn mask_values(mask: &ModelMask) -> impl Iterator<Item = f32> + '_ {
+    mask.tensors().iter().flat_map(|t| t.data().iter().copied())
+}
+
+/// The kept count of `mask` when `flat` holds a zero at every position
+/// `mask` prunes — always, unless the run diverged, since `θ ⊙ m` zeroes
+/// them — and `None` otherwise.
+fn sparse_kept(mask: &ModelMask, flat: &[f32]) -> Option<usize> {
+    let mut kept = 0;
+    for (m, v) in mask_values(mask).zip(flat) {
+        if is_kept(m) {
+            kept += 1;
+        } else if v.abs().to_bits() != 0 {
+            return None;
+        }
+    }
+    Some(kept)
+}
+
+/// Appends a client's last trained model. A sparse image (tag 0) holds the
+/// values at `mask`'s kept positions, then one sign bit per pruned
+/// position, whose zero `θ ⊙ m` keeps the sign of θ; a dense one (tag 1),
+/// for a model with something else at a pruned position, holds all of it.
+fn save_model(mask: &ModelMask, flat: &[f32], sparse: bool, out: &mut Vec<u8>) {
+    out.push(u8::from(!sparse));
+    if !sparse {
+        return put_f32s(out, flat);
+    }
+    let mut signs = Vec::new();
+    for (m, v) in mask_values(mask).zip(flat) {
+        if is_kept(m) {
+            out.extend_from_slice(&v.to_le_bytes());
+        } else {
+            signs.push(f32::from(u8::from(v.is_sign_negative())));
+        }
+    }
+    out.extend_from_slice(&pack_mask(&signs));
+}
+
+/// Reads the [`save_model`] image of a model of `n` parameters under
+/// `mask`.
+fn load_model(
+    mask: &ModelMask,
+    n: usize,
+    image: &mut Reader<'_>,
+) -> Result<Vec<f32>, CheckpointError> {
+    match image.array("client model")? {
+        [0] => {}
+        [1] => return Ok(f32s(image.take(4 * n, "client model")?)),
+        [tag] => {
+            return Err(CheckpointError::Mismatch { what: "model tag", got: tag.into(), want: 0 })
+        }
+    }
+    let kept = mask_values(mask).filter(|&m| is_kept(m)).count();
+    let mut values = f32s(image.take(4 * kept, "client model")?).into_iter();
+    let signs = unpack_mask(image.take(mask_bytes(n - kept) as usize, "client model")?, n - kept);
+    let mut zeros = signs.into_iter().map(|s| if is_kept(s) { -0.0 } else { 0.0 });
+    let mut next = |m| if is_kept(m) { values.next() } else { zeros.next() };
+    // The two counts match `mask` exactly, so neither iterator runs dry.
+    Ok(mask_values(mask).map(|m| next(m).unwrap_or_default()).collect())
 }
 
 /// Registry-scale client state: only masks, packed in a [`ClientRegistry`]
@@ -716,9 +781,9 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
     ///
     /// A checkpoint is untrusted input, and it may come from another
     /// federation or driver. Returns a [`CheckpointError`] when its model
-    /// size, store or track kind, client count, registered population,
-    /// mask length or channel count differs from this driver's, or when
-    /// its client image is truncated or corrupt. Everything is checked
+    /// size, store or track kind, client count, registered population or
+    /// mask length differs from this driver's, or when its client image
+    /// is truncated or corrupt. Everything is checked
     /// before the driver changes, so a rejected restore leaves it as it
     /// was.
     #[must_use = "a dropped Result hides a checkpoint that was not restored"]
@@ -970,6 +1035,30 @@ mod tests {
             let ckpt = algo.checkpoint();
             let restored = Checkpoint::decode(&ckpt.encode()).unwrap();
             assert_eq!(restored, ckpt);
+        }
+
+        /// A resident record keeps a pruned zero's sign in the sparse form,
+        /// and a non-zero at a pruned position through the dense form.
+        #[test]
+        fn checkpoint_restores_every_model_bit() {
+            let (mut algo, _) = run_with_target(0.5, 3);
+            let store = &mut algo.store;
+            let mut pruned = (0..store.states.len()).filter_map(|k| {
+                mask_values(&store.states[k]).position(|m| !is_kept(m)).map(|j| (k, j))
+            });
+            let ((a, ja), (b, jb)) = (pruned.next().unwrap(), pruned.next().unwrap());
+            store.local_flats[a][ja] = -0.0;
+            store.local_flats[b][jb] = f32::from_bits(0x7fc0_1234);
+            assert!(sparse_kept(&store.states[a], &store.local_flats[a]).is_some());
+            assert!(sparse_kept(&store.states[b], &store.local_flats[b]).is_none());
+            let ckpt = Checkpoint::decode(&algo.checkpoint().encode()).unwrap();
+            let mut restored = SubFedAvgUn::with_controller(algo.fed.clone(), algo.track);
+            restored.restore(&ckpt).unwrap();
+            let bits = |flats: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                flats.iter().map(|f| f.iter().map(|v| v.to_bits()).collect()).collect()
+            };
+            assert_eq!(bits(&restored.store.local_flats), bits(&algo.store.local_flats));
+            assert_eq!(restored.checkpoint(), ckpt);
         }
 
         #[test]

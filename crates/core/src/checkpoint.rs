@@ -23,14 +23,17 @@
 //! 2 registry) and the pruning track (1 Un, 2 Hy), so an image of another
 //! kind is refused, not misread. The store's own part follows:
 //!
-//! * **Resident** (`SubFedAvgUn`, `SubFedAvgHy`): the client count and the
-//!   channel flags of one state (0 for Un), each a `u64`, then one record
-//!   per client. A record is the client's state, bit-packed as the wire
-//!   packs a mask — its channel flags, then its mask (for Hy the FC base
-//!   mask, from which the parameter mask is rebuilt) — followed by its
-//!   last trained model as `4·n` bytes of `f32`. The restoring driver
-//!   derives the record size from its own model layout, so the records
-//!   decode with one exact-length check.
+//! * **Resident** (`SubFedAvgUn`, `SubFedAvgHy`): the client count as a
+//!   `u64`, then one record per client. A record opens with the client's
+//!   state, bit-packed as the wire packs a mask: its channel flags (none
+//!   for Un), then its mask (for Hy the FC base mask, from which the
+//!   parameter mask is rebuilt). Both sizes follow from the restoring
+//!   driver's own model layout. Its last trained model follows, as the
+//!   wire sends an update: a tag byte 0, the `f32` values at the `k`
+//!   positions the parameter mask keeps, and one sign bit per pruned
+//!   position, which holds a zero of that sign. A model with anything
+//!   else at a pruned position, which only a diverged run produces, is
+//!   stored whole instead: a tag byte 1 and `4·n` bytes of `f32`.
 //! * **Registry** (`ScaledSubFedAvg`): the
 //!   [`ClientRegistry::save`](crate::ClientRegistry::save) image, read back
 //!   through the certified
@@ -78,8 +81,9 @@ pub enum CheckpointError {
     LengthOverflow,
     /// A checkpoint of another federation or driver: its `what` (model
     /// size, store or track kind, client count, registered population,
-    /// mask length, channel count or client image length) differs from
-    /// the restoring driver's.
+    /// mask length or client image length) differs from the restoring
+    /// driver's, or a resident record's model tag is not one of the two
+    /// the layout defines.
     Mismatch {
         /// What differs.
         what: &'static str,

@@ -2,10 +2,11 @@
 //! Hy on resident stores, and the registry driver) runs 6 rounds straight
 //! through; a second copy runs 3, goes through `checkpoint` → `encode` →
 //! `decode` → `restore` into a fresh driver, and that driver runs the last
-//! 3. The two traces must canonicalize identically and the two final
-//! checkpoints must be equal. A restore of a checkpoint that does not fit
-//! the driver is a typed error that leaves the driver unchanged, and no
-//! truncated or bit-flipped image panics decode or restore.
+//! 3. The two traces must canonicalize identically, the two final
+//! checkpoints must be equal, and the restored driver records only the
+//! rounds it ran. A restore of a checkpoint that does not fit the driver
+//! is a typed error that leaves the driver unchanged, and no truncated or
+//! bit-flipped image panics decode or restore.
 
 use std::sync::{Arc, OnceLock};
 
@@ -65,6 +66,9 @@ fn cnn5() -> ModelSpec {
 trait Driver: Sized {
     fn build(fed: Federation) -> Self;
     fn step(&mut self);
+    /// Runs the remaining rounds up to the horizon; returns the numbers of
+    /// the rounds the driver has recorded (since its restore, if any).
+    fn finish(&mut self) -> Vec<usize>;
     fn save(&self) -> Checkpoint;
     fn load(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError>;
 }
@@ -85,13 +89,17 @@ fn hy_controller() -> HybridController {
 }
 
 macro_rules! driver {
-    ($ty:ty, $build:expr) => {
+    ($ty:ty, $build:expr, |$d:ident| $finish:expr) => {
         impl Driver for $ty {
             fn build(fed: Federation) -> Self {
                 $build(fed)
             }
             fn step(&mut self) {
                 self.step_round();
+            }
+            fn finish(&mut self) -> Vec<usize> {
+                let $d = self;
+                $finish.iter().map(|r| r.round).collect()
             }
             fn save(&self) -> Checkpoint {
                 self.checkpoint()
@@ -103,9 +111,13 @@ macro_rules! driver {
     };
 }
 
-driver!(SubFedAvgUn, |fed| SubFedAvgUn::with_controller(fed, un_controller()));
-driver!(SubFedAvgHy, |fed| SubFedAvgHy::with_controller(fed, hy_controller()));
-driver!(ScaledSubFedAvg, |fed| ScaledSubFedAvg::new(fed, un_controller()));
+driver!(SubFedAvgUn, |fed| SubFedAvgUn::with_controller(fed, un_controller()), |d| {
+    d.resume().records
+});
+driver!(SubFedAvgHy, |fed| SubFedAvgHy::with_controller(fed, hy_controller()), |d| {
+    d.resume().records
+});
+driver!(ScaledSubFedAvg, |fed| ScaledSubFedAvg::new(fed, un_controller()), |d| d.run().records);
 
 /// A driver recording into its own trace sink.
 fn traced<D: Driver>(threads: usize, dropout: f32) -> (D, Arc<VecSink>) {
@@ -118,9 +130,7 @@ fn traced<D: Driver>(threads: usize, dropout: f32) -> (D, Arc<VecSink>) {
 fn assert_restart_replays<D: Driver>(threads: usize, dropout: f32) {
     let ctx = format!("{} at {threads} workers, dropout {dropout}", std::any::type_name::<D>());
     let (mut straight, straight_sink) = traced::<D>(threads, dropout);
-    for _ in 0..ROUNDS {
-        straight.step();
-    }
+    assert_eq!(straight.finish(), (1..=ROUNDS).collect::<Vec<_>>(), "{ctx}");
     let (mut first, first_sink) = traced::<D>(threads, dropout);
     for _ in 0..ROUNDS / 2 {
         first.step();
@@ -130,9 +140,11 @@ fn assert_restart_replays<D: Driver>(threads: usize, dropout: f32) {
     assert_eq!(ckpt.round as usize, ROUNDS / 2, "{ctx}");
     let (mut resumed, resumed_sink) = traced::<D>(threads, dropout);
     resumed.load(&ckpt).expect("a checkpoint of the same federation restores");
-    for _ in ROUNDS / 2..ROUNDS {
-        resumed.step();
-    }
+    // Every client's state and model came back bit for bit, pruned zeros'
+    // signs included, not only those the last rounds read.
+    assert!(resumed.save() == ckpt, "{ctx}: the restored driver checkpoints differently");
+    let recorded = resumed.finish();
+    assert_eq!(recorded, (ROUNDS / 2 + 1..=ROUNDS).collect::<Vec<_>>(), "{ctx}");
     let split: Vec<TraceEvent> =
         first_sink.snapshot().into_iter().chain(resumed_sink.snapshot()).collect();
     let straight_events = straight_sink.snapshot();
@@ -181,13 +193,21 @@ fn run_one_round<D: Driver>(spec: ModelSpec, clients: usize) -> D {
 }
 
 /// Restores `ckpt` into `driver`, which must refuse it with a mismatch of
-/// `what` and stay exactly as it was.
-fn assert_refused<D: Driver>(driver: &mut D, ckpt: &Checkpoint, what: &str) {
+/// `what` between the checkpoint's `got` and the driver's `want`, and stay
+/// exactly as it was.
+fn assert_refused<D: Driver>(
+    driver: &mut D,
+    ckpt: &Checkpoint,
+    what: &str,
+    got: usize,
+    want: usize,
+) {
     let before = driver.save();
     let err = driver.load(ckpt).err();
     assert!(
-        matches!(&err, Some(CheckpointError::Mismatch { what: got, .. }) if *got == what),
-        "expected a {what} mismatch, got {err:?}"
+        matches!(&err, Some(CheckpointError::Mismatch { what: w, got: g, want: v })
+            if (*w, *g, *v) == (what, got, want)),
+        "expected a {what} mismatch of {got} against {want}, got {err:?}"
     );
     assert!(driver.save() == before, "a refused {what} restore changed the driver");
 }
@@ -198,20 +218,22 @@ fn restore_refuses_a_checkpoint_of_another_federation_or_driver() {
     // A CNN-5 checkpoint into a LeNet-5 driver.
     let cnn5_un = run_one_round::<SubFedAvgUn>(cnn5(), 4).save();
     let mut lenet_un = run_one_round::<SubFedAvgUn>(lenet, 4);
-    assert_refused(&mut lenet_un, &cnn5_un, "model size");
+    let sizes = (cnn5_un.global.len(), lenet_un.save().global.len());
+    assert_ne!(sizes.0, sizes.1);
+    assert_refused(&mut lenet_un, &cnn5_un, "model size", sizes.0, sizes.1);
     // One client too many.
     let mut cnn5_un4 = run_one_round::<SubFedAvgUn>(cnn5(), 4);
     let five = run_one_round::<SubFedAvgUn>(cnn5(), 5).save();
-    assert_refused(&mut cnn5_un4, &five, "client count");
+    assert_refused(&mut cnn5_un4, &five, "client count", 5, 4);
     // Another registered population.
     let mut registry4 = run_one_round::<ScaledSubFedAvg>(cnn5(), 4);
     let registry5 = run_one_round::<ScaledSubFedAvg>(cnn5(), 5).save();
-    assert_refused(&mut registry4, &registry5, "registered population");
-    // An Un image into a Hy driver.
+    assert_refused(&mut registry4, &registry5, "registered population", 5, 4);
+    // An Un image (track 1) into a Hy driver (track 2).
     let mut hy = run_one_round::<SubFedAvgHy>(cnn5(), 4);
-    assert_refused(&mut hy, &cnn5_un4.save(), "track kind");
-    // A registry image into a resident driver.
-    assert_refused(&mut cnn5_un4, &registry4.save(), "store kind");
+    assert_refused(&mut hy, &cnn5_un4.save(), "track kind", 1, 2);
+    // A registry image (store 2) into a resident driver (store 1).
+    assert_refused(&mut cnn5_un4, &registry4.save(), "store kind", 2, 1);
 }
 
 /// An encoded checkpoint of a two-client `D` after one round.
