@@ -18,10 +18,16 @@
 //! cargo bench -p subfed-bench --bench micro -- --test --compare ../../BENCH_micro.json
 //! ```
 //!
-//! `--compare` diffs the fresh `speedups` against a committed baseline
-//! and prints an advisory warning when a ratio falls more than 25% below
-//! it; the exit code never changes, because shared CI runners have no
-//! stable clock.
+//! The two rows of each speedup are timed alternately in one process, one
+//! sample of each per pair, and the speedup is the median of the per-pair
+//! ratios: a slow patch of the host (a neighbour's burst, a frequency step)
+//! then slows both sides of the pairs it covers instead of one row's whole
+//! median.
+//!
+//! `--compare` diffs the fresh `speedups` (the per-pair ratio medians)
+//! against a committed baseline and prints an advisory warning when a
+//! ratio falls more than 25% below it; the exit code never changes,
+//! because shared CI runners have no stable clock.
 //!
 //! The JSON carries the host's core count (`cores`, from
 //! `std::thread::available_parallelism`; 0 when unknown), one record per
@@ -70,28 +76,78 @@ struct Record {
     unit: &'static str,
 }
 
-/// Measures `f`, returning the median per-call nanoseconds. The closure's
-/// return value goes through [`black_box`] so the work cannot be elided.
-fn measure<R, F: FnMut() -> R>(cfg: Config, mut f: F) -> f64 {
-    // Calibrate: one untimed warm-up call, then size the inner loop so a
-    // sample runs for roughly `sample_ns`.
-    let t0 = Instant::now();
-    black_box(f());
-    let once = t0.elapsed().as_nanos().max(1) as u64;
-    let iters = (cfg.sample_ns / once).clamp(1, 1_000_000);
-    let mut samples: Vec<f64> = (0..cfg.samples)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+/// One bench of a timed group: its name, the work one call does, and the
+/// call.
+struct Row<'a> {
+    name: String,
+    work: f64,
+    unit: &'static str,
+    call: Box<dyn FnMut() + 'a>,
 }
 
+impl<'a> Row<'a> {
+    /// A row whose call's return value goes through [`black_box`], so the
+    /// work cannot be elided.
+    fn new<R, F: FnMut() -> R + 'a>(name: &str, work: f64, unit: &'static str, mut f: F) -> Self {
+        let call = Box::new(move || {
+            black_box(f());
+        });
+        Self { name: name.to_string(), work, unit, call }
+    }
+}
+
+/// Times the rows of one group alternately and returns each row's
+/// per-call nanoseconds, one sample per round, aligned by round. Each
+/// round takes one sample of every row, in an order that reverses every
+/// other round, so the rows of a round see the same host.
+fn measure_group(cfg: Config, rows: &mut [Row<'_>]) -> Vec<Vec<f64>> {
+    // Calibrate: one untimed warm-up call per row sizes its inner loop so
+    // a sample runs for roughly `sample_ns`.
+    let iters: Vec<u64> = rows
+        .iter_mut()
+        .map(|row| {
+            let t0 = Instant::now();
+            (row.call)();
+            let once = t0.elapsed().as_nanos().max(1) as u64;
+            (cfg.sample_ns / once).clamp(1, 1_000_000)
+        })
+        .collect();
+    let mut samples = vec![Vec::with_capacity(cfg.samples); rows.len()];
+    for round in 0..cfg.samples {
+        for k in 0..rows.len() {
+            let r = if round % 2 == 0 { k } else { rows.len() - 1 - k };
+            let t = Instant::now();
+            for _ in 0..iters[r] {
+                (rows[r].call)();
+            }
+            samples[r].push(t.elapsed().as_nanos() as f64 / iters[r] as f64);
+        }
+    }
+    samples
+}
+
+/// Median of `v` (the upper one for an even count).
+fn median(v: &[f64]) -> f64 {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Times `rows` as one group ([`measure_group`]), records each row's median
+/// and returns the samples, aligned by round.
+fn record_group(out: &mut Vec<Record>, cfg: Config, mut rows: Vec<Row<'_>>) -> Vec<Vec<f64>> {
+    let samples = measure_group(cfg, &mut rows);
+    for (row, s) in rows.iter().zip(&samples) {
+        let median_ns = median(s);
+        let throughput = row.work * 1e9 / median_ns;
+        let (name, unit) = (&row.name, row.unit);
+        println!("{name:<44} {median_ns:>14.0} ns/call {throughput:>12.3e} {unit}");
+        out.push(Record { name: name.clone(), median_ns, throughput, unit });
+    }
+    samples
+}
+
+/// Times one bench on its own and records its median.
 fn record<R, F: FnMut() -> R>(
     out: &mut Vec<Record>,
     cfg: Config,
@@ -99,12 +155,19 @@ fn record<R, F: FnMut() -> R>(
     work: f64,
     unit: &'static str,
     f: F,
-) -> f64 {
-    let median_ns = measure(cfg, f);
-    let throughput = work * 1e9 / median_ns;
-    println!("{name:<44} {median_ns:>14.0} ns/call {throughput:>12.3e} {unit}");
-    out.push(Record { name: name.to_string(), median_ns, throughput, unit });
-    median_ns
+) {
+    record_group(out, cfg, vec![Row::new(name, work, unit, f)]);
+}
+
+/// The speedup of `fast` over `slow` from samples of the same rounds: the
+/// median of the per-pair ratios, printed with their quartiles.
+fn paired_speedup(label: &str, slow: &[f64], fast: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> = slow.iter().zip(fast).map(|(s, f)| s / f).collect();
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    let (q1, mid, q3) = (ratios[n / 4], ratios[n / 2], ratios[3 * n / 4]);
+    println!("  {label}: {mid:.2}x (pair quartiles {q1:.2}–{q3:.2}x)");
+    mid
 }
 
 /// Random dense matrices for a gemm shape.
@@ -113,7 +176,8 @@ fn gemm_inputs(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
     (uniform(&[m, k], -1.0, 1.0, &mut rng), uniform(&[k, n], -1.0, 1.0, &mut rng))
 }
 
-/// Blocked vs naive matmul at one shape; returns the speedup.
+/// Blocked vs naive matmul at one shape, timed as a pair; returns the
+/// speedup.
 fn bench_gemm_pair(
     out: &mut Vec<Record>,
     cfg: Config,
@@ -122,12 +186,15 @@ fn bench_gemm_pair(
 ) -> f64 {
     let (a, b) = gemm_inputs(m, k, n, 7);
     let flops = 2.0 * (m * k * n) as f64;
-    let naive = record(out, cfg, &format!("matmul_{label}_naive"), flops, "flop/s", || {
-        naive_matmul(&a, &b)
-    });
-    let blocked =
-        record(out, cfg, &format!("matmul_{label}_blocked"), flops, "flop/s", || matmul(&a, &b));
-    naive / blocked
+    let samples = record_group(
+        out,
+        cfg,
+        vec![
+            Row::new(&format!("matmul_{label}_naive"), flops, "flop/s", || naive_matmul(&a, &b)),
+            Row::new(&format!("matmul_{label}_blocked"), flops, "flop/s", || matmul(&a, &b)),
+        ],
+    );
+    paired_speedup(&format!("blocked vs naive at {label}"), &samples[0], &samples[1])
 }
 
 /// A LeNet-5 with `rate` of its conv+fc weights magnitude-pruned (mask
@@ -172,39 +239,39 @@ fn hybrid_lenet(rate: f32) -> Sequential {
     model
 }
 
+/// The LeNet-5 forwards, dense and pruned, timed as one group; returns the
+/// unstructured-p50 and hybrid-50 speedups over dense.
 fn bench_lenet_forward(out: &mut Vec<Record>) -> (f64, f64, Config) {
     // The model-level benches dominate wall-clock; one forward at batch 32
     // is already a long call, so samples can be shorter than the kernel
     // benches without losing the median's stability.
     let cfg =
-        if smoke_mode() { Config::smoke() } else { Config { sample_ns: 40_000_000, samples: 7 } };
+        if smoke_mode() { Config::smoke() } else { Config { sample_ns: 40_000_000, samples: 11 } };
     let mut rng = SeededRng::new(13);
     let x = uniform(&[32, 3, 32, 32], -1.0, 1.0, &mut rng);
-
-    let mut dense = pruned_lenet(0.0, false);
-    let mut ws = Workspace::new();
-    let dense_ns = record(out, cfg, "lenet5_fwd_b32_dense", 32.0, "inputs/s", || {
-        dense.forward_ws(&x, Mode::Eval, &mut ws)
-    });
-
-    let mut sparse50_ns = dense_ns;
+    // Each row owns its model and workspace.
+    let forward = |name: &str, mut model: Sequential| {
+        let (x, mut ws) = (&x, Workspace::new());
+        Row::new(name, 32.0, "inputs/s", move || model.forward_ws(x, Mode::Eval, &mut ws))
+    };
+    let mut rows = vec![forward("lenet5_fwd_b32_dense", pruned_lenet(0.0, false))];
     for pct in [30u32, 50, 70, 90] {
-        let mut model = pruned_lenet(pct as f32 / 100.0, true);
         let name = format!("lenet5_fwd_b32_sparse_p{pct}");
-        let ns =
-            record(out, cfg, &name, 32.0, "inputs/s", || model.forward_ws(&x, Mode::Eval, &mut ws));
-        if pct == 50 {
-            sparse50_ns = ns;
-        }
+        rows.push(forward(&name, pruned_lenet(pct as f32 / 100.0, true)));
     }
     // The paper's own 50% regime: structured conv channels + unstructured
     // FC weights (Sub-FedAvg Hy). Structured rows vanish from the
     // compressed pattern entirely, so this is the headline sparse number.
-    let mut hybrid = hybrid_lenet(0.5);
-    let hy50_ns = record(out, cfg, "lenet5_fwd_b32_sparse_hy50", 32.0, "inputs/s", || {
-        hybrid.forward_ws(&x, Mode::Eval, &mut ws)
-    });
-    (dense_ns / sparse50_ns, dense_ns / hy50_ns, cfg)
+    rows.push(forward("lenet5_fwd_b32_sparse_hy50", hybrid_lenet(0.5)));
+    let samples = record_group(out, cfg, rows);
+    let dense = &samples[0];
+    let sparse = paired_speedup("sparse p50 (unstructured) vs dense forward", dense, &samples[2]);
+    let hybrid = paired_speedup(
+        "sparse hy50 (structured+unstructured) vs dense forward",
+        dense,
+        &samples[5],
+    );
+    (sparse, hybrid, cfg)
 }
 
 fn bench_conv_fused(out: &mut Vec<Record>, cfg: Config) {
@@ -413,14 +480,11 @@ fn main() {
         ("lenet_conv2_b32", (16, 150, 32 * 10 * 10)),
     ] {
         let ratio = bench_gemm_pair(&mut records, cfg, label, shape);
-        println!("  blocked vs naive at {label}: {ratio:.2}x");
         speedups.push((format!("blocked_vs_naive_{label}"), ratio));
     }
 
     println!("\n-- LeNet-5 forward: dense vs sparse --");
     let (sparse_ratio, hybrid_ratio, model_cfg) = bench_lenet_forward(&mut records);
-    println!("  sparse p50 (unstructured) vs dense forward: {sparse_ratio:.2}x");
-    println!("  sparse hy50 (structured+unstructured) vs dense forward: {hybrid_ratio:.2}x");
     speedups.push(("sparse_p50_vs_dense_forward".to_string(), sparse_ratio));
     speedups.push(("sparse_hy50_vs_dense_forward".to_string(), hybrid_ratio));
 

@@ -34,12 +34,11 @@ use crate::checkpoint::{check, f32s, put_f32s, Checkpoint, CheckpointError, Read
 use crate::registry::ClientRegistry;
 use crate::stream_agg::OrderedAccumulator;
 use crate::{
-    evaluate_accuracy, fedavg_aggregate, flatten_mask, invariants, subfedavg_aggregate_trimmed,
-    wire, FederatedAlgorithm, Federation, History,
+    fedavg_aggregate, flatten_mask, invariants, subfedavg_aggregate_trimmed, wire,
+    FederatedAlgorithm, Federation, History,
 };
 use std::borrow::Cow;
-use std::sync::Arc;
-use subfed_data::ClientData;
+use subfed_data::Shard;
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask, unpack_mask};
 use subfed_metrics::trace::{model_hash, Span, TraceEvent};
 use subfed_nn::models::channel_graph_flat;
@@ -228,7 +227,8 @@ pub struct ClientRound<S> {
     /// The personalized model `θ_k ⊙ m_k`.
     params: Vec<f32>,
     val_acc: f32,
-    data: Arc<ClientData>,
+    /// The client's shard: with its test split only on evaluation rounds.
+    shard: Shard,
     eval_due: bool,
 }
 
@@ -451,11 +451,8 @@ impl ClientStore<UnstructuredController> for Registry {
     }
 
     fn keep(&self, fed: &Federation, run: ClientRound<ModelMask>) -> Self::Kept {
-        let test_acc = run.eval_due.then(|| {
-            let mut model = fed.build_model();
-            model.load_flat(&run.params);
-            evaluate_accuracy(&mut model, &run.data.test, 64)
-        });
+        // `Shard::test` refuses a shard fetched without its test split.
+        let test_acc = run.eval_due.then(|| fed.evaluate_flat(&run.params, run.shard.test()));
         let packed = run.next.map(|mask| {
             let flat = flatten_mask(&mask);
             (pack_mask(&flat), kept_count(&flat))
@@ -606,10 +603,11 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
             let slots: Vec<usize> = (0..ids.len()).collect();
             let outcomes = fed.par_map(&slots, |slot| {
                 let (i, tracer) = (ids[slot], fed.tracer());
-                let data = fed.client_data(i);
+                // Only an evaluating round reads the client's test split.
+                let shard = fed.provider().shard(i, eval_due);
                 let state = store.client(fed, i);
                 let mask = T::mask(&state);
-                let out = train_step(fed, round, i, &data, global, Some(mask), None);
+                let out = train_step(fed, round, i, shard.data(), global, Some(mask), None);
                 // Download cost: the masked global under the mask the
                 // client trained with.
                 let flat_before = flatten_mask(mask);
@@ -699,7 +697,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                     }
                     None => Some((dec_params, dec_mask)),
                 };
-                let run = ClientRound { next, params, val_acc: out.val_acc, data, eval_due };
+                let run = ClientRound { next, params, val_acc: out.val_acc, shard, eval_due };
                 (download + upload, store.keep(fed, run), update)
             });
             // Serial commit in cohort order, whatever the thread count.
@@ -1146,11 +1144,27 @@ mod tests {
     mod scaled {
         use super::*;
         use crate::FedConfig;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
         use subfed_data::{SynthClientProvider, SynthProviderConfig, SynthVision};
         use subfed_nn::models::ModelSpec;
 
         fn scaled_driver(registered: usize, frac: f32, threads: usize) -> ScaledSubFedAvg {
+            let config = FedConfig {
+                rounds: 2,
+                sample_frac: frac,
+                local_epochs: 2,
+                batch_size: 6,
+                eval_every: 2,
+                threads,
+                ..Default::default()
+            };
+            let provider = Arc::new(scaled_provider(registered));
+            let fed = Federation::from_provider(ModelSpec::cnn5(1, 16, 16, 4), provider, config);
+            ScaledSubFedAvg::new(fed, UnstructuredController::paper_defaults(0.5))
+        }
+
+        fn scaled_provider(registered: usize) -> SynthClientProvider {
             let synth = SynthVision::generate(subfed_data::SynthConfig {
                 channels: 1,
                 height: 16,
@@ -1163,7 +1177,7 @@ mod tests {
                 grid: 4,
                 seed: 11,
             });
-            let provider = SynthClientProvider::new(
+            SynthClientProvider::new(
                 synth,
                 SynthProviderConfig {
                     num_clients: registered,
@@ -1173,22 +1187,7 @@ mod tests {
                     test_per_label: 3,
                     seed: 11,
                 },
-            );
-            let config = FedConfig {
-                rounds: 2,
-                sample_frac: frac,
-                local_epochs: 2,
-                batch_size: 6,
-                eval_every: 2,
-                threads,
-                ..Default::default()
-            };
-            let fed = Federation::from_provider(
-                ModelSpec::cnn5(1, 16, 16, 4),
-                Arc::new(provider),
-                config,
-            );
-            ScaledSubFedAvg::new(fed, UnstructuredController::paper_defaults(0.5))
+            )
         }
 
         #[test]
@@ -1253,6 +1252,84 @@ mod tests {
                     *f = kept;
                 }
             }
+        }
+
+        /// The provider of [`scaled_driver`], handing out every client's
+        /// full shard and counting the fetches made with and without the
+        /// test split.
+        #[derive(Debug)]
+        struct WholeShards {
+            inner: SynthClientProvider,
+            fetched: [AtomicUsize; 2],
+        }
+
+        impl subfed_data::ClientProvider for WholeShards {
+            fn num_clients(&self) -> usize {
+                self.inner.num_clients()
+            }
+            fn client(&self, id: usize) -> Arc<subfed_data::ClientData> {
+                self.inner.client(id)
+            }
+            fn shard(&self, id: usize, with_test: bool) -> Shard {
+                self.fetched[usize::from(with_test)].fetch_add(1, Ordering::Relaxed);
+                self.inner.shard(id, true)
+            }
+        }
+
+        #[test]
+        fn only_evaluation_rounds_fetch_test_splits_and_skipping_them_changes_nothing() {
+            let mut lazy = scaled_driver(100, 0.05, 2);
+            let inner = scaled_provider(100);
+            let whole = Arc::new(WholeShards { inner, fetched: Default::default() });
+            let fed = Federation::from_provider(
+                *lazy.fed.spec(),
+                Arc::clone(&whole) as Arc<dyn subfed_data::ClientProvider>,
+                *lazy.fed.config(),
+            );
+            let mut eager = ScaledSubFedAvg::new(fed, UnstructuredController::paper_defaults(0.5));
+            let summary = eager.run();
+            assert_eq!(lazy.run(), summary);
+            assert_eq!(lazy.global(), eager.global());
+            // Round 1 does not evaluate; round 2 (`eval_every` 2) does.
+            let [without, with] = whole.fetched.each_ref().map(|n| n.load(Ordering::Relaxed));
+            let survivors: Vec<usize> = summary.records.iter().map(|r| r.survivors).collect();
+            assert_eq!(vec![without, with], survivors);
+        }
+
+        #[test]
+        fn eval_rounds_score_the_full_test_split() {
+            let driver = scaled_driver(100, 0.05, 1);
+            let (fed, params) = (&driver.fed, driver.global().to_vec());
+            let run = |shard, eval_due| ClientRound {
+                next: None,
+                params: params.clone(),
+                val_acc: 0.5,
+                shard,
+                eval_due,
+            };
+            let (_, (_, test_acc)) =
+                driver.store.keep(fed, run(fed.provider().shard(3, true), true));
+            let mut model = fed.build_model();
+            model.load_flat(&params);
+            let want = crate::evaluate_accuracy(&mut model, &fed.client_data(3).test, 64);
+            assert_eq!(test_acc.map(f32::to_bits), Some(want.to_bits()));
+            let (_, (_, off)) = driver.store.keep(fed, run(fed.provider().shard(3, false), false));
+            assert_eq!(off, None, "a round that does not evaluate scores nothing");
+        }
+
+        #[test]
+        #[should_panic(expected = "fetched without its test split")]
+        fn evaluating_a_shard_without_its_test_split_fails_loudly() {
+            let driver = scaled_driver(100, 0.05, 1);
+            let fed = &driver.fed;
+            let run = ClientRound {
+                next: None,
+                params: driver.global().to_vec(),
+                val_acc: 0.5,
+                shard: fed.provider().shard(3, false),
+                eval_due: true,
+            };
+            let _ = driver.store.keep(fed, run);
         }
 
         #[test]

@@ -318,11 +318,15 @@ impl Federation {
     pub fn evaluate_clients(&self, flats: &[Vec<f32>]) -> Vec<f32> {
         assert_eq!(flats.len(), self.num_clients(), "one flat vector per client required");
         let ids: Vec<usize> = (0..self.num_clients()).collect();
-        self.par_map(&ids, |i| {
-            let mut model = self.build_model();
-            model.load_flat(&flats[i]);
-            evaluate_accuracy(&mut model, &self.client_data(i).test, 64)
-        })
+        self.par_map(&ids, |i| self.evaluate_flat(&flats[i], &self.client_data(i).test))
+    }
+
+    /// Accuracy of the flat parameters `flat` on `test`, evaluated in a
+    /// pooled workspace ([`Federation::workspace`]).
+    pub(crate) fn evaluate_flat(&self, flat: &[f32], test: &Dataset) -> f32 {
+        let mut model = self.build_model();
+        model.load_flat(flat);
+        evaluate_accuracy_ws(&mut model, test, 64, &mut self.workspace())
     }
 }
 
@@ -423,7 +427,7 @@ pub fn train_client_ws(
         }
     }
     let eval_set = if data.val.is_empty() { &data.train } else { &data.val };
-    let val_acc = evaluate_accuracy(&mut model, eval_set, 64);
+    let val_acc = evaluate_accuracy_ws(&mut model, eval_set, 64, ws);
     LocalOutcome {
         first_epoch_flat,
         final_flat: model.flatten(),
@@ -441,13 +445,26 @@ pub fn train_client_ws(
 /// span, so no tracer is threaded through.
 // lint: allow(tracer-threading)
 pub fn evaluate_accuracy(model: &mut Sequential, dataset: &Dataset, batch: usize) -> f32 {
+    evaluate_accuracy_ws(model, dataset, batch, &mut Workspace::new())
+}
+
+/// [`evaluate_accuracy`] in the caller's workspace: the validation pass of
+/// [`train_client_ws`] and the pooled evaluations of
+/// [`Federation::evaluate_flat`] reuse the buffers training already holds.
+/// Bit-identical to a fresh workspace, by the same `take_scratch` contract
+/// as training.
+fn evaluate_accuracy_ws(
+    model: &mut Sequential,
+    dataset: &Dataset,
+    batch: usize,
+    ws: &mut Workspace,
+) -> f32 {
     if dataset.is_empty() {
         return 0.0;
     }
-    let mut ws = Workspace::new();
     let mut correct = 0usize;
     for b in dataset.batches(batch) {
-        let logits = model.forward_ws(&b.images, Mode::Eval, &mut ws);
+        let logits = model.forward_ws(&b.images, Mode::Eval, ws);
         let preds = argmax_rows(&logits);
         correct += preds.iter().zip(b.labels.iter()).filter(|(p, l)| p == l).count();
     }

@@ -38,5 +38,7 @@ pub use partition::{
     partition_pathological, partition_quantity_skew, ClientData, PartitionConfig,
     QuantitySkewConfig,
 };
-pub use provider::{ClientProvider, MaterializedClients, SynthClientProvider, SynthProviderConfig};
+pub use provider::{
+    ClientProvider, MaterializedClients, Shard, SynthClientProvider, SynthProviderConfig,
+};
 pub use synth::{SynthConfig, SynthVision};

@@ -8,13 +8,17 @@
 //! asks for `client(id)` lazily, and each provider decides whether that is
 //! a vector lookup ([`MaterializedClients`]) or an on-demand synthesis
 //! ([`SynthClientProvider`]), deterministic in `(seed, id)` so repeated
-//! requests for the same client see the same shard.
+//! requests for the same client see the same shard. A round that evaluates
+//! nothing fetches a [`Shard`] without the test split
+//! ([`ClientProvider::shard`]), which an on-demand provider then never
+//! draws.
 //!
 //! See `docs/SCALING.md` for how this slots into the registry / cohort /
 //! streaming-aggregation pipeline.
 
 use crate::partition::ClientData;
 use crate::synth::SynthVision;
+use crate::Dataset;
 use std::fmt;
 use std::sync::Arc;
 use subfed_tensor::init::SeededRng;
@@ -36,12 +40,61 @@ pub trait ClientProvider: Send + Sync + fmt::Debug {
     /// Panics if `id >= num_clients()`.
     fn client(&self, id: usize) -> Arc<ClientData>;
 
+    /// Client `id`'s shard for one round. With `with_test` it holds every
+    /// split of [`ClientProvider::client`]; without it, the same labels,
+    /// training and validation splits, bit for bit, while a provider that
+    /// synthesizes shards leaves the test split undrawn. The default hands
+    /// out `client(id)` whole either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= num_clients()`.
+    fn shard(&self, id: usize, with_test: bool) -> Shard {
+        // A held shard costs nothing to hand out whole.
+        let _ = with_test;
+        Shard { data: self.client(id), tested: true }
+    }
+
     /// The pre-materialized client slice, when this provider is backed by
     /// one. Callers that need *every* client at once (e.g. full-population
     /// evaluation) use this to fail loudly on on-demand providers instead
     /// of accidentally synthesizing millions of shards.
     fn materialized(&self) -> Option<&[Arc<ClientData>]> {
         None
+    }
+}
+
+/// One client's shard as a round fetched it ([`ClientProvider::shard`]):
+/// the labels, training and validation splits, and the test split only
+/// when it was drawn.
+#[derive(Debug, Clone)]
+pub struct Shard {
+    /// The client's data; `test` is empty when `tested` is false.
+    data: Arc<ClientData>,
+    tested: bool,
+}
+
+impl Shard {
+    /// The client's data, for training. Its `test` field is empty when the
+    /// test split was not drawn, so evaluation reads [`Shard::test`].
+    pub fn data(&self) -> &ClientData {
+        &self.data
+    }
+
+    /// The test split.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shard was fetched without its test split: scoring a
+    /// split that was never drawn would report an accuracy of nothing.
+    pub fn test(&self) -> &Dataset {
+        assert!(
+            self.tested,
+            "client {}'s shard was fetched without its test split; \
+             an evaluating round fetches it with_test",
+            self.data.id
+        );
+        &self.data.test
     }
 }
 
@@ -107,10 +160,14 @@ impl Default for SynthProviderConfig {
 }
 
 /// On-demand provider over a [`SynthVision`] generator: only the class
-/// prototypes (a few KB) are stored; each client's shard is synthesized
-/// when the cohort sampler picks that client. Memory is O(prototypes), not
-/// O(population × shard), which is what makes million-client registries
-/// practical.
+/// prototypes (a few KB) are stored, since nothing here reads the
+/// generator's own train and test splits and so they are never drawn.
+/// Each client's shard is synthesized when the cohort sampler picks that
+/// client: its labels, then its train, validation and test draws, in that
+/// order from one per-client stream, so a [`ClientProvider::shard`]
+/// without the test split stops after the validation draw with the same
+/// bits before it. Memory is O(prototypes), not O(population × shard),
+/// which is what makes million-client registries practical.
 #[derive(Debug, Clone)]
 pub struct SynthClientProvider {
     synth: Arc<SynthVision>,
@@ -143,6 +200,21 @@ impl SynthClientProvider {
     fn client_rng(&self, id: usize) -> SeededRng {
         SeededRng::new(self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(id as u64))
     }
+
+    /// Client `id`'s draws: labels, train, val, and then the test split
+    /// when `with_test` (an empty one, drawing nothing, otherwise).
+    fn draw(&self, id: usize, with_test: bool) -> ClientData {
+        assert!(id < self.config.num_clients, "client {id} outside registered population");
+        let mut rng = self.client_rng(id);
+        let classes = self.synth.config().classes;
+        let mut labels = rng.sample_indices(classes, self.config.labels_per_client);
+        labels.sort_unstable();
+        let train = self.synth.sample_labels(&labels, self.config.train_per_label, &mut rng);
+        let val = self.synth.sample_labels(&labels, self.config.val_per_label, &mut rng);
+        let test_per_label = if with_test { self.config.test_per_label } else { 0 };
+        let test = self.synth.sample_labels(&labels, test_per_label, &mut rng);
+        ClientData { id, train, val, test, labels }
+    }
 }
 
 impl ClientProvider for SynthClientProvider {
@@ -151,15 +223,11 @@ impl ClientProvider for SynthClientProvider {
     }
 
     fn client(&self, id: usize) -> Arc<ClientData> {
-        assert!(id < self.config.num_clients, "client {id} outside registered population");
-        let mut rng = self.client_rng(id);
-        let classes = self.synth.config().classes;
-        let mut labels = rng.sample_indices(classes, self.config.labels_per_client);
-        labels.sort_unstable();
-        let train = self.synth.sample_labels(&labels, self.config.train_per_label, &mut rng);
-        let val = self.synth.sample_labels(&labels, self.config.val_per_label, &mut rng);
-        let test = self.synth.sample_labels(&labels, self.config.test_per_label, &mut rng);
-        Arc::new(ClientData { id, train, val, test, labels })
+        Arc::new(self.draw(id, true))
+    }
+
+    fn shard(&self, id: usize, with_test: bool) -> Shard {
+        Shard { data: Arc::new(self.draw(id, with_test)), tested: with_test }
     }
 }
 
@@ -219,6 +287,33 @@ mod tests {
         assert_eq!(c.test.len(), 4);
         assert!(c.train.distinct_labels().iter().all(|l| c.labels.contains(l)));
         assert!(provider.materialized().is_none());
+    }
+
+    #[test]
+    fn provider_never_draws_the_generators_splits() {
+        let provider = SynthClientProvider::new(small_synth(), SynthProviderConfig::default());
+        for id in [0, 7, 99] {
+            let _ = provider.client(id);
+            let _ = provider.shard(id, false);
+            let _ = provider.shard(id, true);
+        }
+        assert!(!provider.synth.splits_drawn(), "shards read only the prototypes");
+    }
+
+    #[test]
+    #[should_panic(expected = "fetched without its test split")]
+    fn untested_shard_refuses_its_test_split() {
+        let provider = SynthClientProvider::new(small_synth(), SynthProviderConfig::default());
+        let _ = provider.shard(3, false).test();
+    }
+
+    #[test]
+    fn materialized_shards_are_the_stored_shard() {
+        let provider = SynthClientProvider::new(small_synth(), SynthProviderConfig::default());
+        let mat = MaterializedClients::new(vec![(*provider.client(3)).clone()]);
+        let shard = mat.shard(0, false);
+        assert!(shard.tested);
+        assert!(Arc::ptr_eq(&shard.data, &mat.client(0)));
     }
 
     #[test]

@@ -11,9 +11,18 @@
 //! prototype, randomly shifted by up to `shift` pixels, plus Gaussian pixel
 //! noise, mapped to `[-1, 1]`. Harder stand-ins (the CIFAR ones) use more
 //! noise and larger shifts.
+//!
+//! [`SynthVision::generate`] draws only the prototypes. The train and test
+//! splits are drawn on the first [`SynthVision::train`] or
+//! [`SynthVision::test`] call, from the generator state the prototypes
+//! left, so a caller that reads them gets the same bits as an eager draw,
+//! and one that never does (an on-demand
+//! [`SynthClientProvider`](crate::SynthClientProvider)) never pays for
+//! them.
 
 use crate::Dataset;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use subfed_tensor::init::SeededRng;
 use subfed_tensor::Tensor;
 
@@ -51,18 +60,24 @@ impl SynthConfig {
     }
 }
 
-/// A generated synthetic dataset pair (train + test) with its prototypes.
+/// A synthetic dataset: its class prototypes, and a train and a test split
+/// drawn on first read.
 #[derive(Debug, Clone)]
 pub struct SynthVision {
     config: SynthConfig,
     /// Per-class prototype images, `[classes, channels*height*width]` flat.
     prototypes: Vec<Vec<f32>>,
-    train: Dataset,
-    test: Dataset,
+    /// The generator state just after the prototypes: the splits draw
+    /// from a copy of it.
+    rng: SeededRng,
+    /// The train and test splits, drawn together on the first read of
+    /// either.
+    splits: OnceLock<(Dataset, Dataset)>,
 }
 
 impl SynthVision {
-    /// Generates the dataset described by `config`.
+    /// Generates the dataset described by `config`: the prototypes now,
+    /// the splits on first read.
     ///
     /// # Panics
     ///
@@ -72,9 +87,7 @@ impl SynthVision {
         let mut rng = SeededRng::new(config.seed);
         let prototypes: Vec<Vec<f32>> =
             (0..config.classes).map(|_| make_prototype(&config, &mut rng)).collect();
-        let train = sample_split(&config, &prototypes, config.train_per_class, &mut rng);
-        let test = sample_split(&config, &prototypes, config.test_per_class, &mut rng);
-        Self { config, prototypes, train, test }
+        Self { config, prototypes, rng, splits: OnceLock::new() }
     }
 
     /// The generating configuration.
@@ -82,14 +95,35 @@ impl SynthVision {
         &self.config
     }
 
-    /// The training split (grouped by class, `train_per_class` each).
+    /// The training split (grouped by class, `train_per_class` each),
+    /// drawn with the test split on the first read of either.
     pub fn train(&self) -> &Dataset {
-        &self.train
+        &self.splits().0
     }
 
-    /// The test split.
+    /// The test split, drawn with the training split on the first read of
+    /// either.
     pub fn test(&self) -> &Dataset {
-        &self.test
+        &self.splits().1
+    }
+
+    /// The train split, then the test split, drawn from the generator
+    /// state the prototypes left, so they are the draws that follow the
+    /// prototypes in the seed's stream. Threads that race on the first
+    /// read all get the one draw.
+    fn splits(&self) -> &(Dataset, Dataset) {
+        self.splits.get_or_init(|| {
+            let (config, prototypes, mut rng) = (&self.config, &self.prototypes, self.rng.clone());
+            let train = sample_split(config, prototypes, config.train_per_class, &mut rng);
+            let test = sample_split(config, prototypes, config.test_per_class, &mut rng);
+            (train, test)
+        })
+    }
+
+    /// Whether the splits have been drawn.
+    #[cfg(test)]
+    pub(crate) fn splits_drawn(&self) -> bool {
+        self.splits.get().is_some()
     }
 
     /// The class prototypes (flat `channels*height*width` images).
@@ -373,6 +407,44 @@ mod tests {
         // Grid 3 on 8 pixels: one grid cell spans ~3.5 px, so per-pixel
         // jumps are bounded well below the full [0,1] range.
         assert!(max_jump < 0.5, "prototype not smooth: max jump {max_jump}");
+    }
+
+    #[test]
+    fn splits_are_drawn_on_first_read_and_cloned_with_the_dataset() {
+        fn shareable<T: Clone + Send + Sync>(_: &T) {}
+        let s = SynthVision::generate(small_config());
+        shareable(&s);
+        assert!(!s.splits_drawn(), "generate draws only the prototypes");
+        let before = s.clone();
+        assert_eq!(s.test().len(), 20);
+        assert!(s.splits_drawn(), "reading the test split draws both");
+        let after = s.clone();
+        assert!(after.splits_drawn());
+        // A clone taken before the draw draws the same bits on its own.
+        assert_eq!(before.train().images().data(), s.train().images().data());
+        assert_eq!(before.test().labels(), s.test().labels());
+    }
+
+    #[test]
+    fn concurrent_first_reads_see_one_split() {
+        let s = SynthVision::mnist_like(3, 1);
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<(usize, Vec<f32>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let train = s.train();
+                        (std::ptr::from_ref(train) as usize, train.images().data().to_vec())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("reader thread")).collect()
+        });
+        for (addr, data) in &seen {
+            assert_eq!(*addr, std::ptr::from_ref(s.train()) as usize, "one split, one address");
+            assert_eq!(data, s.train().images().data());
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 use crate::layer::take_cache;
-use crate::{Layer, Mode, Param, ParamKind};
+use crate::{is_kept, Layer, Mode, Param, ParamKind};
 use subfed_tensor::conv::{
     build_taps_sparse, col2im_batch, conv2d_input_grad_streamed, conv2d_taps_batch,
     conv2d_weight_grad_streamed, im2col_batch, taps_supported, ConvGeom,
 };
 use subfed_tensor::init::{kaiming_uniform, SeededRng};
 use subfed_tensor::linalg::{gemm_nt, gemm_tn_ws, gemm_ws};
-use subfed_tensor::sparse::{spmm, RowPattern, SPARSE_DENSITY_MAX};
+use subfed_tensor::sparse::{sparse_enough, spmm, RowPattern};
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
@@ -222,6 +222,14 @@ fn release(cache: Cache, dym: Vec<f32>, ws: &mut Workspace) {
     ws.put(cache.saved);
 }
 
+/// The pattern of a `rows × cols` weight mask, when the mask is sparse
+/// enough for the sparse kernels ([`sparse_enough`]). The kept count
+/// decides first, so a denser mask builds no pattern.
+pub(crate) fn sparse_pattern(rows: usize, cols: usize, mask: &[f32]) -> Option<RowPattern> {
+    let kept = mask.iter().filter(|&&m| is_kept(m)).count();
+    sparse_enough(rows, cols, kept).then(|| RowPattern::from_mask(rows, cols, mask))
+}
+
 /// Overwrites `param.grad` with `data` under `shape`, reusing the existing
 /// gradient tensor's allocation when the shape already matches (it always
 /// does after the first step).
@@ -309,11 +317,8 @@ impl Layer for Conv2d {
             self.weight.value.shape(),
             "conv2d install_sparsity: mask shape mismatch"
         );
-        let pat =
-            RowPattern::from_mask(self.out_ch, self.in_ch * self.kernel * self.kernel, wm.data());
-        if pat.density() <= SPARSE_DENSITY_MAX {
-            self.sparse = Some(pat);
-        }
+        let cols = self.in_ch * self.kernel * self.kernel;
+        self.sparse = sparse_pattern(self.out_ch, cols, wm.data());
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -520,6 +525,31 @@ mod tests {
         let ones_b = Tensor::full(&[2], 1.0);
         conv.install_sparsity(&[&ones_w, &ones_b]);
         assert!(!conv.has_sparse_path());
+    }
+
+    #[test]
+    fn pattern_is_built_exactly_when_the_built_one_would_be_kept() {
+        use subfed_tensor::sparse::SPARSE_DENSITY_MAX;
+        let mut rng = SeededRng::new(10);
+        // 4 × 5 masks from all-pruned to all-kept, NaN entries (kept, as
+        // `is_kept` and `from_mask` both read them) included.
+        for kept_share in [0.0f32, 0.3, 0.7, 0.75, 0.76, 0.9, 1.0] {
+            for trial in 0..8 {
+                let mut mask: Vec<f32> = (0..20)
+                    .map(|_| if rng.uniform_f32(0.0, 1.0) < kept_share { 1.0 } else { 0.0 })
+                    .collect();
+                if trial == 0 {
+                    mask[3] = f32::NAN;
+                }
+                let built = RowPattern::from_mask(4, 5, &mask);
+                let want = (built.density() <= SPARSE_DENSITY_MAX).then_some(built);
+                assert_eq!(sparse_pattern(4, 5, &mask), want, "kept share {kept_share}");
+            }
+        }
+        // The cut itself: 15 of 20 kept is density 0.75, still sparse.
+        let at_cut: Vec<f32> = (0..20).map(|i| if i < 15 { 1.0 } else { 0.0 }).collect();
+        assert!(sparse_pattern(4, 5, &at_cut).is_some());
+        assert_eq!(sparse_pattern(0, 5, &[]), None, "an empty matrix has density 1");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 use crate::layer::take_cache;
-use crate::layers::conv::store_grad;
+use crate::layers::conv::{sparse_pattern, store_grad};
 use crate::{Layer, Mode, Param, ParamKind};
 use subfed_tensor::init::{kaiming_uniform, SeededRng};
 use subfed_tensor::linalg::{gemm_tn_ws, gemm_ws, transpose_into};
 use subfed_tensor::reduce::sum_rows;
-use subfed_tensor::sparse::{masked_dot_nt, spmm, spmm_t, RowPattern, SPARSE_DENSITY_MAX};
+use subfed_tensor::sparse::{masked_dot_nt, spmm, spmm_t, RowPattern};
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
@@ -206,10 +206,7 @@ impl Layer for Linear {
             self.weight.value.shape(),
             "linear install_sparsity: mask shape mismatch"
         );
-        let pat = RowPattern::from_mask(self.out_features, self.in_features, wm.data());
-        if pat.density() <= SPARSE_DENSITY_MAX {
-            self.sparse = Some(pat);
-        }
+        self.sparse = sparse_pattern(self.out_features, self.in_features, wm.data());
     }
 
     fn params(&self) -> Vec<&Param> {

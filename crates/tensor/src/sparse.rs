@@ -55,6 +55,23 @@ pub const PANEL: usize = 512;
 /// Layers denser than this should stay on the dense kernels.
 pub const SPARSE_DENSITY_MAX: f32 = 0.75;
 
+/// Whether a `rows × cols` pattern keeping `nnz` entries runs the sparse
+/// kernels: its [`RowPattern::density`] is at most [`SPARSE_DENSITY_MAX`].
+/// Layers decide this from the mask's kept count, so a mask too dense for
+/// the sparse kernels builds no pattern.
+pub fn sparse_enough(rows: usize, cols: usize, nnz: usize) -> bool {
+    kept_fraction(nnz, rows * cols) <= SPARSE_DENSITY_MAX
+}
+
+/// `nnz` over `total`; `1.0` for a degenerate empty matrix.
+fn kept_fraction(nnz: usize, total: usize) -> f32 {
+    if total == 0 {
+        1.0
+    } else {
+        nnz as f32 / total as f32
+    }
+}
+
 /// Dual CSR/CSC pattern over a `rows × cols` weight matrix: per row, the
 /// sorted column indices of *kept* (unmasked) entries, and per column,
 /// the sorted row indices of the same entries. Indices only — the weight
@@ -138,12 +155,7 @@ impl RowPattern {
 
     /// Kept fraction in `[0, 1]`; `1.0` for a degenerate empty matrix.
     pub fn density(&self) -> f32 {
-        let total = self.rows * self.cols;
-        if total == 0 {
-            1.0
-        } else {
-            self.nnz() as f32 / total as f32
-        }
+        kept_fraction(self.nnz(), self.rows * self.cols)
     }
 
     /// Kept column indices of row `r`, sorted ascending.
