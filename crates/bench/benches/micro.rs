@@ -4,8 +4,9 @@
 //! this target measures *kernels*: blocked vs naive matmul at 128×128 and
 //! the LeNet im2col shapes, the LeNet-5 forward pass dense vs sparse at
 //! 0/30/50/70/90 % unstructured pruning, the batch-fused Conv2d
-//! forward+backward under a reused [`Workspace`], and the aggregation /
-//! mask hot loops the seed benchmarked.
+//! forward+backward under a reused [`Workspace`], the aggregation /
+//! mask hot loops the seed benchmarked, and the per-client codecs (mask
+//! packing, the wire update, an on-demand client shard).
 //!
 //! The harness is hand-rolled (medians over wall-clock samples, no
 //! criterion) so it can emit a machine-readable baseline:
@@ -37,7 +38,9 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use subfed_core::subfedavg_aggregate;
+use subfed_core::wire::{decode_update, encode_update};
+use subfed_core::{flatten_mask, subfedavg_aggregate};
+use subfed_data::{ClientProvider, SynthClientProvider, SynthProviderConfig, SynthVision};
 use subfed_metrics::comm::{pack_mask, unpack_mask};
 use subfed_nn::models::{channel_graph, ModelSpec};
 use subfed_nn::{Layer, Mode, ModelMask, Sequential};
@@ -315,6 +318,45 @@ fn bench_engine_loops(out: &mut Vec<Record>, cfg: Config) {
     });
 }
 
+/// The per-client codecs at `un90-lenet`'s size (LeNet-5 on 3×16×16,
+/// 16,014 parameters, 90% of the weights magnitude-pruned): packing and
+/// unpacking its mask, and the wire encode and decode of its update. Then
+/// one client shard of `registry-100k`'s on-demand provider (2 labels ×
+/// 6/3/3 train/val/test examples, a new client each call).
+fn bench_client_codecs(out: &mut Vec<Record>, cfg: Config) {
+    let mut rng = SeededRng::new(23);
+    let mut model = ModelSpec::lenet5(3, 16, 16, 10).build(&mut rng);
+    let ones = ModelMask::ones_for(&model);
+    let mask = magnitude_mask(&model, &ones, 0.9, PruneScope::AllWeights, Ranking::LayerWise);
+    mask.apply(&mut model);
+    let (params, mask) = (model.flatten(), flatten_mask(&mask));
+    let n = mask.len() as f64;
+    record(out, cfg, "pack_mask_lenet5_16", n, "bits/s", || pack_mask(&mask));
+    let packed = pack_mask(&mask);
+    record(out, cfg, "unpack_mask_lenet5_16", n, "bits/s", || unpack_mask(&packed, mask.len()));
+    record(out, cfg, "encode_update_lenet5_16_p90", n, "params/s", || {
+        encode_update(&params, &mask)
+    });
+    let update = encode_update(&params, &mask);
+    record(out, cfg, "decode_update_lenet5_16_p90", n, "params/s", || decode_update(&update));
+    let provider = SynthClientProvider::new(
+        SynthVision::mnist_like(7, 1),
+        SynthProviderConfig {
+            num_clients: 100_000,
+            labels_per_client: 2,
+            train_per_label: 6,
+            val_per_label: 3,
+            test_per_label: 3,
+            seed: 7,
+        },
+    );
+    let mut id = 0;
+    record(out, cfg, "provider_shard_2x6_3_3", 1.0, "shards/s", || {
+        id = (id + 7_919) % 100_000;
+        provider.shard(id, true)
+    });
+}
+
 fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--test")
 }
@@ -491,6 +533,7 @@ fn main() {
     println!("\n-- fused conv + engine loops --");
     bench_conv_fused(&mut records, model_cfg);
     bench_engine_loops(&mut records, cfg);
+    bench_client_codecs(&mut records, cfg);
 
     if let Some(path) = json_path() {
         write_json(&path, &records, &speedups);

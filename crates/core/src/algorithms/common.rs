@@ -45,14 +45,16 @@ pub(crate) fn run_rounds<B: Baseline>(baseline: &B, mut state: B::State) -> Hist
             cum_bytes += baseline.round_body(&mut state, round, &ids);
         }
         let (models, hash) = baseline.models(&state);
-        record_round(&mut history, fed, round, &models, cum_bytes, hash, Vec::new(), span);
+        let accuracies = || fed.evaluate_clients(&models);
+        history.push(record_round(fed, round, accuracies, cum_bytes, hash, Vec::new(), span));
     }
     history
 }
 
 /// Client `client`'s local training from `init`, in a pooled workspace,
 /// traced by its `train` event: the dense FLOPs, and the effective FLOPs of
-/// the subnetwork under `mask` (dense without one).
+/// the subnetwork under `mask` (dense without one). The FLOP counts are
+/// only computed when the tracer is enabled.
 pub(crate) fn train_step(
     fed: &Federation,
     round: usize,
@@ -66,17 +68,19 @@ pub(crate) fn train_step(
     let seed = fed.client_seed(round, client);
     let out =
         train_client_ws(spec, init, data, fed.config(), mask, prox, seed, &mut fed.workspace());
-    let us = span.elapsed_us();
-    let dense_flops = flops::dense_flops(spec);
-    fed.tracer().emit(TraceEvent::ClientTrain {
-        round,
-        client,
-        us,
-        val_acc: out.val_acc,
-        train_loss: out.mean_train_loss,
-        effective_flops: mask.map_or(dense_flops, |m| flops::effective_flops(spec, m)),
-        dense_flops,
-    });
+    if fed.tracer().is_enabled() {
+        let us = span.elapsed_us();
+        let dense_flops = flops::dense_flops(spec);
+        fed.tracer().emit(TraceEvent::ClientTrain {
+            round,
+            client,
+            us,
+            val_acc: out.val_acc,
+            train_loss: out.mean_train_loss,
+            effective_flops: mask.map_or(dense_flops, |m| flops::effective_flops(spec, m)),
+            dense_flops,
+        });
+    }
     out
 }
 
@@ -85,7 +89,8 @@ pub(crate) fn is_eval_round(fed: &Federation, round: usize) -> bool {
     round.is_multiple_of(fed.config().eval_every) || round == fed.config().rounds
 }
 
-/// Evaluates every client's flat model (when due) and appends the round
+/// Evaluates every client (when due, through `accuracies`, which returns
+/// one personalized test accuracy per client) and returns the round
 /// record. `round_span` is the span opened at the top of the round; it
 /// closes here with the round's `eval` (when due) and `round_end` trace
 /// events. `model_hash` is the server model's post-aggregation
@@ -93,22 +98,20 @@ pub(crate) fn is_eval_round(fed: &Federation, round: usize) -> bool {
 /// no server-side model (standalone, MTL) pass `0` ("not recorded").
 /// `pruned` holds every client's pruned fraction of weights and of
 /// channels; the dense baselines pass none.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn record_round(
-    history: &mut History,
     fed: &Federation,
     round: usize,
-    flats: &[Vec<f32>],
+    accuracies: impl FnOnce() -> Vec<f32>,
     cum_bytes: u64,
     model_hash: u64,
     pruned: Vec<(f32, f32)>,
     round_span: Span,
-) {
+) -> RoundRecord {
     let (per_client_pruned, channels): (Vec<f32>, Vec<f32>) = pruned.into_iter().unzip();
     let mean = |v: &[f32]| if v.is_empty() { 0.0 } else { v.iter().sum::<f32>() / v.len() as f32 };
     let (avg_acc, per_client_acc) = if is_eval_round(fed, round) {
         let eval_span = fed.tracer().span();
-        let accs = fed.evaluate_clients(flats);
+        let accs = accuracies();
         let mean = accs.iter().sum::<f32>() / accs.len() as f32;
         fed.tracer().emit(TraceEvent::Eval { round, us: eval_span.elapsed_us(), avg_acc: mean });
         (Some(mean), accs)
@@ -121,7 +124,7 @@ pub(crate) fn record_round(
         cum_bytes,
         model_hash,
     });
-    history.push(RoundRecord {
+    RoundRecord {
         round,
         avg_acc,
         per_client_acc,
@@ -129,7 +132,7 @@ pub(crate) fn record_round(
         per_client_pruned,
         cum_bytes,
         avg_pruned_channels: mean(&channels),
-    });
+    }
 }
 
 /// Applies a flat 0/1 mask to a flat parameter vector.
@@ -139,9 +142,4 @@ pub(crate) fn apply_flat_mask(mut flat: Vec<f32>, mask: &[f32]) -> Vec<f32> {
         *v *= m;
     }
     flat
-}
-
-/// Number of kept (non-zero) entries of a flat mask.
-pub(crate) fn kept_count(mask: &[f32]) -> usize {
-    mask.iter().filter(|&&m| subfed_nn::is_kept(m)).count()
 }

@@ -28,7 +28,7 @@
 //! [`SubFedAvg::restore`] pair: the store and the track each add their
 //! part of the [`Checkpoint`] image.
 
-use super::common::{apply_flat_mask, is_eval_round, kept_count, record_round, train_step};
+use super::common::{apply_flat_mask, is_eval_round, record_round, train_step};
 use crate::aggregate::unflatten_mask;
 use crate::checkpoint::{check, f32s, put_f32s, Checkpoint, CheckpointError, Reader};
 use crate::registry::ClientRegistry;
@@ -38,11 +38,13 @@ use crate::{
     FederatedAlgorithm, Federation, History,
 };
 use std::borrow::Cow;
+use std::marker::PhantomData;
+use std::sync::OnceLock;
 use subfed_data::Shard;
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask, unpack_mask};
 use subfed_metrics::trace::{model_hash, Span, TraceEvent};
 use subfed_nn::models::channel_graph_flat;
-use subfed_nn::{is_kept, ModelMask, ParamMeta, Sequential};
+use subfed_nn::{is_kept, kept_count, ModelMask, ParamMeta, Sequential};
 use subfed_pruning::{
     ChannelMask, GateDecision, HybridController, HybridState, UnstructuredController,
 };
@@ -222,8 +224,14 @@ impl PruneTrack for HybridController {
 /// One client's finished round, as its worker hands it to the store.
 #[derive(Debug)]
 pub struct ClientRound<S> {
-    /// The advanced state, when a gate fired.
-    next: Option<S>,
+    /// The client's state after the round: the advanced one when a gate
+    /// fired, else the one it trained under.
+    state: S,
+    fired: bool,
+    /// The flat 0/1 mask of `state`, which `params` is masked with, and
+    /// its kept count.
+    mask: Vec<f32>,
+    kept: usize,
     /// The personalized model `θ_k ⊙ m_k`.
     params: Vec<f32>,
     val_acc: f32,
@@ -254,99 +262,189 @@ pub trait ClientStore<T: PruneTrack>: Sync + Sized {
 
     /// Readies the store for a round (and resets every client under the
     /// `fresh_masks` ablation).
-    fn begin_round(&mut self, fed: &Federation, track: &T, global: &[f32], fresh_masks: bool);
+    fn begin_round(&mut self, fed: &Federation, track: &T, fresh_masks: bool);
     /// Client `i`'s state at the start of the round.
-    fn client(&self, fed: &Federation, i: usize) -> Cow<'_, T::State>;
+    fn client(&self, fed: &Federation, i: usize) -> T::State;
     /// Worker side, after the fold: what the store keeps of a round.
-    fn keep(&self, fed: &Federation, run: ClientRound<T::State>) -> Self::Kept;
+    fn keep(&self, fed: &Federation, track: &T, run: ClientRound<T::State>) -> Self::Kept;
     /// Serial commit of client `i`'s round, in cohort order.
     fn commit(&mut self, i: usize, kept: Self::Kept);
     /// Evaluates (when due), emits `round_end` and records the round.
-    fn record(&mut self, fed: &Federation, track: &T, close: RoundClose);
+    fn record(&mut self, fed: &Federation, close: RoundClose);
     /// Appends every client's state to a checkpoint's client image.
     fn save(&self, fed: &Federation, out: &mut Vec<u8>);
     /// The store a [`ClientStore::save`] image holds, checked against
     /// `fed` in full before it is built. Round records start empty.
-    fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError>;
+    fn load(fed: &Federation, track: &T, image: &[u8]) -> Result<Self, CheckpointError>;
 }
 
-/// Every client's pruning state and personalized model, resident, with
-/// personalized evaluation of all clients into a [`History`]: the paper's
-/// cross-silo loop.
+/// Every client resident at its packed size, with personalized
+/// evaluation of all clients into a [`History`]: the paper's cross-silo
+/// loop. A client is held as its checkpoint record (see
+/// [`crate::checkpoint`]): its bit-packed state, then its last trained
+/// model as the kept values and one sign bit per pruned zero. A client
+/// that has not trained yet holds no model; it evaluates and checkpoints
+/// as θ₀. Workers unpack a client's state to train it and pack the
+/// record it leaves; evaluation decodes one client's model at a time.
 #[derive(Debug, Clone)]
 pub struct Resident<T: PruneTrack> {
-    /// Empty until the first round, so construction stays cheap.
-    states: Vec<T::State>,
-    /// Each client's last trained subnetwork (for evaluation).
-    local_flats: Vec<Vec<f32>>,
+    /// One record per client, exactly as [`ClientStore::save`] writes it
+    /// (the model only once the client has trained); empty until the
+    /// first round, so construction stays cheap.
+    records: Vec<Vec<u8>>,
+    /// Each client's [`PruneTrack::pruned`] fractions, kept beside its
+    /// record so that no round unpacks a state to report them.
+    pruned: Vec<(f32, f32)>,
     history: History,
+    track: PhantomData<T>,
+}
+
+impl<T: PruneTrack> Resident<T> {
+    fn empty() -> Self {
+        Self {
+            records: Vec::new(),
+            pruned: Vec::new(),
+            history: History::new(),
+            track: PhantomData,
+        }
+    }
+
+    /// Client `i`'s state, unpacked from its record.
+    fn state(&self, layout: &[ParamMeta], i: usize) -> T::State {
+        let (flags_len, mask_len, _) = state_lens::<T>(layout);
+        let (flags, rest) = self.records[i].split_at(flags_len);
+        T::load_state(layout, flags, &rest[..mask_len])
+    }
+
+    /// Client `i`'s last trained model, decoded from its record, or
+    /// `None` before it first trains.
+    fn model(&self, layout: &[ParamMeta], i: usize) -> Option<Vec<f32>> {
+        let (flags_len, mask_len, _) = state_lens::<T>(layout);
+        let (&tag, body) = self.records[i].get(flags_len + mask_len..)?.split_first()?;
+        let mask = flatten_mask(T::mask(&self.state(layout, i)));
+        Some(if tag == 0 {
+            let (values, signs) = body.split_at(4 * kept_count(&mask));
+            sparse_model(&mask, values, signs)
+        } else {
+            f32s(body)
+        })
+    }
+
+    /// Every client's personalized test accuracy, each decoded from its
+    /// record by the worker that evaluates it (θ₀ for a client that has
+    /// not trained), so the dense models never coexist.
+    fn evaluate(&self, fed: &Federation) -> Vec<f32> {
+        let theta0 = OnceLock::new();
+        let ids: Vec<usize> = (0..self.records.len()).collect();
+        fed.par_map(&ids, |i| {
+            let model = self.model(fed.layout(), i);
+            let model =
+                model.as_deref().unwrap_or_else(|| theta0.get_or_init(|| fed.init_global()));
+            fed.evaluate_flat(model, &fed.client_data(i).test)
+        })
+    }
 }
 
 impl<T: PruneTrack> ClientStore<T> for Resident<T> {
-    type Kept = (Option<T::State>, Vec<f32>);
+    /// The client's new record, and its pruned fractions when a gate
+    /// fired: O(packed record), so the cohort's dense vectors die with
+    /// their workers.
+    type Kept = (Vec<u8>, Option<(f32, f32)>);
     const KIND: u8 = 1;
 
-    fn begin_round(&mut self, fed: &Federation, track: &T, global: &[f32], fresh_masks: bool) {
-        if self.states.is_empty() || fresh_masks {
-            self.states = vec![track.fresh(&fed.build_model()); fed.num_clients()];
+    fn begin_round(&mut self, fed: &Federation, track: &T, fresh_masks: bool) {
+        if !self.records.is_empty() && !fresh_masks {
+            return;
         }
-        if self.local_flats.is_empty() {
-            self.local_flats = vec![global.to_vec(); fed.num_clients()];
+        let (layout, fresh) = (fed.layout(), track.fresh(&fed.build_model()));
+        let mask = flatten_mask(T::mask(&fresh));
+        // A trained client keeps its model under the fresh mask.
+        let records = (0..fed.num_clients())
+            .map(|i| {
+                let model = self.records.get(i).and_then(|_| self.model(layout, i));
+                client_record::<T>(layout, &fresh, &mask, model.as_deref())
+            })
+            .collect();
+        self.records = records;
+        self.pruned = vec![track.pruned(&fresh); fed.num_clients()];
+    }
+
+    fn client(&self, fed: &Federation, i: usize) -> T::State {
+        self.state(fed.layout(), i)
+    }
+
+    fn keep(&self, fed: &Federation, track: &T, run: ClientRound<T::State>) -> Self::Kept {
+        let record = client_record::<T>(fed.layout(), &run.state, &run.mask, Some(&run.params));
+        (record, run.fired.then(|| track.pruned(&run.state)))
+    }
+
+    fn commit(&mut self, i: usize, (record, pruned): Self::Kept) {
+        self.records[i] = record;
+        if let Some(pruned) = pruned {
+            self.pruned[i] = pruned;
         }
     }
 
-    fn client(&self, _: &Federation, i: usize) -> Cow<'_, T::State> {
-        Cow::Borrowed(&self.states[i])
-    }
-
-    fn keep(&self, _: &Federation, run: ClientRound<T::State>) -> Self::Kept {
-        (run.next, run.params)
-    }
-
-    fn commit(&mut self, i: usize, (next, params): Self::Kept) {
-        if let Some(state) = next {
-            self.states[i] = state;
-        }
-        self.local_flats[i] = params;
-    }
-
-    fn record(&mut self, fed: &Federation, track: &T, close: RoundClose) {
+    fn record(&mut self, fed: &Federation, close: RoundClose) {
         let RoundClose { round, cum_bytes, model_hash, span, .. } = close;
-        let pruned = self.states.iter().map(|s| track.pruned(s)).collect();
-        let flats = &self.local_flats;
-        record_round(&mut self.history, fed, round, flats, cum_bytes, model_hash, pruned, span);
+        let pruned = self.pruned.clone();
+        let accuracies = || self.evaluate(fed);
+        let record = record_round(fed, round, accuracies, cum_bytes, model_hash, pruned, span);
+        self.history.push(record);
     }
 
     fn save(&self, fed: &Federation, out: &mut Vec<u8>) {
-        let (flags_len, mask_len, n) = state_lens::<T>(fed.layout());
-        let kept: Vec<_> = (self.states.iter().zip(&self.local_flats))
-            .map(|(state, flat)| sparse_kept(T::mask(state), flat))
+        let layout = fed.layout();
+        let (flags_len, mask_len, _) = state_lens::<T>(layout);
+        // A client that has not trained checkpoints θ₀ under its mask.
+        let trained = |record: &[u8]| record.len() > flags_len + mask_len;
+        let theta0 = (!self.records.iter().all(|r| trained(r))).then(|| fed.init_global());
+        let records: Vec<Cow<'_, [u8]>> = (self.records.iter().enumerate())
+            .map(|(i, record)| match &theta0 {
+                Some(theta0) if !trained(record) => {
+                    let state = self.state(layout, i);
+                    let mask = flatten_mask(T::mask(&state));
+                    Cow::Owned(client_record::<T>(layout, &state, &mask, Some(theta0)))
+                }
+                _ => Cow::Borrowed(record.as_slice()),
+            })
             .collect();
-        // A tag byte, then the kept values and pruned signs, or all of it.
-        let model_len =
-            |k: Option<usize>| 1 + k.map_or(4 * n, |k| 4 * k + mask_bytes(n - k) as usize);
-        let models = kept.iter().copied().map(model_len).sum::<usize>();
-        out.reserve_exact(8 + self.states.len() * (flags_len + mask_len) + models);
-        out.extend_from_slice(&(self.states.len() as u64).to_le_bytes());
-        for ((state, flat), kept) in self.states.iter().zip(&self.local_flats).zip(kept) {
-            T::save_state(state, out);
-            save_model(T::mask(state), flat, kept.is_some(), out);
+        out.reserve_exact(8 + records.iter().map(|r| r.len()).sum::<usize>());
+        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for record in records {
+            out.extend_from_slice(&record);
         }
     }
 
-    fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError> {
+    /// Each record is rebuilt from the state and model it decodes to, so
+    /// a restored store checkpoints exactly as the store that saved it.
+    fn load(fed: &Federation, track: &T, image: &[u8]) -> Result<Self, CheckpointError> {
         let (layout, mut image) = (fed.layout(), Reader(image));
         check("client count", image.count("client count")?, fed.num_clients())?;
         let (flags_len, mask_len, n) = state_lens::<T>(layout);
-        let (mut states, mut local_flats) = (Vec::new(), Vec::new());
+        let mut store = Self::empty();
         for _ in 0..fed.num_clients() {
             let flags = image.take(flags_len, "client state")?;
             let state = T::load_state(layout, flags, image.take(mask_len, "client state")?);
-            local_flats.push(load_model(T::mask(&state), n, &mut image)?);
-            states.push(state);
+            let mask = flatten_mask(T::mask(&state));
+            let kept = kept_count(&mask);
+            let model = match image.array("client model")? {
+                [0] => {
+                    let values = image.take(4 * kept, "client model")?;
+                    let signs = image.take(mask_bytes(n - kept) as usize, "client model")?;
+                    sparse_model(&mask, values, signs)
+                }
+                [1] => f32s(image.take(4 * n, "client model")?),
+                [tag] => {
+                    let (got, want) = (tag.into(), 0);
+                    return Err(CheckpointError::Mismatch { what: "model tag", got, want });
+                }
+            };
+            store.records.push(client_record::<T>(layout, &state, &mask, Some(&model)));
+            store.pruned.push(track.pruned(&state));
         }
         check("client image length", image.0.len(), 0)?;
-        Ok(Self { states, local_flats, history: History::new() })
+        Ok(store)
     }
 }
 
@@ -357,67 +455,73 @@ fn state_lens<T: PruneTrack>(layout: &[ParamMeta]) -> (usize, usize, usize) {
     (mask_bytes(T::channels(layout)) as usize, mask_bytes(n) as usize, n)
 }
 
-/// `mask`'s entries in flat parameter order.
-fn mask_values(mask: &ModelMask) -> impl Iterator<Item = f32> + '_ {
-    mask.tensors().iter().flat_map(|t| t.data().iter().copied())
-}
-
-/// The kept count of `mask` when `flat` holds a zero at every position
-/// `mask` prunes — always, unless the run diverged, since `θ ⊙ m` zeroes
-/// them — and `None` otherwise.
-fn sparse_kept(mask: &ModelMask, flat: &[f32]) -> Option<usize> {
-    let mut kept = 0;
-    for (m, v) in mask_values(mask).zip(flat) {
-        if is_kept(m) {
-            kept += 1;
-        } else if v.abs().to_bits() != 0 {
-            return None;
-        }
+/// A client's record over `layout` (module docs of [`crate::checkpoint`]):
+/// `state`'s image, then, once the client has trained, its `model`, whose
+/// flat mask `mask` is `state`'s. Allocated at its exact size.
+fn client_record<T: PruneTrack>(
+    layout: &[ParamMeta],
+    state: &T::State,
+    mask: &[f32],
+    model: Option<&[f32]>,
+) -> Vec<u8> {
+    let (flags_len, mask_len, n) = state_lens::<T>(layout);
+    // A model with a non-zero at a pruned position — only a diverged run
+    // makes one, since `θ ⊙ m` zeroes them — is stored whole.
+    // (An OR of the pruned positions' magnitude bits, so it vectorizes.)
+    let sparse = |model: &[f32]| {
+        let pruned_bits = |(&m, v): (&f32, &f32)| if is_kept(m) { 0 } else { v.to_bits() << 1 };
+        mask.iter().zip(model).map(pruned_bits).fold(0, |bits, b| bits | b) == 0
+    };
+    let model = model.map(|model| (model, sparse(model)));
+    let model_len = model.map_or(0, |(_, sparse)| {
+        let kept = kept_count(mask);
+        1 + if sparse { 4 * kept + mask_bytes(n - kept) as usize } else { 4 * n }
+    });
+    let mut out = Vec::with_capacity(flags_len + mask_len + model_len);
+    T::save_state(state, &mut out);
+    if let Some((model, sparse)) = model {
+        put_model(mask, model, sparse, &mut out);
     }
-    Some(kept)
+    out
 }
 
 /// Appends a client's last trained model. A sparse image (tag 0) holds the
 /// values at `mask`'s kept positions, then one sign bit per pruned
 /// position, whose zero `θ ⊙ m` keeps the sign of θ; a dense one (tag 1),
 /// for a model with something else at a pruned position, holds all of it.
-fn save_model(mask: &ModelMask, flat: &[f32], sparse: bool, out: &mut Vec<u8>) {
+fn put_model(mask: &[f32], flat: &[f32], sparse: bool, out: &mut Vec<u8>) {
     out.push(u8::from(!sparse));
     if !sparse {
         return put_f32s(out, flat);
     }
-    let mut signs = Vec::new();
-    for (m, v) in mask_values(mask).zip(flat) {
+    // The sign bits gather a word at a time, as `pack_mask` packs, and
+    // follow the values: this runs for every trained client every round.
+    let (mut signs, mut word, mut bit) = (Vec::new(), 0u64, 0usize);
+    for (&m, v) in mask.iter().zip(flat) {
         if is_kept(m) {
             out.extend_from_slice(&v.to_le_bytes());
-        } else {
-            signs.push(f32::from(u8::from(v.is_sign_negative())));
+            continue;
+        }
+        word |= u64::from(v.is_sign_negative()) << bit;
+        bit += 1;
+        if bit == 64 {
+            signs.extend_from_slice(&word.to_le_bytes());
+            (word, bit) = (0, 0);
         }
     }
-    out.extend_from_slice(&pack_mask(&signs));
+    signs.extend(word.to_le_bytes().into_iter().take(bit.div_ceil(8)));
+    out.extend_from_slice(&signs);
 }
 
-/// Reads the [`save_model`] image of a model of `n` parameters under
-/// `mask`.
-fn load_model(
-    mask: &ModelMask,
-    n: usize,
-    image: &mut Reader<'_>,
-) -> Result<Vec<f32>, CheckpointError> {
-    match image.array("client model")? {
-        [0] => {}
-        [1] => return Ok(f32s(image.take(4 * n, "client model")?)),
-        [tag] => {
-            return Err(CheckpointError::Mismatch { what: "model tag", got: tag.into(), want: 0 })
-        }
-    }
-    let kept = mask_values(mask).filter(|&m| is_kept(m)).count();
-    let mut values = f32s(image.take(4 * kept, "client model")?).into_iter();
-    let signs = unpack_mask(image.take(mask_bytes(n - kept) as usize, "client model")?, n - kept);
+/// The model a sparse [`put_model`] image under `mask` holds, from its
+/// kept `values` and its pruned positions' sign bits.
+fn sparse_model(mask: &[f32], values: &[u8], signs: &[u8]) -> Vec<f32> {
+    let mut values = values.as_chunks().0.iter().map(|&w| f32::from_le_bytes(w));
+    let signs = unpack_mask(signs, mask.len() - kept_count(mask));
     let mut zeros = signs.into_iter().map(|s| if is_kept(s) { -0.0 } else { 0.0 });
     let mut next = |m| if is_kept(m) { values.next() } else { zeros.next() };
     // The two counts match `mask` exactly, so neither iterator runs dry.
-    Ok(mask_values(mask).map(|m| next(m).unwrap_or_default()).collect())
+    mask.iter().map(|&m| next(m).unwrap_or_default()).collect()
 }
 
 /// Registry-scale client state: only masks, packed in a [`ClientRegistry`]
@@ -430,34 +534,41 @@ fn load_model(
 pub struct Registry {
     registry: ClientRegistry,
     records: Vec<ScaledRoundRecord>,
-    /// This round's survivors so far: validation and test accuracy.
-    cohort: Vec<(f32, Option<f32>)>,
+    /// This round's survivors so far: validation accuracy, and on
+    /// evaluation rounds the test accuracy with its worker's µs.
+    cohort: Vec<(f32, Option<(f32, u64)>)>,
 }
 
 impl ClientStore<UnstructuredController> for Registry {
-    /// `(packed mask, kept)` when the gate fired, and the validation and
-    /// (evaluation rounds only) test accuracy: O(packed mask), never
-    /// O(model), so the cohort's dense vectors die with their workers.
-    type Kept = (Option<(Vec<u8>, usize)>, (f32, Option<f32>));
+    /// `(packed mask, kept)` when the gate fired, the validation accuracy
+    /// and (evaluation rounds only) the test accuracy with the µs its
+    /// evaluation took: O(packed mask), never O(model), so the cohort's
+    /// dense vectors die with their workers.
+    type Kept = (Option<(Vec<u8>, usize)>, (f32, Option<(f32, u64)>));
     const KIND: u8 = 2;
 
-    fn begin_round(&mut self, _: &Federation, _: &UnstructuredController, _: &[f32], fresh: bool) {
+    fn begin_round(&mut self, _: &Federation, _: &UnstructuredController, fresh: bool) {
         // Options are only settable on `SubFedAvgUn`.
         debug_assert!(!fresh, "registry drivers take no options");
     }
 
-    fn client(&self, fed: &Federation, i: usize) -> Cow<'_, ModelMask> {
-        Cow::Owned(unflatten_mask(fed.layout(), &self.registry.mask_flat(i)))
+    fn client(&self, fed: &Federation, i: usize) -> ModelMask {
+        unflatten_mask(fed.layout(), &self.registry.mask_flat(i))
     }
 
-    fn keep(&self, fed: &Federation, run: ClientRound<ModelMask>) -> Self::Kept {
-        // `Shard::test` refuses a shard fetched without its test split.
-        let test_acc = run.eval_due.then(|| fed.evaluate_flat(&run.params, run.shard.test()));
-        let packed = run.next.map(|mask| {
-            let flat = flatten_mask(&mask);
-            (pack_mask(&flat), kept_count(&flat))
+    fn keep(
+        &self,
+        fed: &Federation,
+        _: &UnstructuredController,
+        run: ClientRound<ModelMask>,
+    ) -> Self::Kept {
+        let test = run.eval_due.then(|| {
+            let span = fed.tracer().span();
+            // `Shard::test` refuses a shard fetched without its test split.
+            let acc = fed.evaluate_flat(&run.params, run.shard.test());
+            (acc, span.elapsed_us())
         });
-        (packed, (run.val_acc, test_acc))
+        (run.fired.then(|| (pack_mask(&run.mask), run.kept)), (run.val_acc, test))
     }
 
     fn commit(&mut self, i: usize, (packed, accs): Self::Kept) {
@@ -468,16 +579,19 @@ impl ClientStore<UnstructuredController> for Registry {
         self.cohort.push(accs);
     }
 
-    fn record(&mut self, fed: &Federation, _: &UnstructuredController, close: RoundClose) {
+    /// The `eval` event reports the µs the survivors' evaluations took in
+    /// their workers, summed: with several workers that is worker time,
+    /// not wall time.
+    fn record(&mut self, fed: &Federation, close: RoundClose) {
         let RoundClose { round, cum_bytes, model_hash, agg_memory_bytes, span } = close;
         let cohort = std::mem::take(&mut self.cohort);
         let survivors = cohort.len();
         let avg_val_acc = cohort.iter().map(|c| c.0).sum::<f32>() / survivors.max(1) as f32;
-        let eval_span = fed.tracer().span();
         let avg_test_acc = (is_eval_round(fed, round) && survivors > 0).then(|| {
             // Every survivor of an evaluation round carries a test accuracy.
-            let mean = cohort.iter().filter_map(|c| c.1).sum::<f32>() / survivors as f32;
-            let us = eval_span.elapsed_us();
+            let tests = || cohort.iter().filter_map(|c| c.1);
+            let mean = tests().map(|(acc, _)| acc).sum::<f32>() / survivors as f32;
+            let us = tests().map(|(_, us)| us).sum();
             fed.tracer().emit(TraceEvent::Eval { round, us, avg_acc: mean });
             mean
         });
@@ -498,7 +612,11 @@ impl ClientStore<UnstructuredController> for Registry {
         out.extend_from_slice(&self.registry.save());
     }
 
-    fn load(fed: &Federation, image: &[u8]) -> Result<Self, CheckpointError> {
+    fn load(
+        fed: &Federation,
+        _: &UnstructuredController,
+        image: &[u8],
+    ) -> Result<Self, CheckpointError> {
         let registry = ClientRegistry::load(image).map_err(CheckpointError::Registry)?;
         check("registered population", registry.registered(), fed.num_clients())?;
         check("mask length", registry.mask_len(), num_params(fed.layout()))?;
@@ -584,7 +702,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
         let (fed, track, options) = (&self.fed, self.track, self.options);
         let round = self.next_round;
         self.next_round += 1;
-        self.store.begin_round(fed, &track, &self.global, options.fresh_masks);
+        self.store.begin_round(fed, &track, options.fresh_masks);
         let round_span = fed.tracer().span();
         let ids = fed.begin_round(round);
         let eval_due = is_eval_round(fed, round);
@@ -620,7 +738,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                 // Gate boundary: every track's Δ must live in [0, 1]. (A
                 // non-finite accuracy is tolerated — the controllers are
                 // NaN-safe and hold the gate — so only Δ is enforced.)
-                invariants::enforce_with(tracer, round, &format!("gate client {i}"), || {
+                invariants::enforce_with(tracer, round, format_args!("gate client {i}"), || {
                     gates
                         .iter()
                         .try_for_each(|(_, d)| invariants::check_hamming_domain(d.mask_distance))
@@ -641,20 +759,22 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                         });
                     }
                 }
+                let fired = next.is_some();
                 let flat_mask = next.as_ref().map_or(flat_before, |s| flatten_mask(T::mask(s)));
+                let state = next.unwrap_or(state);
                 let kept = kept_count(&flat_mask);
                 // θ_k^{j+1} = θ_k^{j,le} ⊙ m_k (Algorithm 1, line 15) — or
                 // the rewound ticket θ₀ ⊙ m_k under the lottery-ticket
                 // extension.
-                let params = match next {
-                    Some(_) if options.rewind_to_init => fed.init_global(),
+                let params = match fired {
+                    true if options.rewind_to_init => fed.init_global(),
                     _ => out.final_flat,
                 };
                 let params = apply_flat_mask(params, &flat_mask);
                 // Upload cost: kept parameters, plus the packed mask when
                 // it changed this round.
                 let mut upload = masked_transfer_bytes(kept);
-                if next.is_some() {
+                if fired {
                     upload += mask_bytes(flat_mask.len());
                 }
                 // The upload really goes through the wire codec, and the
@@ -676,7 +796,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                     wire::decode_update(&buf).expect("self-encoded update decodes");
                 // Decode boundary: the decoded update must fit the model
                 // and carry a strictly binary mask.
-                invariants::enforce_with(tracer, round, &format!("decode client {i}"), || {
+                invariants::enforce_with(tracer, round, format_args!("decode client {i}"), || {
                     invariants::check_update_shape(&dec_params, &dec_mask, flat_mask.len())?;
                     invariants::check_mask_binary(&dec_mask)
                 });
@@ -697,8 +817,10 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
                     }
                     None => Some((dec_params, dec_mask)),
                 };
-                let run = ClientRound { next, params, val_acc: out.val_acc, shard, eval_due };
-                (download + upload, store.keep(fed, run), update)
+                let (mask, val_acc) = (flat_mask, out.val_acc);
+                let run =
+                    ClientRound { state, fired, mask, kept, params, val_acc, shard, eval_due };
+                (download + upload, store.keep(fed, &track, run), update)
             });
             // Serial commit in cohort order, whatever the thread count.
             let mut updates = Vec::new();
@@ -747,7 +869,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
             agg_memory_bytes,
             span: round_span,
         };
-        self.store.record(fed, &track, close);
+        self.store.record(fed, close);
     }
 
     /// Snapshots everything the server carries into the next round: the
@@ -791,7 +913,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
         let [store, track] = image.array("client image tags")?;
         check("store kind", store.into(), S::KIND.into())?;
         check("track kind", track.into(), T::KIND.into())?;
-        self.store = S::load(&self.fed, image.0)?;
+        self.store = S::load(&self.fed, &self.track, image.0)?;
         self.next_round = ckpt.round as usize + 1;
         self.global = ckpt.global.clone();
         self.cum_bytes = ckpt.cum_bytes;
@@ -809,9 +931,7 @@ impl<S: ClientStore<T>, T: PruneTrack> SubFedAvg<S, T> {
 impl<T: PruneTrack> SubFedAvg<Resident<T>, T> {
     /// Creates a run with an explicit controller (for sweeps/ablations).
     pub fn with_controller(fed: Federation, controller: T) -> Self {
-        let store =
-            Resident { states: Vec::new(), local_flats: Vec::new(), history: History::new() };
-        Self::from_parts(fed, controller, Vec::new(), store)
+        Self::from_parts(fed, controller, Vec::new(), Resident::empty())
     }
 
     /// Continues a restored (or partially run) state up to the configured
@@ -851,9 +971,10 @@ impl SubFedAvgUn {
     }
 
     /// The per-client masks of the current state (empty before the first
-    /// round). Feeds the partner-discovery analysis.
-    pub fn final_masks(&self) -> &[ModelMask] {
-        &self.store.states
+    /// round), unpacked from the resident records. Feeds the
+    /// partner-discovery analysis.
+    pub fn final_masks(&self) -> Vec<ModelMask> {
+        (0..self.store.records.len()).map(|i| self.store.state(self.fed.layout(), i)).collect()
     }
 }
 
@@ -870,7 +991,8 @@ impl SubFedAvgHy {
     /// first round. Feeds the measured half of the Table-2 harness (FLOP
     /// reduction at the channels clients actually pruned).
     pub fn final_channels(&self) -> Vec<ChannelMask> {
-        self.store.states.iter().map(|s| s.channels().clone()).collect()
+        let states = (0..self.store.records.len()).map(|i| self.store.state(self.fed.layout(), i));
+        states.map(|s| s.channels().clone()).collect()
     }
 }
 
@@ -1040,22 +1162,38 @@ mod tests {
         #[test]
         fn checkpoint_restores_every_model_bit() {
             let (mut algo, _) = run_with_target(0.5, 3);
+            let layout = algo.fed.layout().to_vec();
             let store = &mut algo.store;
-            let mut pruned = (0..store.states.len()).filter_map(|k| {
-                mask_values(&store.states[k]).position(|m| !is_kept(m)).map(|j| (k, j))
+            let masks: Vec<Vec<f32>> =
+                (0..store.records.len()).map(|k| flatten_mask(&store.state(&layout, k))).collect();
+            let mut pruned = masks.iter().enumerate().filter_map(|(k, mask)| {
+                let j = mask.iter().position(|&m| !is_kept(m))?;
+                store.model(&layout, k).map(|_| (k, j))
             });
             let ((a, ja), (b, jb)) = (pruned.next().unwrap(), pruned.next().unwrap());
-            store.local_flats[a][ja] = -0.0;
-            store.local_flats[b][jb] = f32::from_bits(0x7fc0_1234);
-            assert!(sparse_kept(&store.states[a], &store.local_flats[a]).is_some());
-            assert!(sparse_kept(&store.states[b], &store.local_flats[b]).is_none());
+            for (k, j, v) in [(a, ja, -0.0), (b, jb, f32::from_bits(0x7fc0_1234))] {
+                let mut model = store.model(&layout, k).unwrap();
+                model[j] = v;
+                let state = store.state(&layout, k);
+                store.records[k] = client_record::<UnstructuredController>(
+                    &layout,
+                    &state,
+                    &masks[k],
+                    Some(&model),
+                );
+            }
+            // The sparse form (tag 0) holds a's −0.0; b's NaN needs the dense
+            // form (tag 1).
+            let tag = |store: &Resident<_>, k: usize| store.records[k][masks[k].len().div_ceil(8)];
+            assert_eq!((tag(store, a), tag(store, b)), (0, 1));
             let ckpt = Checkpoint::decode(&algo.checkpoint().encode()).unwrap();
             let mut restored = SubFedAvgUn::with_controller(algo.fed.clone(), algo.track);
             restored.restore(&ckpt).unwrap();
-            let bits = |flats: &[Vec<f32>]| -> Vec<Vec<u32>> {
-                flats.iter().map(|f| f.iter().map(|v| v.to_bits()).collect()).collect()
+            let bits = |algo: &SubFedAvgUn| -> Vec<Option<Vec<u32>>> {
+                let models = (0..masks.len()).map(|k| algo.store.model(&layout, k));
+                models.map(|m| m.map(|m| m.iter().map(|v| v.to_bits()).collect())).collect()
             };
-            assert_eq!(bits(&restored.store.local_flats), bits(&algo.store.local_flats));
+            assert_eq!(bits(&restored), bits(&algo));
             assert_eq!(restored.checkpoint(), ckpt);
         }
 
@@ -1138,6 +1276,84 @@ mod tests {
         fn name_includes_both_targets() {
             let fed = tiny_federation(1, 4);
             assert_eq!(SubFedAvgHy::new(fed, 0.5, 0.7).name(), "Sub-FedAvg (Hy) 50%+70%");
+        }
+    }
+
+    mod resident {
+        use super::*;
+        use crate::tests_support::tiny_federation;
+        use crate::FedConfig;
+
+        /// [`tiny_federation`] with every client training every round.
+        fn everyone_trains(rounds: usize) -> Federation {
+            let fed = tiny_federation(rounds, 4);
+            let config = FedConfig { sample_frac: 1.0, ..*fed.config() };
+            Federation::new(*fed.spec(), fed.materialized_clients(), config)
+        }
+
+        /// After every round the store holds its checkpoint's client image
+        /// and nothing more per client: the records, each allocated at its
+        /// length, concatenate to the image, so no `f32` mask or dense
+        /// model outlives the round. The pruned fractions kept beside the
+        /// records are those of the states the records hold.
+        fn assert_store_is_its_image<T: PruneTrack>(mut algo: SubFedAvg<Resident<T>, T>) {
+            let layout = algo.fed.layout().to_vec();
+            for round in 1..=algo.fed.config().rounds {
+                algo.step_round();
+                let store = &algo.store;
+                let mut held = vec![1, T::KIND];
+                held.extend_from_slice(&(store.records.len() as u64).to_le_bytes());
+                for (k, record) in store.records.iter().enumerate() {
+                    assert_eq!(record.capacity(), record.len(), "round {round} client {k}");
+                    held.extend_from_slice(record);
+                    let state = store.state(&layout, k);
+                    assert_eq!(store.pruned[k], algo.track.pruned(&state));
+                }
+                assert!(held == algo.checkpoint().clients, "round {round}: store is not its image");
+            }
+        }
+
+        #[test]
+        fn un_store_holds_exactly_its_checkpoint_image() {
+            let mut controller = UnstructuredController::paper_defaults(0.5);
+            controller.acc_threshold = 0.0;
+            controller.rate = 0.2;
+            assert_store_is_its_image(SubFedAvgUn::with_controller(everyone_trains(4), controller));
+        }
+
+        #[test]
+        fn hy_store_holds_exactly_its_checkpoint_image() {
+            let mut controller = HybridController::paper_defaults(0.4, 0.5);
+            controller.acc_threshold = 0.0;
+            controller.structured_rate = 0.2;
+            controller.unstructured.rate = 0.2;
+            assert_store_is_its_image(SubFedAvgHy::with_controller(everyone_trains(4), controller));
+        }
+
+        /// A client that has not trained holds its state and no model, and
+        /// evaluates and checkpoints as θ₀.
+        #[test]
+        fn an_untrained_client_holds_no_model_and_reads_as_theta0() {
+            let fed = tiny_federation(1, 4);
+            let mut algo =
+                SubFedAvgUn::with_controller(fed, UnstructuredController::paper_defaults(0.5));
+            algo.step_round();
+            let layout = algo.fed.layout().to_vec();
+            let (flags_len, mask_len, _) = state_lens::<UnstructuredController>(&layout);
+            let trained = algo.fed.sample_round(1);
+            let idle = (0..4).find(|k| !trained.contains(k)).unwrap();
+            assert_eq!(algo.store.records[idle].len(), flags_len + mask_len);
+            assert_eq!(algo.store.model(&layout, idle), None);
+            // θ₀ under the all-ones mask: a tag byte and every value.
+            let ckpt = algo.checkpoint();
+            let theta0 = algo.fed.init_global();
+            let mut want = algo.store.records[idle].clone();
+            want.push(0);
+            put_f32s(&mut want, &theta0);
+            let at = ckpt.clients.windows(want.len()).position(|w| w == want.as_slice());
+            assert!(at.is_some(), "the untrained client's checkpoint record is not θ₀");
+            let acc = algo.fed.evaluate_flat(&theta0, &algo.fed.client_data(idle).test);
+            assert_eq!(algo.store.evaluate(&algo.fed)[idle].to_bits(), acc.to_bits());
         }
     }
 
@@ -1300,20 +1516,16 @@ mod tests {
         fn eval_rounds_score_the_full_test_split() {
             let driver = scaled_driver(100, 0.05, 1);
             let (fed, params) = (&driver.fed, driver.global().to_vec());
-            let run = |shard, eval_due| ClientRound {
-                next: None,
-                params: params.clone(),
-                val_acc: 0.5,
-                shard,
-                eval_due,
+            let keep = |shard, eval_due| {
+                let run = client_round(&driver, params.clone(), shard, eval_due);
+                driver.store.keep(fed, &driver.track, run).1 .1
             };
-            let (_, (_, test_acc)) =
-                driver.store.keep(fed, run(fed.provider().shard(3, true), true));
+            let test = keep(fed.provider().shard(3, true), true);
             let mut model = fed.build_model();
             model.load_flat(&params);
             let want = crate::evaluate_accuracy(&mut model, &fed.client_data(3).test, 64);
-            assert_eq!(test_acc.map(f32::to_bits), Some(want.to_bits()));
-            let (_, (_, off)) = driver.store.keep(fed, run(fed.provider().shard(3, false), false));
+            assert_eq!(test.map(|(acc, _)| acc.to_bits()), Some(want.to_bits()));
+            let off = keep(fed.provider().shard(3, false), false);
             assert_eq!(off, None, "a round that does not evaluate scores nothing");
         }
 
@@ -1322,14 +1534,49 @@ mod tests {
         fn evaluating_a_shard_without_its_test_split_fails_loudly() {
             let driver = scaled_driver(100, 0.05, 1);
             let fed = &driver.fed;
-            let run = ClientRound {
-                next: None,
-                params: driver.global().to_vec(),
-                val_acc: 0.5,
-                shard: fed.provider().shard(3, false),
-                eval_due: true,
-            };
-            let _ = driver.store.keep(fed, run);
+            let params = driver.global().to_vec();
+            let run = client_round(&driver, params, fed.provider().shard(3, false), true);
+            let _ = driver.store.keep(fed, &driver.track, run);
+        }
+
+        /// A round of client 3 that fired no gate, with `params` as its
+        /// model.
+        fn client_round(
+            driver: &ScaledSubFedAvg,
+            params: Vec<f32>,
+            shard: Shard,
+            eval_due: bool,
+        ) -> ClientRound<ModelMask> {
+            let state = driver.store.client(&driver.fed, 3);
+            let mask = flatten_mask(&state);
+            let kept = kept_count(&mask);
+            ClientRound { state, fired: false, mask, kept, params, val_acc: 0.5, shard, eval_due }
+        }
+
+        /// Each `eval` event reports the µs the survivors' evaluations
+        /// took in their workers.
+        #[test]
+        fn registry_eval_events_time_the_cohort_evaluation() {
+            let driver = scaled_driver(100, 0.05, 2);
+            let sink = Arc::new(subfed_metrics::trace::VecSink::new());
+            let config = FedConfig { eval_every: 1, ..*driver.fed.config() };
+            let fed = Federation::from_provider(
+                *driver.fed.spec(),
+                Arc::new(scaled_provider(100)),
+                config,
+            )
+            .with_tracer(subfed_metrics::trace::Tracer::new(sink.clone()));
+            let summary =
+                ScaledSubFedAvg::new(fed, UnstructuredController::paper_defaults(0.5)).run();
+            let evals: Vec<(usize, u64)> = (sink.snapshot().iter())
+                .filter_map(|e| match e {
+                    TraceEvent::Eval { round, us, .. } => Some((*round, *us)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(evals.iter().map(|e| e.0).collect::<Vec<_>>(), vec![1, 2]);
+            assert!(evals.iter().all(|&(_, us)| us > 0), "an eval event read 0 µs: {evals:?}");
+            assert!(summary.records.iter().all(|r| r.avg_test_acc.is_some()));
         }
 
         #[test]

@@ -34,6 +34,13 @@
 //!   position, which holds a zero of that sign. A model with anything
 //!   else at a pruned position, which only a diverged run produces, is
 //!   stored whole instead: a tag byte 1 and `4·n` bytes of `f32`.
+//!
+//!   These records are also what the resident store holds between
+//!   rounds, one per client, so `checkpoint` copies them and `restore`
+//!   rebuilds them. A client that has not trained yet holds only its
+//!   state; its record here carries θ₀ under that never-pruned state.
+//!   For `k` kept of `n` parameters and `c` channel flags a record is
+//!   ⌈c/8⌉ + ⌈n/8⌉ + 1 + 4k + ⌈(n − k)/8⌉ bytes.
 //! * **Registry** (`ScaledSubFedAvg`): the
 //!   [`ClientRegistry::save`](crate::ClientRegistry::save) image, read back
 //!   through the certified

@@ -195,7 +195,9 @@ pub fn report(tracer: &Tracer, round: usize, context: &str, violation: &Invarian
 
 /// Debug-assert layer: in debug builds, evaluates `check` and — on
 /// violation — reports it on the trace, then panics. Release builds skip
-/// the closure entirely, so checks may be arbitrarily expensive.
+/// the closure entirely, so checks may be arbitrarily expensive. `context`
+/// is only formatted for a report, so a per-client
+/// `format_args!("gate client {i}")` builds no string in either build.
 ///
 /// # Panics
 ///
@@ -204,7 +206,7 @@ pub fn report(tracer: &Tracer, round: usize, context: &str, violation: &Invarian
 // Returns (): the `-> Result` in the closure bound below is the *input*
 // contract, not this function's return type.
 // lint: allow(must-use-result)
-pub fn enforce_with<F>(tracer: &Tracer, round: usize, context: &str, check: F)
+pub fn enforce_with<F>(tracer: &Tracer, round: usize, context: impl std::fmt::Display, check: F)
 where
     F: FnOnce() -> Result<(), InvariantViolation>,
 {
@@ -215,7 +217,7 @@ where
                   where the corrupt data entered the federation"
     )]
     if let Err(violation) = check() {
-        report(tracer, round, context, &violation);
+        report(tracer, round, &context.to_string(), &violation);
         panic!("invariant violated at {context} (round {round}): {violation}");
     }
     #[cfg(not(debug_assertions))]

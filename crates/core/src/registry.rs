@@ -17,7 +17,7 @@
 //! memory model.
 
 use subfed_metrics::comm::{mask_bytes, pack_mask, unpack_mask};
-use subfed_nn::is_kept;
+use subfed_nn::kept_count;
 
 /// Slot sentinel: the client has never pruned, its mask is implicitly all
 /// ones and owns no arena slot.
@@ -172,7 +172,7 @@ impl ClientRegistry {
     /// Panics if the mask length differs from the registry's model.
     pub fn set_mask(&mut self, id: usize, mask: &[f32]) {
         assert_eq!(mask.len(), self.mask_len, "mask length mismatch");
-        let kept = mask.iter().filter(|&&m| is_kept(m)).count();
+        let kept = kept_count(mask);
         self.set_mask_packed(id, &pack_mask(mask), kept);
     }
 

@@ -12,7 +12,7 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use subfed_metrics::comm::{mask_bytes, pack_mask, unpack_mask};
-use subfed_nn::is_kept;
+use subfed_nn::{is_kept, kept_count};
 
 /// Wire-format version tag.
 const MAGIC: u16 = 0x5FA1;
@@ -106,7 +106,7 @@ impl std::error::Error for WireError {}
 pub fn encode_update(params: &[f32], mask: &[f32]) -> Vec<u8> {
     assert_eq!(params.len(), mask.len(), "params/mask length mismatch");
     assert!(params.len() <= u32::MAX as usize, "model too large for wire format");
-    let kept = mask.iter().filter(|&&m| is_kept(m)).count();
+    let kept = kept_count(mask);
     let mut buf = BytesMut::with_capacity(8 + mask_bytes(mask.len()) as usize + 4 * kept);
     buf.put_u16_le(MAGIC);
     buf.put_u16_le(0); // reserved
@@ -147,7 +147,7 @@ pub fn decode_update(data: &[u8]) -> Result<(Vec<f32>, Vec<f32>), WireError> {
         .ok_or(WireError::TruncatedMask { needed: mb, got: buf.remaining() })?;
     let mask = unpack_mask(mask_raw, len);
     buf = rest;
-    let kept = mask.iter().filter(|&&m| is_kept(m)).count();
+    let kept = kept_count(&mask);
     // `kept <= len` holds for any mask `unpack_mask` can produce; the
     // guard is the adversarial backstop should the mask source change.
     if kept > len {

@@ -10,8 +10,6 @@
 //! way) plus, in rounds where the mask changed, the new binary mask
 //! (`1 bit × |W|`, packed).
 
-use bytes::{BufMut, BytesMut};
-
 /// Bytes for one dense model transfer (one direction).
 pub fn dense_transfer_bytes(num_params: usize) -> u64 {
     num_params as u64 * 4
@@ -30,40 +28,50 @@ pub fn mask_bytes(num_params: usize) -> u64 {
 }
 
 /// Packs a 0/1 mask slice into bytes — the actual wire encoding backing
-/// [`mask_bytes`], used to prove the accounting honest.
+/// [`mask_bytes`], used to prove the accounting honest. Bit `i % 8` of
+/// byte `i / 8` is set when entry `i` is kept ([`subfed_nn::is_kept`]);
+/// the padding bits of the last byte are clear. Packs 64 entries into one
+/// machine word at a time.
 pub fn pack_mask(mask: &[f32]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(mask.len().div_ceil(8));
-    let mut byte = 0u8;
-    for (i, &m) in mask.iter().enumerate() {
-        if subfed_nn::is_kept(m) {
-            byte |= 1 << (i % 8);
-        }
-        if i % 8 == 7 {
-            buf.put_u8(byte);
-            byte = 0;
-        }
+    let mut buf = Vec::with_capacity(mask.len().div_ceil(8));
+    for entries in mask.chunks(64) {
+        let bits = entries
+            .iter()
+            .enumerate()
+            .fold(0u64, |bits, (j, &m)| bits | u64::from(subfed_nn::is_kept(m)) << j);
+        buf.extend(bits.to_le_bytes().into_iter().take(entries.len().div_ceil(8)));
     }
-    if !mask.len().is_multiple_of(8) {
-        buf.put_u8(byte);
-    }
-    buf.to_vec()
+    buf
 }
 
-/// Unpacks a bit-packed mask back into 0/1 floats. Positions beyond the
-/// packed bytes read as pruned (0.0), so a short buffer cannot panic the
-/// decode path — the caller's length checks decide whether that is an
-/// error.
+/// Unpacks a bit-packed mask back into 0/1 floats, one machine word of
+/// bits at a time. Positions beyond the packed bytes read as pruned
+/// (0.0), so a short buffer cannot panic the decode path — the caller's
+/// length checks decide whether that is an error.
 pub fn unpack_mask(bytes: &[u8], len: usize) -> Vec<f32> {
-    (0..len)
-        .map(|i| {
-            let byte = bytes.get(i / 8).copied().unwrap_or(0);
-            if byte & (1 << (i % 8)) != 0 {
-                1.0
-            } else {
-                0.0
-            }
-        })
-        .collect()
+    let mut out = vec![0.0f32; len];
+    // Whole 64-entry words from whole 8-byte words of bits, then the rest.
+    let (words, _) = out.as_chunks_mut::<64>();
+    let whole = words.len().min(bytes.len() / 8);
+    for (entries, word) in words.iter_mut().zip(bytes.as_chunks::<8>().0) {
+        unpack_word(u64::from_le_bytes(*word), entries);
+    }
+    let tail = out.get_mut(64 * whole..).unwrap_or_default();
+    let rest = bytes.get(8 * whole..).unwrap_or_default();
+    for (entries, word) in tail.chunks_mut(64).zip(rest.chunks(8)) {
+        let mut le = [0u8; 8];
+        le.iter_mut().zip(word).for_each(|(to, &from)| *to = from);
+        unpack_word(u64::from_le_bytes(le), entries);
+    }
+    out
+}
+
+/// Sets entry `j` of `entries` (at most 64) to bit `j` of `bits`.
+#[inline]
+fn unpack_word(bits: u64, entries: &mut [f32]) {
+    for (j, v) in entries.iter_mut().enumerate() {
+        *v = if bits & (1 << j) != 0 { 1.0 } else { 0.0 };
+    }
 }
 
 /// Total cost of a dense-FedAvg-style run: `R` rounds, `clients_per_round`

@@ -11,6 +11,47 @@ use subfed_metrics::flops::{
 use subfed_nn::models::ModelSpec;
 use subfed_pruning::ChannelMask;
 
+/// The mask entries the codec must classify: both zeros are pruned;
+/// ±1, NaN and the smallest subnormal are kept ([`subfed_nn::is_kept`]).
+const ENTRIES: [f32; 6] = [0.0, -0.0, 1.0, -1.0, f32::NAN, f32::from_bits(1)];
+
+/// Per-bit packing: bit `i % 8` of byte `i / 8` is set exactly when entry
+/// `i` is kept.
+fn pack_oracle(mask: &[f32]) -> Vec<u8> {
+    let mut out = vec![0u8; mask.len().div_ceil(8)];
+    for (i, &m) in mask.iter().enumerate() {
+        if subfed_nn::is_kept(m) {
+            out[i / 8] |= 1 << (i % 8);
+        }
+    }
+    out
+}
+
+/// Per-bit unpacking: a position past the bytes reads as pruned.
+fn unpack_oracle(bytes: &[u8], len: usize) -> Vec<u32> {
+    let bit = |i: usize| bytes.get(i / 8).is_some_and(|b| b >> (i % 8) & 1 == 1);
+    (0..len).map(|i| if bit(i) { 1.0f32 } else { 0.0 }.to_bits()).collect()
+}
+
+fn unpacked_bits(bytes: &[u8], len: usize) -> Vec<u32> {
+    unpack_mask(bytes, len).iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every length 0..=257, so every split of a mask into whole 64-entry
+/// words and a tail is covered, with the buffer cut at every byte.
+#[test]
+fn word_packing_matches_the_per_bit_oracle_at_every_length() {
+    for len in 0..=257usize {
+        let mask: Vec<f32> = (0..len).map(|i| ENTRIES[(i * 7 + len) % ENTRIES.len()]).collect();
+        let packed = pack_mask(&mask);
+        assert_eq!(packed, pack_oracle(&mask), "len {len}");
+        for cut in 0..=packed.len() {
+            let short = &packed[..cut];
+            assert_eq!(unpacked_bits(short, len), unpack_oracle(short, len), "len {len} cut {cut}");
+        }
+    }
+}
+
 fn lenet_mask() -> impl Strategy<Value = ChannelMask> {
     (prop::collection::vec(prop::bool::ANY, 6), prop::collection::vec(prop::bool::ANY, 16))
         .prop_map(|(mut a, mut b)| {
@@ -36,6 +77,27 @@ proptest! {
         prop_assert_eq!(packed.len() as u64, mask_bytes(mask.len()));
         let unpacked = unpack_mask(&packed, mask.len());
         prop_assert_eq!(unpacked, mask);
+    }
+
+    #[test]
+    fn word_packing_matches_the_per_bit_oracle(
+        picks in prop::collection::vec(0usize..6, 0..=257),
+        cut in 0usize..40,
+        extra in 0usize..80,
+        junk in 0u32..256,
+    ) {
+        let mask: Vec<f32> = picks.iter().map(|&k| ENTRIES[k]).collect();
+        let packed = pack_mask(&mask);
+        prop_assert_eq!(&packed, &pack_oracle(&mask));
+        prop_assert_eq!(unpacked_bits(&packed, mask.len()), unpack_oracle(&packed, mask.len()));
+        // Any bytes, padding bits included, read at any length: positions
+        // past a short buffer read as pruned.
+        let noisy: Vec<u8> = packed.iter().map(|&b| b ^ junk as u8).collect();
+        let short = &noisy[..cut.min(noisy.len())];
+        for len in [mask.len(), mask.len() + extra, extra] {
+            prop_assert_eq!(unpacked_bits(short, len), unpack_oracle(short, len));
+            prop_assert_eq!(unpacked_bits(&noisy, len), unpack_oracle(&noisy, len));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::layer::take_cache;
-use crate::{is_kept, Layer, Mode, Param, ParamKind};
+use crate::{Layer, Mode, Param, ParamKind};
 use subfed_tensor::conv::{
     build_taps_sparse, col2im_batch, conv2d_input_grad_streamed, conv2d_taps_batch,
     conv2d_weight_grad_streamed, im2col_batch, taps_supported, ConvGeom,
@@ -226,7 +226,7 @@ fn release(cache: Cache, dym: Vec<f32>, ws: &mut Workspace) {
 /// enough for the sparse kernels ([`sparse_enough`]). The kept count
 /// decides first, so a denser mask builds no pattern.
 pub(crate) fn sparse_pattern(rows: usize, cols: usize, mask: &[f32]) -> Option<RowPattern> {
-    let kept = mask.iter().filter(|&&m| is_kept(m)).count();
+    let kept = crate::kept_count(mask);
     sparse_enough(rows, cols, kept).then(|| RowPattern::from_mask(rows, cols, mask))
 }
 

@@ -48,7 +48,7 @@ pub mod models;
 pub mod optim;
 
 pub use layer::{Layer, Mode};
-pub use mask::{is_kept, is_mask_bit, ModelMask};
+pub use mask::{is_kept, is_mask_bit, kept_count, ModelMask};
 pub use param::{Param, ParamKind, ParamMeta};
 pub use sequential::Sequential;
 

@@ -13,6 +13,17 @@ pub fn is_kept(mask_entry: f32) -> bool {
     mask_entry != 0.0
 }
 
+/// Number of kept entries ([`is_kept`]) of a flat mask.
+///
+/// A wrapping fold rather than `filter(..).count()`: with overflow checks
+/// on, as the release profile keeps them, a checked count steps one entry
+/// at a time, and this one vectorizes. The count cannot exceed the
+/// slice's length, so nothing wraps.
+#[inline]
+pub fn kept_count(mask: &[f32]) -> usize {
+    mask.iter().fold(0, |n: usize, &m| n.wrapping_add(usize::from(is_kept(m))))
+}
+
 /// Whether a float is a valid mask entry (exactly `0.0` or `1.0`).
 ///
 /// NaN fails both comparisons and is correctly rejected.
@@ -53,10 +64,9 @@ impl ModelMask {
     pub fn from_tensors(masks: Vec<Tensor>, kinds: Vec<ParamKind>) -> Self {
         assert_eq!(masks.len(), kinds.len(), "mask/kind count mismatch");
         for m in &masks {
-            assert!(
-                m.data().iter().all(|&v| is_mask_bit(v)),
-                "mask entries must be exactly 0 or 1"
-            );
+            // A fold, not `all`, so the check vectorizes.
+            let binary = m.data().iter().fold(true, |binary, &v| binary & is_mask_bit(v));
+            assert!(binary, "mask entries must be exactly 0 or 1");
         }
         Self { masks, kinds }
     }
@@ -108,7 +118,7 @@ impl ModelMask {
             .iter()
             .zip(self.kinds.iter())
             .filter(|(_, &k)| filter(k))
-            .map(|(m, _)| m.data().iter().filter(|&&v| is_kept(v)).count())
+            .map(|(m, _)| kept_count(m.data()))
             .sum()
     }
 

@@ -39,7 +39,7 @@ fn main() {
         100.0 * history.final_pruned_params()
     );
 
-    let sep = partner_separation(&clients, algo.final_masks(), 0.05);
+    let sep = partner_separation(&clients, &algo.final_masks(), 0.05);
 
     let mut table = Table::new(
         "Subnetwork similarity by label relationship",

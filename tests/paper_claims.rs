@@ -125,7 +125,7 @@ fn label_overlap_implies_mask_overlap() {
     let mut algo = SubFedAvgUn::with_controller(fed, c);
     let _ = algo.run();
 
-    let sep = partner_separation(&clients, algo.final_masks(), 0.1);
+    let sep = partner_separation(&clients, &algo.final_masks(), 0.1);
     // Need data on both sides for the claim to be checkable.
     assert!(sep.overlap_pairs > 0 && sep.disjoint_pairs > 0);
     assert!(
