@@ -19,8 +19,7 @@
 
 use std::hint::black_box;
 use std::time::Instant;
-use subfed_core::UniformSampler;
-use subfed_core::{ClientRegistry, CohortSampler, OrderedAccumulator, StreamingAccumulator};
+use subfed_core::{ClientRegistry, OrderedAccumulator, StreamingAccumulator, UniformSampler};
 use subfed_metrics::comm::{human_bytes, pack_mask};
 use subfed_tensor::init::SeededRng;
 

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// Shared federation hyper-parameters.
 ///
 /// Defaults are the paper's (§4.1): 5 local epochs, batch size 10, SGD with
 /// learning rate 0.01 and momentum 0.5, 10% of clients sampled per round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedConfig {
     /// Number of communication rounds.
     pub rounds: usize,

@@ -1,7 +1,7 @@
 //! The round engine: client sampling, local training, parallel execution,
 //! and personalized evaluation shared by every algorithm.
 
-use crate::sampler::{CohortSampler, UniformSampler};
+use crate::sampler::UniformSampler;
 use crate::workspace::{PooledWorkspace, WorkspacePool};
 use crate::FedConfig;
 use std::sync::Arc;
@@ -23,7 +23,6 @@ use subfed_tensor::workspace::Workspace;
 pub struct Federation {
     spec: ModelSpec,
     provider: Arc<dyn ClientProvider>,
-    sampler: Arc<dyn CohortSampler>,
     config: FedConfig,
     tracer: Tracer,
     workspaces: WorkspacePool,
@@ -63,18 +62,11 @@ impl Federation {
         Self {
             spec,
             provider,
-            sampler: Arc::new(UniformSampler),
             config,
             tracer: Tracer::disabled(),
             workspaces: WorkspacePool::new(),
             layout,
         }
-    }
-
-    /// Replaces the cohort sampler (uniform by default).
-    pub fn with_sampler(mut self, sampler: Arc<dyn CohortSampler>) -> Self {
-        self.sampler = sampler;
-        self
     }
 
     /// Attaches a telemetry tracer: every algorithm driving this
@@ -169,12 +161,11 @@ impl Federation {
 
     /// Samples the participant set for `round` (1-based), deterministic in
     /// `(seed, round)` — independent of call order, so different
-    /// algorithms see identical schedules. Delegates to the federation's
-    /// [`CohortSampler`] (uniform unless replaced via
-    /// [`Federation::with_sampler`]).
+    /// algorithms see identical schedules. Draws through
+    /// [`UniformSampler`].
     pub fn sample_round(&self, round: usize) -> Vec<usize> {
         let k = self.config.clients_per_round(self.num_clients());
-        self.sampler.sample(self.num_clients(), k, self.config.seed, round)
+        UniformSampler.sample(self.num_clients(), k, self.config.seed, round)
     }
 
     /// Failure injection: filters a sampled participant set down to the
@@ -254,6 +245,8 @@ impl Federation {
     /// cohort-slot turnstile ([`crate::stream_agg::OrderedAccumulator`])
     /// fold uploads in deterministic slot order without ever blocking the
     /// worker that owns the next due slot.
+    ///
+    /// A panic in `f` reaches the caller with the worker's own payload.
     pub fn par_map<T, F>(&self, indices: &[usize], f: F) -> Vec<T>
     where
         T: Send,
@@ -264,11 +257,11 @@ impl Federation {
             return indices.iter().map(|&i| f(i)).collect();
         }
         let mut out: Vec<Option<T>> = (0..indices.len()).map(|_| None).collect();
-        let scope_result = crossbeam::thread::scope(|s| {
+        let parts = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
                     let f = &f;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         indices
                             .iter()
                             .enumerate()
@@ -279,14 +272,10 @@ impl Federation {
                     })
                 })
                 .collect();
+            // Joining every handle here hands each worker's panic to the
+            // loop below instead of letting the scope raise its own.
             handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
         });
-        let parts = match scope_result {
-            Ok(parts) => parts,
-            // Every handle is joined above, so this arm only sees a panic
-            // raised by the scope closure itself; re-raise it unchanged.
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
         for part in parts {
             match part {
                 Ok(pairs) => {
@@ -627,6 +616,25 @@ mod tests {
         let f = |i: usize| i * i + 1;
         assert_eq!(fed_seq.par_map(&ids, f), fed_par.par_map(&ids, f));
         assert_eq!(fed_par.par_map(&ids, f), vec![1, 2, 5, 10]);
+    }
+
+    #[test]
+    fn par_map_reraises_the_workers_own_panic() {
+        let ids: Vec<usize> = (0..4).collect();
+        for threads in [2, 3] {
+            let fed = tiny_federation(threads);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fed.par_map(&ids, |i| {
+                    if i == 2 {
+                        panic!("client {i} diverged");
+                    }
+                    i
+                })
+            }))
+            .expect_err("the worker's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(message, Some("client 2 diverged"), "threads={threads}");
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// State recorded after one communication round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// 1-based round index.
     pub round: usize,
@@ -22,7 +20,7 @@ pub struct RoundRecord {
 }
 
 /// Full trajectory of a federated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     /// One record per round, in order.
     pub records: Vec<RoundRecord>,

@@ -1,17 +1,21 @@
 //! Runtime invariant checks for the federation's trust boundaries.
 //!
-//! The static side of this PR (`subfed-lint`) proves the *code* avoids
-//! hazard patterns; this module checks the *data* at the three boundaries
-//! where masks and updates cross between client and server:
+//! The static side (`subfed-lint`) proves the *code* avoids hazard
+//! patterns; this module checks the *data* at the two boundaries where
+//! masks and updates cross between client and server that no other check
+//! covers:
 //!
-//! - **decode** — a wire-decoded update must have the expected length and
-//!   a strictly binary mask (`wire.rs` boundary),
 //! - **gate** — the mask distance Δ must live in `[0, 1]`
 //!   (`controller.rs` boundary; a non-finite validation accuracy holds the
 //!   gate by design, so it is not a violation),
 //! - **aggregate** — intersection averaging over a non-empty cohort must
 //!   cover at least one position, otherwise the round is a silent no-op
 //!   (`aggregate.rs` boundary).
+//!
+//! The decode boundary needs no check here: `unpack_mask` writes only
+//! `0.0` and `1.0`, the certified `OrderedAccumulator::fold` refuses a
+//! wrong-length update with a typed `AggError::LengthMismatch`, and the
+//! buffered aggregators assert lengths.
 //!
 //! The check functions are pure, always compiled, and unit-testable. The
 //! [`enforce_with`] wrapper is the debug-assert layer: it evaluates the
@@ -26,27 +30,6 @@ use subfed_metrics::trace::{TraceEvent, Tracer};
 /// A violated runtime invariant, with the measurements that violated it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvariantViolation {
-    /// A decoded parameter vector has the wrong length for the model.
-    UpdateLengthMismatch {
-        /// The model's flat parameter count.
-        expected: usize,
-        /// The decoded update's length.
-        got: usize,
-    },
-    /// A decoded mask has the wrong length for the model.
-    MaskLengthMismatch {
-        /// The model's flat parameter count.
-        expected: usize,
-        /// The decoded mask's length.
-        got: usize,
-    },
-    /// A mask entry is neither exactly `0.0` nor exactly `1.0`.
-    MaskNotBinary {
-        /// Position of the first offending entry.
-        index: usize,
-        /// Its value.
-        value: f32,
-    },
     /// A Hamming distance Δ left its `[0, 1]` domain (or is non-finite).
     HammingOutOfDomain {
         /// The measured distance.
@@ -64,15 +47,6 @@ pub enum InvariantViolation {
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InvariantViolation::UpdateLengthMismatch { expected, got } => {
-                write!(f, "update length mismatch: expected {expected}, got {got}")
-            }
-            InvariantViolation::MaskLengthMismatch { expected, got } => {
-                write!(f, "mask length mismatch: expected {expected}, got {got}")
-            }
-            InvariantViolation::MaskNotBinary { index, value } => {
-                write!(f, "mask entry {index} is not binary: {value}")
-            }
             InvariantViolation::HammingOutOfDomain { value } => {
                 write!(f, "hamming distance {value} outside [0, 1]")
             }
@@ -84,42 +58,6 @@ impl fmt::Display for InvariantViolation {
 }
 
 impl std::error::Error for InvariantViolation {}
-
-/// Checks that a decoded `(params, mask)` pair matches the model's flat
-/// parameter count.
-///
-/// # Errors
-///
-/// [`InvariantViolation::UpdateLengthMismatch`] or
-/// [`InvariantViolation::MaskLengthMismatch`], parameters checked first.
-#[must_use = "a dropped Result hides the violation it reports"]
-pub fn check_update_shape(
-    params: &[f32],
-    mask: &[f32],
-    expected: usize,
-) -> Result<(), InvariantViolation> {
-    if params.len() != expected {
-        return Err(InvariantViolation::UpdateLengthMismatch { expected, got: params.len() });
-    }
-    if mask.len() != expected {
-        return Err(InvariantViolation::MaskLengthMismatch { expected, got: mask.len() });
-    }
-    Ok(())
-}
-
-/// Checks that every mask entry is exactly `0.0` or `1.0` (the federation's
-/// mask encoding; see `subfed_nn::is_mask_bit`).
-///
-/// # Errors
-///
-/// [`InvariantViolation::MaskNotBinary`] at the first offending position.
-#[must_use = "a dropped Result hides the violation it reports"]
-pub fn check_mask_binary(mask: &[f32]) -> Result<(), InvariantViolation> {
-    match mask.iter().enumerate().find(|(_, &v)| !subfed_nn::is_mask_bit(v)) {
-        None => Ok(()),
-        Some((index, &value)) => Err(InvariantViolation::MaskNotBinary { index, value }),
-    }
-}
 
 /// Checks that a Hamming distance is finite and within `[0, 1]`.
 ///
@@ -231,34 +169,6 @@ mod tests {
     use subfed_metrics::trace::VecSink;
 
     #[test]
-    fn update_shape_accepts_matching_lengths() {
-        assert_eq!(check_update_shape(&[1.0, 2.0], &[1.0, 0.0], 2), Ok(()));
-    }
-
-    #[test]
-    fn update_shape_reports_which_side_mismatched() {
-        assert_eq!(
-            check_update_shape(&[1.0], &[1.0, 0.0], 2),
-            Err(InvariantViolation::UpdateLengthMismatch { expected: 2, got: 1 })
-        );
-        assert_eq!(
-            check_update_shape(&[1.0, 2.0], &[1.0], 2),
-            Err(InvariantViolation::MaskLengthMismatch { expected: 2, got: 1 })
-        );
-    }
-
-    #[test]
-    fn mask_binary_rejects_fractions_and_nan() {
-        assert_eq!(check_mask_binary(&[0.0, 1.0, 1.0]), Ok(()));
-        assert_eq!(
-            check_mask_binary(&[0.0, 0.5]),
-            Err(InvariantViolation::MaskNotBinary { index: 1, value: 0.5 })
-        );
-        let got = check_mask_binary(&[1.0, f32::NAN]).unwrap_err();
-        assert!(matches!(got, InvariantViolation::MaskNotBinary { index: 1, .. }));
-    }
-
-    #[test]
     fn hamming_domain_is_the_closed_unit_interval() {
         assert_eq!(check_hamming_domain(0.0), Ok(()));
         assert_eq!(check_hamming_domain(1.0), Ok(()));
@@ -315,7 +225,7 @@ mod tests {
     fn enforce_passes_clean_checks_silently() {
         let sink = Arc::new(VecSink::new());
         let tracer = Tracer::new(sink.clone());
-        enforce_with(&tracer, 1, "decode client 0", || Ok(()));
+        enforce_with(&tracer, 1, "gate client 0", || Ok(()));
         assert!(sink.is_empty());
     }
 

@@ -70,7 +70,7 @@ pub use config::FedConfig;
 pub use engine::{evaluate_accuracy, train_client, train_client_ws, Federation, LocalOutcome};
 pub use history::{History, RoundRecord};
 pub use registry::{ClientRegistry, RegistryError};
-pub use sampler::{CohortSampler, UniformSampler};
+pub use sampler::UniformSampler;
 pub use stream_agg::{OrderedAccumulator, StreamingAccumulator};
 pub use workspace::{PooledWorkspace, WorkspacePool};
 

@@ -3,7 +3,6 @@
 //! `subfed` CLI.
 
 use crate::{FedConfig, Federation};
-use serde::{Deserialize, Serialize};
 use subfed_data::{
     partition_dirichlet, partition_pathological, partition_quantity_skew, ClientData,
     DirichletConfig, PartitionConfig, QuantitySkewConfig, SynthVision,
@@ -11,7 +10,7 @@ use subfed_data::{
 use subfed_nn::models::ModelSpec;
 
 /// Which heterogeneity generator splits the data across clients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PartitionKind {
     /// The paper's pathological 2-shard label skew (§4.1).
     #[default]
@@ -30,7 +29,7 @@ pub enum PartitionKind {
 
 /// The four benchmark stand-ins of the paper's §4.1, each paired with the
 /// architecture the paper trains on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// MNIST stand-in (1×16×16, 10 classes, CNN-5).
     Mnist,

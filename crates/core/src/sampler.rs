@@ -7,32 +7,19 @@
 //! a million. [`UniformSampler`] keeps that exact path (bit-compatible with
 //! the historical schedule) when the cohort is a sizable fraction of the
 //! population, and switches to rejection sampling — O(cohort) expected —
-//! when the cohort is sparse. The trait is the extension point for weighted
-//! or stratified samplers later (see `docs/SCALING.md`).
+//! when the cohort is sparse (see `docs/SCALING.md`).
 
 use std::collections::BTreeSet;
-use std::fmt;
 use subfed_tensor::init::SeededRng;
 
-/// Round-seed mixing shared by every sampler so schedules stay comparable
-/// across implementations (and with traces recorded by older binaries).
+/// Round-seed mixing, fixed so schedules stay comparable with traces
+/// recorded by older binaries.
 fn round_seed(seed: u64, round: usize) -> u64 {
     seed ^ (round as u64).wrapping_mul(0x9E37)
 }
 
-/// Picks each round's cohort from the registered population.
-///
-/// Implementations must be deterministic in `(seed, round)` — the schedule
-/// may not depend on call order, so different algorithms (or a resumed run)
-/// see identical cohorts.
-pub trait CohortSampler: Send + Sync + fmt::Debug {
-    /// Returns `cohort` distinct client ids from `0..registered`, sorted
-    /// ascending. When `cohort >= registered` every client participates.
-    fn sample(&self, registered: usize, cohort: usize, seed: u64, round: usize) -> Vec<usize>;
-}
-
 /// Uniform sampling without replacement — the paper's setup once
-/// `frac < 1`, and the default for every federation.
+/// `frac < 1`, and the cohort sampler of every federation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UniformSampler;
 
@@ -41,8 +28,14 @@ pub struct UniformSampler;
 /// Fisher–Yates.
 const DENSE_FACTOR: usize = 8;
 
-impl CohortSampler for UniformSampler {
-    fn sample(&self, registered: usize, cohort: usize, seed: u64, round: usize) -> Vec<usize> {
+impl UniformSampler {
+    /// Returns `cohort` distinct client ids from `0..registered`, sorted
+    /// ascending. When `cohort >= registered` every client participates.
+    ///
+    /// Deterministic in `(seed, round)`: the schedule does not depend on
+    /// call order, so different algorithms (or a resumed run) see
+    /// identical cohorts.
+    pub fn sample(&self, registered: usize, cohort: usize, seed: u64, round: usize) -> Vec<usize> {
         if cohort >= registered {
             return (0..registered).collect();
         }

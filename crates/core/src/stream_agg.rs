@@ -364,11 +364,11 @@ mod tests {
         let batch = subfedavg_aggregate(&global, &updates);
         for &threads in &[2usize, 3, 5, 8] {
             let acc = OrderedAccumulator::new(len, threads);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for w in 0..threads {
                     let acc = &acc;
                     let updates = &updates;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         // Strided schedule: worker `w` owns slots w, w+T,
                         // w+2T, … and hands them in ascending — the
                         // precondition for turnstile progress.
@@ -378,8 +378,7 @@ mod tests {
                         }
                     });
                 }
-            })
-            .expect("workers join");
+            });
             assert_eq!(acc.updates(), 24);
             let streamed = acc.into_streaming().finish(&global);
             assert_eq!(batch, streamed, "threads={threads}: aggregate must be bit-identical");

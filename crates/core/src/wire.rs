@@ -10,7 +10,6 @@
 //! numbers plus an 8-byte header, which the tests pin down — the
 //! accounting is not hypothetical.
 
-use bytes::{Buf, BufMut, BytesMut};
 use subfed_metrics::comm::{mask_bytes, pack_mask, unpack_mask};
 use subfed_nn::{is_kept, kept_count};
 
@@ -107,17 +106,17 @@ pub fn encode_update(params: &[f32], mask: &[f32]) -> Vec<u8> {
     assert_eq!(params.len(), mask.len(), "params/mask length mismatch");
     assert!(params.len() <= u32::MAX as usize, "model too large for wire format");
     let kept = kept_count(mask);
-    let mut buf = BytesMut::with_capacity(8 + mask_bytes(mask.len()) as usize + 4 * kept);
-    buf.put_u16_le(MAGIC);
-    buf.put_u16_le(0); // reserved
-    buf.put_u32_le(params.len() as u32);
+    let mut buf = Vec::with_capacity(8 + mask_bytes(mask.len()) as usize + 4 * kept);
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&0u16.to_le_bytes()); // reserved
+    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
     buf.extend_from_slice(&pack_mask(mask));
     for (&p, &m) in params.iter().zip(mask.iter()) {
         if is_kept(m) {
-            buf.put_f32_le(p);
+            buf.extend_from_slice(&p.to_le_bytes());
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decodes an update message back into `(full_params, mask)`, with zeros
@@ -131,22 +130,20 @@ pub fn encode_update(params: &[f32], mask: &[f32]) -> Vec<u8> {
 /// panics or over-allocates (certified — see `CERTIFIED.json`).
 #[must_use = "a dropped Result hides the wire corruption it reports"]
 pub fn decode_update(data: &[u8]) -> Result<(Vec<f32>, Vec<f32>), WireError> {
-    let mut buf = data;
-    if buf.remaining() < 8 {
-        return Err(WireError::TruncatedHeader { got: buf.remaining() });
-    }
-    let magic = buf.get_u16_le();
+    // Magic, two reserved bytes, parameter count.
+    let (&[m0, m1, _, _, n0, n1, n2, n3], body) =
+        data.split_first_chunk().ok_or(WireError::TruncatedHeader { got: data.len() })?;
+    let magic = u16::from_le_bytes([m0, m1]);
     if magic != MAGIC {
         return Err(WireError::BadMagic { got: magic });
     }
-    let _reserved = buf.get_u16_le();
-    let len = usize::try_from(buf.get_u32_le()).map_err(|_| WireError::LengthOverflow)?;
+    let len = usize::try_from(u32::from_le_bytes([n0, n1, n2, n3]))
+        .map_err(|_| WireError::LengthOverflow)?;
     let mb = usize::try_from(mask_bytes(len)).map_err(|_| WireError::LengthOverflow)?;
-    let (mask_raw, rest) = buf
+    let (mask_raw, values) = body
         .split_at_checked(mb)
-        .ok_or(WireError::TruncatedMask { needed: mb, got: buf.remaining() })?;
+        .ok_or(WireError::TruncatedMask { needed: mb, got: body.len() })?;
     let mask = unpack_mask(mask_raw, len);
-    buf = rest;
     let kept = kept_count(&mask);
     // `kept <= len` holds for any mask `unpack_mask` can produce; the
     // guard is the adversarial backstop should the mask source change.
@@ -154,17 +151,16 @@ pub fn decode_update(data: &[u8]) -> Result<(Vec<f32>, Vec<f32>), WireError> {
         return Err(WireError::KeptExceedsParams { kept, num_params: len });
     }
     let needed = kept.checked_mul(4).ok_or(WireError::LengthOverflow)?;
-    if buf.remaining() < needed {
-        return Err(WireError::TruncatedParams { needed, got: buf.remaining() });
+    if values.len() < needed {
+        return Err(WireError::TruncatedParams { needed, got: values.len() });
     }
     // Bounded allocation: the mask-length check above caps `len` at
     // eight bits per remaining input byte, so a forged header cannot
     // demand more memory than ~8x the frame it arrived in.
     let mut params = vec![0.0f32; len];
-    for (p, &m) in params.iter_mut().zip(mask.iter()) {
-        if is_kept(m) {
-            *p = buf.get_f32_le();
-        }
+    let kept_slots = params.iter_mut().zip(&mask).filter(|(_, &m)| is_kept(m));
+    for ((p, _), &value) in kept_slots.zip(values.as_chunks().0) {
+        *p = f32::from_le_bytes(value);
     }
     Ok((params, mask))
 }
@@ -186,14 +182,14 @@ pub fn encode_update_q8(params: &[f32]) -> Vec<u8> {
     let hi = params.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let (lo, hi) = if params.is_empty() { (0.0, 0.0) } else { (lo, hi) };
     let scale = if hi > lo { (hi - lo) / 255.0 } else { 0.0 };
-    let mut buf = BytesMut::with_capacity(8 + params.len());
-    buf.put_f32_le(lo);
-    buf.put_f32_le(scale);
-    for &p in params {
+    let mut buf = Vec::with_capacity(8 + params.len());
+    buf.extend_from_slice(&lo.to_le_bytes());
+    buf.extend_from_slice(&scale.to_le_bytes());
+    buf.extend(params.iter().map(|&p| {
         let q = if scale > 0.0 { ((p - lo) / scale).round().clamp(0.0, 255.0) } else { 0.0 };
-        buf.put_u8(q as u8);
-    }
-    buf.to_vec()
+        q as u8
+    }));
+    buf
 }
 
 /// Decodes an 8-bit-quantised parameter vector of known length.
@@ -203,14 +199,14 @@ pub fn encode_update_q8(params: &[f32]) -> Vec<u8> {
 /// Returns a [`WireError`] describing the corruption on truncated input.
 #[must_use = "a dropped Result hides the wire corruption it reports"]
 pub fn decode_update_q8(data: &[u8], len: usize) -> Result<Vec<f32>, WireError> {
-    let mut buf = data;
     let needed = len.checked_add(8).ok_or(WireError::LengthOverflow)?;
-    if buf.remaining() < needed {
-        return Err(WireError::TruncatedQuantised { needed, got: buf.remaining() });
-    }
-    let lo = buf.get_f32_le();
-    let scale = buf.get_f32_le();
-    Ok((0..len).map(|_| lo + scale * buf.get_u8() as f32).collect())
+    let truncated = || WireError::TruncatedQuantised { needed, got: data.len() };
+    let (&[l0, l1, l2, l3, s0, s1, s2, s3], codes) =
+        data.split_first_chunk().ok_or_else(truncated)?;
+    let codes = codes.get(..len).ok_or_else(truncated)?;
+    let lo = f32::from_le_bytes([l0, l1, l2, l3]);
+    let scale = f32::from_le_bytes([s0, s1, s2, s3]);
+    Ok(codes.iter().map(|&q| lo + scale * f32::from(q)).collect())
 }
 
 /// Worst-case absolute reconstruction error of [`encode_update_q8`] for a

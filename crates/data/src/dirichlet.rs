@@ -9,11 +9,10 @@
 //! used by the `ext_dirichlet` extension bench.
 
 use crate::{ClientData, Dataset};
-use serde::{Deserialize, Serialize};
 use subfed_tensor::init::SeededRng;
 
 /// Parameters of the Dirichlet partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirichletConfig {
     /// Number of clients.
     pub num_clients: usize,

@@ -10,11 +10,10 @@
 //! personalization pays off.
 
 use crate::Dataset;
-use serde::{Deserialize, Serialize};
 use subfed_tensor::init::SeededRng;
 
 /// Parameters of the pathological partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionConfig {
     /// Number of clients (the paper uses 100; scaled runs use 8–32).
     pub num_clients: usize,
@@ -111,7 +110,7 @@ pub fn partition_pathological(
 /// client sizes — the third heterogeneity axis (after label skew and
 /// Dirichlet mixing). Client `i` receives a share proportional to
 /// `(i+1)^(-skew)` of the shuffled training data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantitySkewConfig {
     /// Number of clients.
     pub num_clients: usize,

@@ -21,13 +21,12 @@
 //! them.
 
 use crate::Dataset;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use subfed_tensor::init::SeededRng;
 use subfed_tensor::Tensor;
 
 /// Configuration of a synthetic vision dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthConfig {
     /// Image channels (1 = grayscale stand-ins, 3 = colour stand-ins).
     pub channels: usize,

@@ -6,7 +6,7 @@
 //! * **allocates** — the body (or something it calls) contains one of the
 //!   allocation shapes of [`alloc_sites`] (the same machinery behind the
 //!   `hot-path-alloc` rule);
-//! * **spawns** — the body reaches `spawn`/`crossbeam::thread::scope`;
+//! * **spawns** — the body reaches `spawn`/`thread::scope`;
 //! * **blocks** — the body reaches a synchronous wait (`join()`/`recv()`)
 //!   or an I/O call (`write_all`, `flush`, …), tracked separately because
 //!   only the former is a deadlock shape worth flagging under a guard;
@@ -71,7 +71,8 @@ pub fn alloc_sites(toks: &[Token], open: usize, close: usize) -> Vec<AllocSite> 
 }
 
 /// The spawn shape a call site matches, if any: `spawn(…)`/`.spawn(…)`
-/// in any form, or `thread::scope(…)` (the crossbeam scoped-thread entry).
+/// in any form, or `thread::scope(…)` (std's scoped-thread entry; the
+/// parser takes `thread` as the qualifier of `std::thread::scope(…)`).
 pub fn spawn_shape(call: &CallSite) -> Option<&'static str> {
     if call.callee == "spawn" {
         return Some("`spawn(…)`");
@@ -339,6 +340,19 @@ mod tests {
         assert!(summary_of(&files, &graph, &s, "b").blocks_sync.is_some());
         let io = summary_of(&files, &graph, &s, "io");
         assert!(io.blocks_io.is_some() && io.blocks_sync.is_none());
+    }
+
+    #[test]
+    fn std_scoped_threads_give_the_spawn_fact() {
+        // `Federation::par_map`'s shape: a fully qualified
+        // `std::thread::scope` whose workers are `move` closures. The scope
+        // alone already gives the fact.
+        let src = "fn workers() { std::thread::scope(|s| { s.spawn(move || work()); }); }\n\
+                   fn scope_only() { std::thread::scope(|s| {}); }";
+        let (files, graph, s) = summaries(src);
+        assert!(summary_of(&files, &graph, &s, "workers").spawns.is_some());
+        let fact = summary_of(&files, &graph, &s, "scope_only").spawns.as_ref();
+        assert_eq!(fact.map(|f| f.what.as_str()), Some("`thread::scope(…)`"));
     }
 
     #[test]

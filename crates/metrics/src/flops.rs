@@ -9,7 +9,7 @@
 //! (Un)) but removes parameters.
 
 use subfed_nn::models::{ConvShape, FcShape, ModelSpec};
-use subfed_nn::{is_kept, ParamKind};
+use subfed_nn::{kept_count, ParamKind};
 use subfed_pruning::{ChannelMask, ModelMask};
 
 /// FLOPs of one convolution layer (2 × MACs).
@@ -96,7 +96,7 @@ pub fn effective_flops(spec: &ModelSpec, mask: &ModelMask) -> u64 {
     let (mut conv_i, mut fc_i) = (0usize, 0usize);
     let mut total = 0u64;
     for (&kind, bits) in mask.kinds().iter().zip(mask.tensors()) {
-        let kept = || bits.data().iter().filter(|&&b| is_kept(b)).count() as u64;
+        let kept = || kept_count(bits.data()) as u64;
         match kind {
             ParamKind::ConvWeight => {
                 assert!(conv_i < convs.len(), "mask has more conv weights than spec");

@@ -199,7 +199,7 @@ pub enum TraceEvent {
         /// 1-based round number (0 when outside any round).
         round: usize,
         /// The boundary that was checked, e.g. `"aggregate"` or
-        /// `"decode client 3"`.
+        /// `"gate client 3"`.
         context: String,
         /// Human-readable description of the violation. Free-form text is
         /// sanitised for the JSON encoding: `"`, `\`, and control

@@ -96,11 +96,6 @@ impl Conv2d {
         self.out_ch
     }
 
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_ch
-    }
-
     /// Kernel side length.
     pub fn kernel(&self) -> usize {
         self.kernel

@@ -159,12 +159,11 @@ impl ModelMask {
             }
             assert_eq!(a.shape(), b.shape(), "mask shape mismatch");
             total += a.len();
-            diff += a
-                .data()
-                .iter()
-                .zip(b.data().iter())
-                .filter(|(&x, &y)| is_kept(x) != is_kept(y))
-                .count();
+            // The wrapping fold of `kept_count`: it vectorizes under
+            // overflow checks, and a count of entries cannot wrap.
+            diff += a.data().iter().zip(b.data()).fold(0, |n: usize, (&x, &y)| {
+                n.wrapping_add(usize::from(is_kept(x) != is_kept(y)))
+            });
         }
         if total == 0 {
             0.0

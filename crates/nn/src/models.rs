@@ -11,12 +11,11 @@
 
 use crate::layers::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU};
 use crate::{ParamKind, ParamMeta, Sequential};
-use serde::{Deserialize, Serialize};
 use subfed_tensor::init::SeededRng;
 
 /// Declarative model architecture: a buildable, serialisable description of
 /// the network every client trains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// The paper's 5-layer CNN for MNIST/EMNIST.
     Cnn5 {
@@ -57,7 +56,7 @@ pub enum ModelSpec {
 }
 
 /// Shape of one convolution layer, for analytic FLOP/parameter accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvShape {
     /// Input channels.
     pub cin: usize,
@@ -72,7 +71,7 @@ pub struct ConvShape {
 }
 
 /// Shape of one fully-connected layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcShape {
     /// Input features.
     pub fan_in: usize,
@@ -617,15 +616,8 @@ mod tests {
     }
 
     #[test]
-    fn spec_serde_roundtrip() {
+    fn spec_debug_names_the_architecture() {
         let spec = ModelSpec::lenet5(3, 32, 32, 10);
-        let json = serde_json_like(&spec);
-        assert!(json.contains("LeNet5"));
-    }
-
-    // serde_json is not a dependency; exercise Serialize via the debug
-    // representation of the serde data model instead.
-    fn serde_json_like(spec: &ModelSpec) -> String {
-        format!("{spec:?}")
+        assert!(format!("{spec:?}").contains("LeNet5"));
     }
 }

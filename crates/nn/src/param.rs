@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use subfed_tensor::Tensor;
 
 /// The role a parameter tensor plays in the network.
@@ -8,7 +7,7 @@ use subfed_tensor::Tensor;
 /// layers through BatchNorm scale factors (`BnGamma`) and restricts
 /// unstructured pruning to the fully-connected weights. BatchNorm running
 /// statistics are aggregated but never trained or pruned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamKind {
     /// Convolution kernel, shape `[out_ch, in_ch, kh, kw]`.
     ConvWeight,
@@ -73,7 +72,7 @@ impl Param {
 }
 
 /// Metadata describing one parameter's position in a model's flat layout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamMeta {
     /// Stable name, e.g. `layer3.bn_gamma`.
     pub name: String,

@@ -93,8 +93,7 @@ impl Sequential {
     /// Installs each layer's compressed-row fast path from a model mask
     /// whose tensors line up with [`Sequential::params`] (the layout
     /// `ModelMask::ones_for` produces). Layers whose masks are dense stay
-    /// on the blocked dense kernels; call [`Sequential::clear_sparsity`]
-    /// to drop the patterns.
+    /// on the blocked dense kernels.
     ///
     /// # Panics
     ///
@@ -115,14 +114,6 @@ impl Sequential {
             offset += count;
         }
         assert_eq!(offset, tensors.len(), "mask does not line up with model parameters");
-    }
-
-    /// Clears every layer's compressed-row fast path (all compute returns
-    /// to the blocked dense kernels).
-    pub fn clear_sparsity(&mut self) {
-        for layer in &mut self.layers {
-            layer.install_sparsity(&[]);
-        }
     }
 
     /// All parameters in a stable order (layer order, then each layer's

@@ -22,7 +22,6 @@
 
 use crate::structured::{expand_channel_mask_flat, slimming_mask_flat, ChannelMask};
 use crate::unstructured::{magnitude_mask_flat, pruned_fraction, PruneScope, Ranking};
-use serde::{Deserialize, Serialize};
 use subfed_nn::models::channel_graph;
 use subfed_nn::{ModelMask, ParamMeta, Sequential};
 
@@ -115,7 +114,7 @@ fn gate<M>(
 }
 
 /// Client-side controller for Sub-FedAvg (Un) — Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnstructuredController {
     /// Fraction of remaining weights pruned per accepted step (`r_us`,
     /// paper: 5–10% per iteration).
@@ -223,7 +222,7 @@ impl HybridState {
 /// Client-side controller for Sub-FedAvg (Hy) — Algorithm 2: structured
 /// pruning on conv channels (via BN |γ|) plus unstructured pruning on FC
 /// weights, independently gated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridController {
     /// Channel-pruning fraction per accepted step (`r_s`).
     pub structured_rate: f32,

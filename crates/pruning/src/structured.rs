@@ -19,12 +19,11 @@
 //! analytically from the channel mask by `subfed-metrics`.
 
 use crate::unstructured::prune_count;
-use serde::{Deserialize, Serialize};
 use subfed_nn::models::{channel_graph_flat, ChannelGraph, Downstream};
 use subfed_nn::{ModelMask, ParamMeta, Sequential};
 
 /// Per-block boolean channel keep-lists.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelMask {
     keep: Vec<Vec<bool>>,
 }

@@ -6,11 +6,10 @@
 //! the kept fraction is `(1-r)ⁿ`. Biases and BatchNorm parameters are never
 //! pruned (matching the reference implementation).
 
-use serde::{Deserialize, Serialize};
 use subfed_nn::{is_kept, ModelMask, ParamKind, ParamMeta, Sequential};
 
 /// Which weights unstructured pruning may remove.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneScope {
     /// All conv and FC kernels — Sub-FedAvg (Un).
     AllWeights,
@@ -29,7 +28,7 @@ impl PruneScope {
 }
 
 /// How weights are ranked for removal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ranking {
     /// Rank within each parameter tensor independently (the reference
     /// implementation's behaviour).
