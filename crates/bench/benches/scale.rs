@@ -3,8 +3,9 @@
 //! Where `micro` measures training kernels, this target measures the
 //! *federation scaffolding* that `--num-clients` runs on (see
 //! `docs/SCALING.md`): building a [`ClientRegistry`] for 10⁶ clients,
-//! drawing a 10⁴-client cohort from it with the sparse
-//! [`UniformSampler`] path, and folding masked updates through the
+//! a 10⁴-client cohort's first participation and first mask in it,
+//! drawing a 10⁴-client cohort with the sparse [`UniformSampler`] path,
+//! and folding masked updates through the
 //! [`StreamingAccumulator`] / [`OrderedAccumulator`]. No training runs
 //! here — the point is that the scaffolding itself stays cheap.
 //!
@@ -33,10 +34,23 @@ fn smoke_mode() -> bool {
 
 /// Median wall-clock of `samples` timed calls, printed with a label.
 fn timed<R>(label: &str, samples: usize, mut f: impl FnMut() -> R) -> f64 {
+    timed_fresh(label, samples, || (), |()| f())
+}
+
+/// Median wall-clock of `samples` calls of `f`, each on a fresh `setup()`
+/// built before its timing starts and dropped after it ends, printed with
+/// a label.
+fn timed_fresh<S, R>(
+    label: &str,
+    samples: usize,
+    setup: impl Fn() -> S,
+    mut f: impl FnMut(&mut S) -> R,
+) -> f64 {
     let mut times: Vec<f64> = (0..samples)
         .map(|_| {
+            let mut state = setup();
             let t = Instant::now();
-            black_box(f());
+            black_box(f(&mut state));
             t.elapsed().as_secs_f64() * 1e3
         })
         .collect();
@@ -55,20 +69,37 @@ fn main() {
         if smoke_mode() { (100_000, 1_000, 3) } else { (1_000_000, 10_000, 5) };
     println!("-- registry scale: {registered} registered, cohort {cohort} --");
 
-    // Registry construction is O(population) but each record is 16 bytes;
-    // masks stay implicit (all-ones) until a client actually prunes.
+    // Registry construction allocates nothing at any population: the
+    // registry holds records only for clients that have participated or
+    // stored a mask, and every other client reads as implicit (all-ones).
     let mut registry = ClientRegistry::new(registered, MODEL_PARAMS);
     timed("registry_build", samples, || {
         registry = ClientRegistry::new(registered, MODEL_PARAMS);
     });
     println!("  registry resident (no masks yet): {}", human_bytes(registry.memory_bytes() as u64));
 
-    // Write explicit masks for one cohort's worth of clients — the only
-    // clients that ever cost arena space.
+    // A cohort of fresh ids spread over the population, each noting its
+    // first participation and storing its first mask: one table entry
+    // and one arena slot apiece, on a fresh registry each sample.
     let mut rng = SeededRng::new(7);
     let mask = random_mask(&mut rng, 0.5);
     let packed = pack_mask(&mask);
     let kept = mask.iter().filter(|&&m| m == 1.0).count();
+    let fresh = UniformSampler.sample(registered, cohort, 5, 1);
+    timed_fresh(
+        "registry_first_touch_cohort",
+        samples,
+        || ClientRegistry::new(registered, MODEL_PARAMS),
+        |registry| {
+            for &id in &fresh {
+                registry.note_participation(id);
+                registry.set_mask_packed(id, &packed, kept);
+            }
+        },
+    );
+
+    // Write explicit masks for one cohort's worth of clients — the only
+    // clients that ever cost arena space.
     timed("registry_write_cohort_masks", samples, || {
         for id in 0..cohort {
             registry.set_mask_packed(id, &packed, kept);

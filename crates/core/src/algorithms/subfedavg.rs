@@ -494,23 +494,77 @@ fn put_model(mask: &[f32], flat: &[f32], sparse: bool, out: &mut Vec<u8>) {
     if !sparse {
         return put_f32s(out, flat);
     }
-    // The sign bits gather a word at a time, as `pack_mask` packs, and
-    // follow the values: this runs for every trained client every round.
-    let (mut signs, mut word, mut bit) = (Vec::new(), 0u64, 0usize);
-    for (&m, v) in mask.iter().zip(flat) {
-        if is_kept(m) {
-            out.extend_from_slice(&v.to_le_bytes());
-            continue;
+    // 64 entries a step, as `pack_mask` packs: this runs for every trained
+    // client every round. Each block's kept values are copied and its
+    // pruned positions' sign bits compressed into one run, which the sign
+    // bits gather a word at a time and follow the values.
+    let (mut signs, mut word, mut bit) = (Vec::new(), 0u64, 0u32);
+    let mut block = |m: &[f32], v: &[f32], out: &mut Vec<u8>| {
+        let kept = bit_word(m, is_kept);
+        let pruned = !kept & u64::MAX >> (64 - m.len());
+        if pruned == 0 {
+            put_f32s(out, v);
         }
-        word |= u64::from(v.is_sign_negative()) << bit;
-        bit += 1;
-        if bit == 64 {
+        let mut rest = if pruned == 0 { 0 } else { kept };
+        while rest != 0 {
+            let value = v.get(rest.trailing_zeros() as usize).copied().unwrap_or_default();
+            out.extend_from_slice(&value.to_le_bytes());
+            rest &= rest - 1;
+        }
+        let run = compress(bit_word(v, f32::is_sign_negative), pruned);
+        word |= run << bit;
+        let filled = bit + pruned.count_ones();
+        if filled >= 64 {
             signs.extend_from_slice(&word.to_le_bytes());
-            (word, bit) = (0, 0);
+            word = run.checked_shr(64 - bit).unwrap_or(0);
         }
+        bit = filled % 64;
+    };
+    // Whole blocks as arrays, so the bit folds see their length.
+    let ((masks, mask_tail), (values, value_tail)) =
+        (mask.as_chunks::<64>(), flat.as_chunks::<64>());
+    for (m, v) in masks.iter().zip(values) {
+        block(m, v, out);
     }
-    signs.extend(word.to_le_bytes().into_iter().take(bit.div_ceil(8)));
+    if !mask_tail.is_empty() {
+        block(mask_tail, value_tail, out);
+    }
+    signs.extend(word.to_le_bytes().into_iter().take(bit.div_ceil(8) as usize));
     out.extend_from_slice(&signs);
+}
+
+/// Bit `j` set where `bit` holds for entry `j` of `entries` (at most 64),
+/// folded as `pack_mask` folds, so it vectorizes.
+#[inline(always)]
+fn bit_word(entries: &[f32], bit: impl Fn(f32) -> bool) -> u64 {
+    entries.iter().enumerate().fold(0, |word, (j, &v)| word | u64::from(bit(v)) << j)
+}
+
+/// The bits of `word` at the set positions of `select`, packed from bit 0
+/// up in their order (a software `pext`). The loop runs over whichever is
+/// fewer: the selected positions, or the unselected ones it squeezes out.
+#[inline]
+fn compress(word: u64, select: u64) -> u64 {
+    if select & select.wrapping_add(1) == 0 {
+        // A run from bit 0 up (a block with nothing kept): in place.
+        return word & select;
+    }
+    if select.count_ones() <= 32 {
+        let (mut out, mut rest, mut n) = (0, select, 0);
+        while rest != 0 {
+            out |= (word >> rest.trailing_zeros() & 1) << n;
+            (rest, n) = (rest & (rest - 1), n + 1);
+        }
+        return out;
+    }
+    // Highest first, so each squeeze leaves the positions below it alone.
+    let (mut out, mut drop) = (word & select, !select & u64::MAX >> select.leading_zeros());
+    while drop != 0 {
+        let below = (1u64 << (63 - drop.leading_zeros())) - 1;
+        out = out & below | out >> 1 & !below;
+        drop &= below;
+    }
+    out
 }
 
 /// The model a sparse [`put_model`] image under `mask` holds, from its
@@ -1348,6 +1402,77 @@ mod tests {
             assert!(at.is_some(), "the untrained client's checkpoint record is not θ₀");
             let acc = algo.fed.evaluate_flat(&theta0, &algo.fed.client_data(idle).test);
             assert_eq!(algo.store.evaluate(&algo.fed)[idle].to_bits(), acc.to_bits());
+        }
+    }
+
+    mod packing {
+        use super::*;
+
+        /// The per-entry packer [`put_model`] replaced, for a sparse image.
+        fn put_model_per_entry(mask: &[f32], flat: &[f32], out: &mut Vec<u8>) {
+            out.push(0);
+            let (mut signs, mut word, mut bit) = (Vec::new(), 0u64, 0usize);
+            for (&m, v) in mask.iter().zip(flat) {
+                if is_kept(m) {
+                    out.extend_from_slice(&v.to_le_bytes());
+                    continue;
+                }
+                word |= u64::from(v.is_sign_negative()) << bit;
+                bit += 1;
+                if bit == 64 {
+                    signs.extend_from_slice(&word.to_le_bytes());
+                    (word, bit) = (0, 0);
+                }
+            }
+            signs.extend(word.to_le_bytes().into_iter().take(bit.div_ceil(8)));
+            out.extend_from_slice(&signs);
+        }
+
+        /// Masks of every length around the 64-entry blocks keeping 0, 1,
+        /// 63, 64, 65 or all entries, or about a tenth, half or nine
+        /// tenths, over models with a random ±0.0 in every pruned slot:
+        /// the images equal the per-entry packer's byte for byte.
+        #[test]
+        fn put_model_packs_as_the_per_entry_packer() {
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let lens = [1, 2, 7, 63, 64, 65, 127, 128, 129, 191, 200, 1000];
+            for len in lens {
+                for case in 0..9 {
+                    let mut mask = vec![0.0f32; len];
+                    match case {
+                        0..6 => {
+                            let keep = [0, 1, 63, 64, 65, len][case].min(len);
+                            let mut order: Vec<usize> = (0..len).collect();
+                            for i in (1..len).rev() {
+                                order.swap(i, next() as usize % (i + 1));
+                            }
+                            order[..keep].iter().for_each(|&i| mask[i] = 1.0);
+                        }
+                        _ => {
+                            let per_mille = [100, 500, 900][case - 6];
+                            mask.iter_mut().for_each(|m| {
+                                *m = if next() % 1000 < per_mille { 1.0 } else { 0.0 };
+                            });
+                        }
+                    }
+                    let flat: Vec<f32> = (mask.iter())
+                        .map(|&m| {
+                            let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
+                            sign * if is_kept(m) { (next() % 1000 + 1) as f32 / 1e3 } else { 0.0 }
+                        })
+                        .collect();
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    put_model(&mask, &flat, true, &mut got);
+                    put_model_per_entry(&mask, &flat, &mut want);
+                    assert_eq!(got, want, "length {len}, case {case}");
+                }
+            }
         }
     }
 

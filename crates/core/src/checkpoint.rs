@@ -247,8 +247,11 @@ pub(crate) fn check(what: &'static str, got: usize, want: usize) -> Result<(), C
 
 /// Appends `values` as little-endian `f32`s.
 pub(crate) fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    let words = out.get_mut(start..).unwrap_or_default().as_chunks_mut().0;
+    for (word, v) in words.iter_mut().zip(values) {
+        *word = v.to_le_bytes();
     }
 }
 

@@ -3,18 +3,24 @@
 //!
 //! Sub-FedAvg's server needs exactly one piece of per-client state between
 //! rounds — the client's current mask (the pruning controller itself is
-//! stateless configuration; see `UnstructuredController`). A registry
-//! record is therefore 16 bytes of bookkeeping plus, *only once a client
-//! has actually pruned*, one packed-mask slot in a compact arena. Clients
-//! that have never been sampled (the overwhelming majority at 1M
-//! registered / 10k sampled) carry an **implicit all-ones mask** — the
-//! `u32::MAX` slot sentinel — and cost no arena bytes at all.
+//! stateless configuration; see `UnstructuredController`). The registry
+//! holds a 16-byte record, in one table ordered by client id, only for a
+//! client whose record differs from the **implicit** one (all-ones mask,
+//! every position kept, no rounds, nothing pruned): one that has
+//! participated or stored a mask. A stored mask also owns one packed-mask
+//! slot in a compact arena. Every other registered client (the
+//! overwhelming majority at 1M registered / 10k sampled) reads as the
+//! implicit record and costs nothing, so a fresh registry allocates
+//! nothing per registered client.
 //!
 //! The whole registry serializes to a flat byte image ([`ClientRegistry::save`] /
-//! [`ClientRegistry::load`]), which travels inside a federation
+//! [`ClientRegistry::load`]) with one record per registered client, which
+//! travels inside a federation
 //! [`Checkpoint`](crate::checkpoint::Checkpoint) so a long-lived federation
 //! can be cold-loaded between processes. See `docs/SCALING.md` for the
 //! memory model.
+
+use std::collections::BTreeMap;
 
 use subfed_metrics::comm::{mask_bytes, pack_mask, unpack_mask};
 use subfed_nn::kept_count;
@@ -25,6 +31,13 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// Magic + version tag for the cold-load image format.
 const MAGIC: [u8; 8] = *b"SFREG01\0";
+
+/// Heap bytes [`ClientRegistry::memory_bytes`] counts for one table entry:
+/// the 8-byte id and 16-byte record sit in B-tree leaves of 11 entries
+/// (280 bytes), about two-thirds full under the random ids sampling
+/// inserts, plus the interior nodes above them. A counting allocator
+/// reads 38.8 bytes an entry for random inserts on x86-64.
+const ENTRY_BYTES: usize = 40;
 
 /// What went wrong decoding a registry image.
 ///
@@ -88,7 +101,8 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// Per-client record (16 bytes; 16 MB per million clients).
+/// Per-client record, 16 bytes as in the image. The table holds one only
+/// for a client whose record is not [`ClientRecord::implicit`].
 #[derive(Debug, Clone, Copy)]
 struct ClientRecord {
     /// Arena slot index, or [`NO_SLOT`] while the mask is implicitly ones.
@@ -101,12 +115,56 @@ struct ClientRecord {
     pruned_fraction: f32,
 }
 
-/// Server-side state for every *registered* client, sized for millions.
+impl ClientRecord {
+    /// The record of a client that has neither participated nor stored a
+    /// mask over a `mask_len`-position model. `ClientRegistry::new`
+    /// refuses a `mask_len` past `u32`, and a loaded registry with one
+    /// holds every record of its image (none can equal this one), so the
+    /// saturation never reaches an image.
+    fn implicit(mask_len: usize) -> Self {
+        let kept = u32::try_from(mask_len).unwrap_or(u32::MAX);
+        Self { mask_slot: NO_SLOT, kept, rounds: 0, pruned_fraction: 0.0 }
+    }
+
+    /// Whether this is the implicit record over `mask_len` positions, bit
+    /// for bit (a `-0.0` pruned fraction is not).
+    fn is_implicit_over(&self, mask_len: usize) -> bool {
+        self.mask_slot == NO_SLOT
+            && self.kept as usize == mask_len
+            && self.rounds == 0
+            && self.pruned_fraction.to_bits() == 0
+    }
+
+    /// The record's 16 image bytes.
+    fn to_bytes(self) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        let fields = [self.mask_slot, self.kept, self.rounds, self.pruned_fraction.to_bits()];
+        for (to, field) in out.as_chunks_mut::<4>().0.iter_mut().zip(fields) {
+            *to = field.to_le_bytes();
+        }
+        out
+    }
+
+    /// The record 16 image bytes hold.
+    fn from_bytes(raw: &[u8; 16]) -> Self {
+        Self {
+            mask_slot: u32_le(raw, 0),
+            kept: u32_le(raw, 4),
+            rounds: u32_le(raw, 8),
+            pruned_fraction: f32::from_bits(u32_le(raw, 12)),
+        }
+    }
+}
+
+/// Server-side state for every *registered* client, sized for millions:
+/// it holds only the clients that have been seen.
 #[derive(Debug, Clone)]
 pub struct ClientRegistry {
+    registered: usize,
     mask_len: usize,
     slot_bytes: usize,
-    records: Vec<ClientRecord>,
+    /// The records that differ from the implicit one, by client id.
+    records: BTreeMap<usize, ClientRecord>,
     /// Packed-mask arena: `allocated_masks() * slot_bytes` bytes, grown
     /// only when a client first diverges from the all-ones mask.
     arena: Vec<u8>,
@@ -114,7 +172,7 @@ pub struct ClientRegistry {
 
 impl ClientRegistry {
     /// A registry of `registered` clients over a model with `mask_len`
-    /// positions, all masks implicitly all-ones.
+    /// positions, all masks implicitly all-ones. Allocates nothing.
     ///
     /// # Panics
     ///
@@ -124,23 +182,18 @@ impl ClientRegistry {
         assert!(registered > 0, "registry needs at least one client");
         assert!(mask_len > 0, "registry needs a non-empty model");
         assert!(u32::try_from(mask_len).is_ok(), "model too large for registry counters");
-        let record = ClientRecord {
-            mask_slot: NO_SLOT,
-            kept: mask_len as u32,
-            rounds: 0,
-            pruned_fraction: 0.0,
-        };
         Self {
+            registered,
             mask_len,
             slot_bytes: mask_bytes(mask_len) as usize,
-            records: vec![record; registered],
+            records: BTreeMap::new(),
             arena: Vec::new(),
         }
     }
 
     /// Number of registered clients.
     pub fn registered(&self) -> usize {
-        self.records.len()
+        self.registered
     }
 
     /// Model positions each mask covers.
@@ -148,15 +201,36 @@ impl ClientRegistry {
         self.mask_len
     }
 
+    /// Client `id`'s record: the stored one, or the implicit one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a registered client.
+    fn record(&self, id: usize) -> ClientRecord {
+        assert!(id < self.registered, "client {id} of {} registered", self.registered);
+        self.records.get(&id).copied().unwrap_or(ClientRecord::implicit(self.mask_len))
+    }
+
+    /// Client `id`'s record for writing, stored from the implicit one on
+    /// first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a registered client.
+    fn record_mut(&mut self, id: usize) -> &mut ClientRecord {
+        assert!(id < self.registered, "client {id} of {} registered", self.registered);
+        self.records.entry(id).or_insert(ClientRecord::implicit(self.mask_len))
+    }
+
     /// Whether client `id` still carries the implicit all-ones mask.
     pub fn is_implicit(&self, id: usize) -> bool {
-        self.records[id].mask_slot == NO_SLOT
+        self.record(id).mask_slot == NO_SLOT
     }
 
     /// The client's current flat 0/1 mask (allocating a fresh vector; the
     /// implicit case synthesizes all ones).
     pub fn mask_flat(&self, id: usize) -> Vec<f32> {
-        let rec = &self.records[id];
+        let rec = self.record(id);
         if rec.mask_slot == NO_SLOT {
             return vec![1.0; self.mask_len];
         }
@@ -186,42 +260,47 @@ impl ClientRegistry {
     pub fn set_mask_packed(&mut self, id: usize, packed: &[u8], kept: usize) {
         assert_eq!(packed.len(), self.slot_bytes, "packed mask length mismatch");
         assert!(kept <= self.mask_len, "kept count exceeds model");
-        let rec = &mut self.records[id];
-        if rec.mask_slot == NO_SLOT {
+        let next_slot = self.arena.len() / self.slot_bytes;
+        let pruned_fraction = 1.0 - kept as f32 / self.mask_len as f32;
+        let rec = self.record_mut(id);
+        let fresh = rec.mask_slot == NO_SLOT;
+        if fresh {
             #[expect(
                 clippy::expect_used,
                 reason = "the slot count is bounded by the u32 population × masks"
             )]
-            let slot = u32::try_from(self.arena.len() / self.slot_bytes)
-                .expect("arena slot index overflow");
+            let slot = u32::try_from(next_slot).expect("arena slot index overflow");
             rec.mask_slot = slot;
+        }
+        (rec.kept, rec.pruned_fraction) = (kept as u32, pruned_fraction);
+        let slot = rec.mask_slot as usize;
+        if fresh {
             self.arena.extend_from_slice(packed);
         } else {
-            let start = rec.mask_slot as usize * self.slot_bytes;
+            let start = slot * self.slot_bytes;
             self.arena[start..start + self.slot_bytes].copy_from_slice(packed);
         }
-        rec.kept = kept as u32;
-        rec.pruned_fraction = 1.0 - kept as f32 / self.mask_len as f32;
     }
 
     /// Kept positions in the client's current mask.
     pub fn kept(&self, id: usize) -> usize {
-        self.records[id].kept as usize
+        self.record(id).kept as usize
     }
 
     /// Fraction of positions the client has pruned away.
     pub fn pruned_fraction(&self, id: usize) -> f32 {
-        self.records[id].pruned_fraction
+        self.record(id).pruned_fraction
     }
 
     /// Marks one round of participation for client `id`.
     pub fn note_participation(&mut self, id: usize) {
-        self.records[id].rounds = self.records[id].rounds.saturating_add(1);
+        let rec = self.record_mut(id);
+        rec.rounds = rec.rounds.saturating_add(1);
     }
 
     /// Rounds client `id` has participated in.
     pub fn rounds_participated(&self, id: usize) -> usize {
-        self.records[id].rounds as usize
+        self.record(id).rounds as usize
     }
 
     /// Clients holding an explicit (ever-pruned) mask slot.
@@ -229,32 +308,39 @@ impl ClientRegistry {
         self.arena.len() / self.slot_bytes.max(1)
     }
 
-    /// Resident bytes: records plus the packed-mask arena. The invariant
-    /// `docs/SCALING.md` documents: this grows with *ever-sampled* clients,
-    /// not with the registered population times the model.
+    /// Resident bytes: one table entry for each client seen, plus the
+    /// packed-mask arena. The invariant `docs/SCALING.md` documents: this
+    /// grows with *ever-sampled* clients, not with the registered
+    /// population, and a fresh registry counts none.
     pub fn memory_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<ClientRecord>() + self.arena.len()
+        self.records.len() * ENTRY_BYTES + self.arena.len()
     }
 
     /// Serializes the registry to a flat byte image (cold-loadable with
-    /// [`ClientRegistry::load`]).
+    /// [`ClientRegistry::load`]): the header, one 16-byte record per
+    /// registered client (the implicit one where the table holds none),
+    /// then the arena.
     pub fn save(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(40 + self.records.len() * 16 + self.arena.len());
+        let mut out = Vec::with_capacity(32 + self.registered * 16 + self.arena.len());
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(self.registered as u64).to_le_bytes());
         out.extend_from_slice(&(self.mask_len as u64).to_le_bytes());
         out.extend_from_slice(&(self.arena.len() as u64).to_le_bytes());
-        for rec in &self.records {
-            out.extend_from_slice(&rec.mask_slot.to_le_bytes());
-            out.extend_from_slice(&rec.kept.to_le_bytes());
-            out.extend_from_slice(&rec.rounds.to_le_bytes());
-            out.extend_from_slice(&rec.pruned_fraction.to_le_bytes());
+        let implicit = ClientRecord::implicit(self.mask_len).to_bytes();
+        let mut stored = self.records.iter().peekable();
+        for id in 0..self.registered {
+            match stored.next_if(|&(&next, _)| next == id) {
+                Some((_, rec)) => out.extend_from_slice(&rec.to_bytes()),
+                None => out.extend_from_slice(&implicit),
+            }
         }
         out.extend_from_slice(&self.arena);
         out
     }
 
-    /// Restores a registry from a [`ClientRegistry::save`] image.
+    /// Restores a registry from a [`ClientRegistry::save`] image, keeping
+    /// exactly the records that differ from the implicit one, so the
+    /// restored registry saves the same image.
     ///
     /// Total by construction: the image is operator- or network-supplied,
     /// so every read is bounds-checked and every length computation uses
@@ -295,24 +381,22 @@ impl ClientRegistry {
         if !arena_len.is_multiple_of(slot_bytes) {
             return Err(RegistryError::RaggedArena);
         }
-        // The exact-size check above bounds this allocation by the image
-        // actually handed in: `registered * 16 + 32 == bytes.len() - arena_len`.
-        let mut records = Vec::with_capacity(registered);
+        // Records in id order, so the first bad slot is the lowest id's;
+        // an implicit record names no slot. The exact-size check above
+        // bounds what is collected by the image actually handed in.
         let records_raw = bytes.get(32..arena_start).unwrap_or(&[]);
-        for (i, rec) in records_raw.chunks_exact(16).enumerate() {
-            let mask_slot = u32_le(rec, 0);
-            if mask_slot != NO_SLOT && mask_slot as usize >= slots {
-                return Err(RegistryError::BadSlot { client: i, slot: mask_slot, slots });
-            }
-            records.push(ClientRecord {
-                mask_slot,
-                kept: u32_le(rec, 4),
-                rounds: u32_le(rec, 8),
-                pruned_fraction: f32::from_bits(u32_le(rec, 12)),
-            });
-        }
+        let records = (records_raw.as_chunks::<16>().0.iter().enumerate())
+            .map(|(client, raw)| (client, ClientRecord::from_bytes(raw)))
+            .filter(|(_, rec)| !rec.is_implicit_over(mask_len))
+            .map(|(client, rec)| match rec.mask_slot {
+                slot if slot != NO_SLOT && slot as usize >= slots => {
+                    Err(RegistryError::BadSlot { client, slot, slots })
+                }
+                _ => Ok((client, rec)),
+            })
+            .collect::<Result<BTreeMap<_, _>, _>>()?;
         let arena = bytes.get(arena_start..).unwrap_or(&[]).to_vec();
-        Ok(Self { mask_len, slot_bytes, records, arena })
+        Ok(Self { registered, mask_len, slot_bytes, records, arena })
     }
 }
 
@@ -323,9 +407,9 @@ fn u64_at(bytes: &[u8], off: usize) -> Option<u64> {
 }
 
 /// Little-endian `u32` at `off` inside one 16-byte record. The fallback
-/// is unreachable for `chunks_exact(16)` callers; it exists so the
-/// reader stays total instead of trusting the caller.
-fn u32_le(rec: &[u8], off: usize) -> u32 {
+/// is unreachable for offsets below 13; it exists so the reader stays
+/// total instead of trusting the caller.
+fn u32_le(rec: &[u8; 16], off: usize) -> u32 {
     match rec.get(off..).and_then(|s| s.first_chunk::<4>()) {
         Some(c) => u32::from_le_bytes(*c),
         None => 0,
@@ -369,11 +453,22 @@ mod tests {
 
     #[test]
     fn memory_stays_off_the_population_times_model_curve() {
+        // A fresh registry of a million clients holds nothing per client.
+        assert_eq!(ClientRegistry::new(1_000_000, 10_000).memory_bytes(), 0);
         let mut reg = ClientRegistry::new(100_000, 10_000);
+        // A participation costs one table entry and nothing more.
+        reg.note_participation(3);
+        assert_eq!(reg.memory_bytes(), ENTRY_BYTES);
+        // A first mask costs one entry and one 1250-byte slot; storing it
+        // again, or participating again, costs nothing.
         reg.set_mask(7, &vec![1.0; 10_000]);
-        // 100k × 16B records + one 1250-byte slot — nowhere near
-        // 100k × 10k × 4B dense masks (4 GB).
-        assert!(reg.memory_bytes() < 2 * 100_000 * 16);
+        assert_eq!(reg.memory_bytes(), 2 * ENTRY_BYTES + 1250);
+        reg.set_mask(7, &vec![0.0; 10_000]);
+        reg.note_participation(7);
+        assert_eq!(reg.memory_bytes(), 2 * ENTRY_BYTES + 1250);
+        // A participating client's first mask adds only its slot.
+        reg.set_mask(3, &vec![1.0; 10_000]);
+        assert_eq!(reg.memory_bytes(), 2 * ENTRY_BYTES + 2 * 1250);
     }
 
     #[test]

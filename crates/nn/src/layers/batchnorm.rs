@@ -56,6 +56,133 @@ impl BatchNorm2d {
     }
 }
 
+/// The `G` planes of image `i` from channel `ch0` of an NCHW batch with
+/// `c` channels of `plane` values.
+fn planes<const G: usize>(
+    x: &[f32],
+    (c, plane): (usize, usize),
+    i: usize,
+    ch0: usize,
+) -> [&[f32]; G] {
+    std::array::from_fn(|k| &x[(i * c + ch0 + k) * plane..][..plane])
+}
+
+impl BatchNorm2d {
+    /// The training forward of the `G` channels from `ch0` of an NCHW
+    /// batch of `(n, c, plane)`: batch statistics, output, x̂, `inv_std`
+    /// and running estimates. The channels' reductions run side by side,
+    /// so no add waits on the one before it, but each channel's chain adds
+    /// in the order it would alone: the mean as each image's plane sum,
+    /// from `-0.0` as `Iterator::sum` starts, added in image order; the
+    /// variance as one chain over images, then pixels. Returns `G`.
+    #[allow(clippy::needless_range_loop)]
+    fn train_channels<const G: usize>(
+        &mut self,
+        x: &[f32],
+        (out, xhat, inv_std): (&mut [f32], &mut [f32], &mut [f32]),
+        (n, c, plane): (usize, usize, usize),
+        ch0: usize,
+    ) -> usize {
+        let m = (n * plane) as f32;
+        let mut mean = [0.0f32; G];
+        for i in 0..n {
+            let src = planes::<G>(x, (c, plane), i, ch0);
+            let mut sums = [-0.0f32; G];
+            for p in 0..plane {
+                for k in 0..G {
+                    sums[k] += src[k][p];
+                }
+            }
+            for k in 0..G {
+                mean[k] += sums[k];
+            }
+        }
+        let mean = mean.map(|sum| sum / m);
+        let mut var = [0.0f32; G];
+        for i in 0..n {
+            let src = planes::<G>(x, (c, plane), i, ch0);
+            for p in 0..plane {
+                for k in 0..G {
+                    let d = src[k][p] - mean[k];
+                    var[k] += d * d;
+                }
+            }
+        }
+        for (k, (mean, var)) in mean.into_iter().zip(var).enumerate() {
+            let ch = ch0 + k;
+            let var = var / m;
+            let istd = 1.0 / (var + self.eps).sqrt();
+            inv_std[ch] = istd;
+            let g = self.gamma.value.data()[ch];
+            let b = self.beta.value.data()[ch];
+            for i in 0..n {
+                let base = (i * c + ch) * plane;
+                let src = &x[base..base + plane];
+                let xh_dst = &mut xhat[base..base + plane];
+                let dst = &mut out[base..base + plane];
+                for ((d, xh_d), &s) in dst.iter_mut().zip(xh_dst.iter_mut()).zip(src) {
+                    let xh = (s - mean) * istd;
+                    *xh_d = xh;
+                    *d = g * xh + b;
+                }
+            }
+            // Exponential running estimates (unbiased variance, as in
+            // PyTorch).
+            let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+            let rm = &mut self.running_mean.value.data_mut()[ch];
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
+            let rv = &mut self.running_var.value.data_mut()[ch];
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
+        }
+        G
+    }
+
+    /// The backward of the `G` channels from `ch0` of an NCHW batch of
+    /// `(n, c, plane)`: `dx`, and γ's and β's gradients. Σdy and Σdy·x̂
+    /// run side by side across the channels, each one chain over images,
+    /// then pixels, as a channel alone adds them. Returns `G`.
+    #[allow(clippy::needless_range_loop)]
+    fn backward_channels<const G: usize>(
+        &self,
+        dy: &[f32],
+        xhat: &[f32],
+        inv_std: &[f32],
+        (dx, dgamma, dbeta): (&mut [f32], &mut [f32], &mut [f32]),
+        (n, c, plane): (usize, usize, usize),
+        ch0: usize,
+    ) -> usize {
+        let m = (n * plane) as f32;
+        let (mut sum_dy, mut sum_dy_xhat) = ([0.0f32; G], [0.0f32; G]);
+        for i in 0..n {
+            let dys = planes::<G>(dy, (c, plane), i, ch0);
+            let xhs = planes::<G>(xhat, (c, plane), i, ch0);
+            for p in 0..plane {
+                for k in 0..G {
+                    let dy = dys[k][p];
+                    sum_dy[k] += dy;
+                    sum_dy_xhat[k] += dy * xhs[k][p];
+                }
+            }
+        }
+        for (k, (sum_dy, sum_dy_xhat)) in sum_dy.into_iter().zip(sum_dy_xhat).enumerate() {
+            let ch = ch0 + k;
+            dgamma[ch] = sum_dy_xhat;
+            dbeta[ch] = sum_dy;
+            let coeff = self.gamma.value.data()[ch] * inv_std[ch] / m;
+            for i in 0..n {
+                let base = (i * c + ch) * plane;
+                let dys = &dy[base..base + plane];
+                let xhs = &xhat[base..base + plane];
+                let dst = &mut dx[base..base + plane];
+                for ((d, &dy), &xh) in dst.iter_mut().zip(dys).zip(xhs) {
+                    *d = coeff * (m * dy - sum_dy - xh * sum_dy_xhat);
+                }
+            }
+        }
+        G
+    }
+}
+
 impl Layer for BatchNorm2d {
     fn name(&self) -> &'static str {
         "batchnorm2d"
@@ -68,7 +195,6 @@ impl Layer for BatchNorm2d {
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, self.channels, "batchnorm2d: expected {} channels, got {c}", self.channels);
         let plane = h * w;
-        let m = (n * plane) as f32;
         // lint: allow(hot-path-alloc) — output/cache buffers are owned by the value-path contract
         let mut out = vec![0.0f32; input.len()];
         match mode {
@@ -78,44 +204,17 @@ impl Layer for BatchNorm2d {
                 let mut xhat = vec![0.0f32; input.len()];
                 // lint: allow(hot-path-alloc) — per-channel stats Vec is c entries, not tensor-sized
                 let mut inv_std = vec![0.0f32; c];
-                for ch in 0..c {
-                    let mut mean = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        mean += input.data()[base..base + plane].iter().sum::<f32>();
-                    }
-                    mean /= m;
-                    let mut var = 0.0f32;
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        for &v in &input.data()[base..base + plane] {
-                            let d = v - mean;
-                            var += d * d;
-                        }
-                    }
-                    var /= m;
-                    let istd = 1.0 / (var + self.eps).sqrt();
-                    inv_std[ch] = istd;
-                    let g = self.gamma.value.data()[ch];
-                    let b = self.beta.value.data()[ch];
-                    for i in 0..n {
-                        let base = (i * c + ch) * plane;
-                        let src = &input.data()[base..base + plane];
-                        let xh_dst = &mut xhat[base..base + plane];
-                        let dst = &mut out[base..base + plane];
-                        for ((d, xh_d), &s) in dst.iter_mut().zip(xh_dst.iter_mut()).zip(src) {
-                            let xh = (s - mean) * istd;
-                            *xh_d = xh;
-                            *d = g * xh + b;
-                        }
-                    }
-                    // Exponential running estimates (unbiased variance, as
-                    // in PyTorch).
-                    let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
-                    let rm = &mut self.running_mean.value.data_mut()[ch];
-                    *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                    let rv = &mut self.running_var.value.data_mut()[ch];
-                    *rv = (1.0 - self.momentum) * *rv + self.momentum * unbiased;
+                let dims = (n, c, plane);
+                let mut ch = 0;
+                while ch < c {
+                    let (x, stats) =
+                        (input.data(), (&mut out[..], &mut xhat[..], &mut inv_std[..]));
+                    ch += match c - ch {
+                        8.. => self.train_channels::<8>(x, stats, dims, ch),
+                        4.. => self.train_channels::<4>(x, stats, dims, ch),
+                        2.. => self.train_channels::<2>(x, stats, dims, ch),
+                        _ => self.train_channels::<1>(x, stats, dims, ch),
+                    };
                 }
                 self.cache = Some(Cache {
                     // lint: allow(hot-path-alloc) — shape metadata, not tensor data
@@ -164,39 +263,22 @@ impl Layer for BatchNorm2d {
         assert_eq!(grad_out.shape(), &cache.shape[..], "batchnorm2d backward shape mismatch");
         let (n, c, h, w) = (cache.shape[0], cache.shape[1], cache.shape[2], cache.shape[3]);
         let plane = h * w;
-        let m = (n * plane) as f32;
         // lint: allow(hot-path-alloc) — per-channel grad Vec is c entries, not tensor-sized
         let mut dgamma = vec![0.0f32; c];
         // lint: allow(hot-path-alloc) — per-channel grad Vec is c entries, not tensor-sized
         let mut dbeta = vec![0.0f32; c];
         // lint: allow(hot-path-alloc) — dx is returned as an owned Tensor by API contract
         let mut dx = vec![0.0f32; grad_out.len()];
-        for ch in 0..c {
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                let dys = &grad_out.data()[base..base + plane];
-                let xhs = &cache.xhat.data()[base..base + plane];
-                for (&dy, &xh) in dys.iter().zip(xhs) {
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * xh;
-                }
-            }
-            dgamma[ch] = sum_dy_xhat;
-            dbeta[ch] = sum_dy;
-            let g = self.gamma.value.data()[ch];
-            let istd = cache.inv_std[ch];
-            let coeff = g * istd / m;
-            for i in 0..n {
-                let base = (i * c + ch) * plane;
-                let dys = &grad_out.data()[base..base + plane];
-                let xhs = &cache.xhat.data()[base..base + plane];
-                let dst = &mut dx[base..base + plane];
-                for ((d, &dy), &xh) in dst.iter_mut().zip(dys).zip(xhs) {
-                    *d = coeff * (m * dy - sum_dy - xh * sum_dy_xhat);
-                }
-            }
+        let (dy, xhat, dims) = (grad_out.data(), cache.xhat.data(), (n, c, plane));
+        let mut ch = 0;
+        while ch < c {
+            let grads = (&mut dx[..], &mut dgamma[..], &mut dbeta[..]);
+            ch += match c - ch {
+                8.. => self.backward_channels::<8>(dy, xhat, &cache.inv_std, grads, dims, ch),
+                4.. => self.backward_channels::<4>(dy, xhat, &cache.inv_std, grads, dims, ch),
+                2.. => self.backward_channels::<2>(dy, xhat, &cache.inv_std, grads, dims, ch),
+                _ => self.backward_channels::<1>(dy, xhat, &cache.inv_std, grads, dims, ch),
+            };
         }
         // lint: allow(hot-path-alloc) — shape metadata, not tensor data
         self.gamma.grad = Tensor::from_parts(vec![c], dgamma);
@@ -290,6 +372,107 @@ mod tests {
             assert!((v - 1.0).abs() < 1e-3, "{v}");
         }
         assert!(bn.cache.is_none());
+    }
+
+    /// Forward (output, x̂, `inv_std`) and running estimates, then
+    /// backward (`dx`, dγ, dβ), one channel at a time, each reduction one
+    /// sequential chain: the layer as it was before its channels' chains
+    /// ran side by side.
+    #[allow(clippy::type_complexity)]
+    fn one_channel_at_a_time(
+        bn: &BatchNorm2d,
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (n, c, plane) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
+        let m = (n * plane) as f32;
+        let (x, dy) = (x.data(), dy.data());
+        let (gamma, beta) = (bn.gamma.value.data(), bn.beta.value.data());
+        let mut rm = bn.running_mean.value.data().to_vec();
+        let mut rv = bn.running_var.value.data().to_vec();
+        let (mut out, mut xhat, mut dx) =
+            (vec![0.0; x.len()], vec![0.0; x.len()], vec![0.0; x.len()]);
+        let (mut dgamma, mut dbeta) = (vec![0.0; c], vec![0.0; c]);
+        let planes = |ch| (0..n).map(move |i| (i * c + ch) * plane..(i * c + ch + 1) * plane);
+        for ch in 0..c {
+            let mut mean = 0.0f32;
+            for r in planes(ch) {
+                mean += x[r].iter().sum::<f32>();
+            }
+            mean /= m;
+            let mut var = 0.0f32;
+            for r in planes(ch) {
+                for &v in &x[r] {
+                    let d = v - mean;
+                    var += d * d;
+                }
+            }
+            var /= m;
+            let istd = 1.0 / (var + bn.eps).sqrt();
+            for r in planes(ch) {
+                for j in r {
+                    xhat[j] = (x[j] - mean) * istd;
+                    out[j] = gamma[ch] * xhat[j] + beta[ch];
+                }
+            }
+            let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
+            rm[ch] = (1.0 - bn.momentum) * rm[ch] + bn.momentum * mean;
+            rv[ch] = (1.0 - bn.momentum) * rv[ch] + bn.momentum * unbiased;
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for r in planes(ch) {
+                for j in r {
+                    sum_dy += dy[j];
+                    sum_dy_xhat += dy[j] * xhat[j];
+                }
+            }
+            (dgamma[ch], dbeta[ch]) = (sum_dy_xhat, sum_dy);
+            let coeff = gamma[ch] * istd / m;
+            for r in planes(ch) {
+                for j in r {
+                    dx[j] = coeff * (m * dy[j] - sum_dy - xhat[j] * sum_dy_xhat);
+                }
+            }
+        }
+        (out, xhat, rm, rv, dx, dgamma, dbeta)
+    }
+
+    #[test]
+    fn side_by_side_channels_match_one_channel_at_a_time_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeededRng::new(11);
+        for c in [1, 3, 6, 10, 16, 20] {
+            for n in [1, 2, 10] {
+                for (h, w) in [(1, 1), (2, 2), (12, 12)] {
+                    if n * h * w < 2 {
+                        continue;
+                    }
+                    let mut bn = BatchNorm2d::new(c);
+                    for p in [&mut bn.gamma, &mut bn.beta, &mut bn.running_mean] {
+                        p.value = uniform(&[c], -1.5, 1.5, &mut rng);
+                    }
+                    bn.running_var.value = uniform(&[c], 0.5, 2.0, &mut rng);
+                    let x = uniform(&[n, c, h, w], -3.0, 4.0, &mut rng);
+                    let dy = uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
+                    let (out, xhat, rm, rv, dx, dgamma, dbeta) =
+                        one_channel_at_a_time(&bn, &x, &dy);
+                    let case = format!("{n}×{c}×{h}×{w}");
+                    let y = bn.forward_ws(&x, Mode::Train, &mut Workspace::new());
+                    assert_eq!(bits(y.data()), bits(&out), "output {case}");
+                    let cached = bn.cache.as_ref().map(|cache| bits(cache.xhat.data()));
+                    assert_eq!(cached, Some(bits(&xhat)), "x̂ {case}");
+                    assert_eq!(
+                        bits(bn.running_mean.value.data()),
+                        bits(&rm),
+                        "running mean {case}"
+                    );
+                    assert_eq!(bits(bn.running_var.value.data()), bits(&rv), "running var {case}");
+                    let got_dx = bn.backward_ws(&dy, &mut Workspace::new());
+                    assert_eq!(bits(got_dx.data()), bits(&dx), "dx {case}");
+                    assert_eq!(bits(bn.gamma.grad.data()), bits(&dgamma), "dγ {case}");
+                    assert_eq!(bits(bn.beta.grad.data()), bits(&dbeta), "dβ {case}");
+                }
+            }
+        }
     }
 
     #[test]

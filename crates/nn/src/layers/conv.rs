@@ -202,13 +202,36 @@ impl Conv2d {
         ws.put(dw);
         // db = rowwise sum of dOut.
         let mut db = ws.take_scratch(self.out_ch);
-        for (oc, d) in db.iter_mut().enumerate() {
-            *d = dym[oc * fused_cols..(oc + 1) * fused_cols].iter().sum::<f32>();
+        let mut oc = 0;
+        while oc < self.out_ch {
+            oc += match self.out_ch - oc {
+                8.. => row_sums::<8>(&dym, fused_cols, oc, &mut db),
+                4.. => row_sums::<4>(&dym, fused_cols, oc, &mut db),
+                2.. => row_sums::<2>(&dym, fused_cols, oc, &mut db),
+                _ => row_sums::<1>(&dym, fused_cols, oc, &mut db),
+            };
         }
         store_grad(&mut self.bias, &[self.out_ch], &db);
         ws.put(db);
         (cache, dym)
     }
+}
+
+/// Sums rows `first..first + G` of the `cols`-column matrix `m` into
+/// `sums`. The rows' chains run side by side, so no add waits on the one
+/// before it, but each adds from `-0.0` in column order, as
+/// `Iterator::sum` over the row alone would. Returns `G`.
+#[allow(clippy::needless_range_loop)]
+fn row_sums<const G: usize>(m: &[f32], cols: usize, first: usize, sums: &mut [f32]) -> usize {
+    let rows: [&[f32]; G] = std::array::from_fn(|k| &m[(first + k) * cols..][..cols]);
+    let mut acc = [-0.0f32; G];
+    for j in 0..cols {
+        for k in 0..G {
+            acc[k] += rows[k][j];
+        }
+    }
+    sums[first..first + G].copy_from_slice(&acc);
+    G
 }
 
 /// Returns a finished backward's buffers to the workspace.
