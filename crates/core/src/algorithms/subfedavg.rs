@@ -494,22 +494,23 @@ fn put_model(mask: &[f32], flat: &[f32], sparse: bool, out: &mut Vec<u8>) {
     if !sparse {
         return put_f32s(out, flat);
     }
-    // 64 entries a step, as `pack_mask` packs: this runs for every trained
-    // client every round. Each block's kept values are copied and its
-    // pruned positions' sign bits compressed into one run, which the sign
-    // bits gather a word at a time and follow the values.
+    // This runs for every trained client every round, so it walks the mask
+    // 64 entries a step, as `pack_mask` packs: a block copies its kept
+    // values and compresses its pruned positions' sign bits into one run.
+    // The runs gather into words, which follow the values.
     let (mut signs, mut word, mut bit) = (Vec::new(), 0u64, 0u32);
     let mut block = |m: &[f32], v: &[f32], out: &mut Vec<u8>| {
         let kept = bit_word(m, is_kept);
         let pruned = !kept & u64::MAX >> (64 - m.len());
         if pruned == 0 {
             put_f32s(out, v);
-        }
-        let mut rest = if pruned == 0 { 0 } else { kept };
-        while rest != 0 {
-            let value = v.get(rest.trailing_zeros() as usize).copied().unwrap_or_default();
-            out.extend_from_slice(&value.to_le_bytes());
-            rest &= rest - 1;
+        } else {
+            let mut rest = kept;
+            while rest != 0 {
+                let value = v.get(rest.trailing_zeros() as usize).copied().unwrap_or_default();
+                out.extend_from_slice(&value.to_le_bytes());
+                rest &= rest - 1;
+            }
         }
         let run = compress(bit_word(v, f32::is_sign_negative), pruned);
         word |= run << bit;
@@ -1408,7 +1409,8 @@ mod tests {
     mod packing {
         use super::*;
 
-        /// The per-entry packer [`put_model`] replaced, for a sparse image.
+        /// A sparse image packed one entry at a time, branching on the mask
+        /// at each: the bytes [`put_model`]'s 64-entry blocks must equal.
         fn put_model_per_entry(mask: &[f32], flat: &[f32], out: &mut Vec<u8>) {
             out.push(0);
             let (mut signs, mut word, mut bit) = (Vec::new(), 0u64, 0usize);

@@ -1,10 +1,10 @@
 //! The client registry holds records only for the clients it has seen,
-//! and behaves as the dense table of one record per registered client it
-//! replaced. [`Dense`], that table as it was, is the oracle: random
-//! sequences of writes must leave every read and the saved image equal;
-//! every image the registry loads saves back byte for byte; every
-//! truncated or bit-flipped image is refused with the dense loader's
-//! error. The registry image and the encoded checkpoint of a small
+//! and behaves as a dense table of one record per registered client.
+//! [`Dense`], that table, is the oracle. Random sequences of writes must
+//! leave every read and the saved image equal to the oracle's. Every
+//! truncation and single-bit flip of an image gets the oracle loader's
+//! verdict: the same error, or a registry that saves the image back byte
+//! for byte. The registry image and the encoded checkpoint of a small
 //! registry run are pinned to the hashes recorded with the dense table.
 
 use std::sync::Arc;

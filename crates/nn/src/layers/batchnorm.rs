@@ -270,11 +270,12 @@ impl Layer for BatchNorm2d {
         // lint: allow(hot-path-alloc) — dx is returned as an owned Tensor by API contract
         let mut dx = vec![0.0f32; grad_out.len()];
         let (dy, xhat, dims) = (grad_out.data(), cache.xhat.data(), (n, c, plane));
+        // Four channels at most: each reads two planes (dy and x̂), and
+        // eight channels' sixteen ran no faster than one channel alone.
         let mut ch = 0;
         while ch < c {
             let grads = (&mut dx[..], &mut dgamma[..], &mut dbeta[..]);
             ch += match c - ch {
-                8.. => self.backward_channels::<8>(dy, xhat, &cache.inv_std, grads, dims, ch),
                 4.. => self.backward_channels::<4>(dy, xhat, &cache.inv_std, grads, dims, ch),
                 2.. => self.backward_channels::<2>(dy, xhat, &cache.inv_std, grads, dims, ch),
                 _ => self.backward_channels::<1>(dy, xhat, &cache.inv_std, grads, dims, ch),
@@ -374,10 +375,9 @@ mod tests {
         assert!(bn.cache.is_none());
     }
 
-    /// Forward (output, x̂, `inv_std`) and running estimates, then
-    /// backward (`dx`, dγ, dβ), one channel at a time, each reduction one
-    /// sequential chain: the layer as it was before its channels' chains
-    /// ran side by side.
+    /// Forward (output, x̂) and running estimates, then backward (`dx`,
+    /// dγ, dβ), one channel at a time, each reduction one sequential
+    /// chain: the order the layer's side-by-side chains must keep.
     #[allow(clippy::type_complexity)]
     fn one_channel_at_a_time(
         bn: &BatchNorm2d,
